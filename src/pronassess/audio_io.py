@@ -55,10 +55,6 @@ class AudioBuffer:
         if peak > 1.0:
             raise ValidationError(f"samples exceed [-1, 1] (peak {peak:.6g})")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 def load_wav(path) -> AudioBuffer:
     """Read a PCM16 mono 16 kHz WAV file, scaling samples by 1/32768."""

@@ -19,14 +19,13 @@ import numpy as np
 
 from . import audio_io
 from .aligner import dtw_align, spans_to_durations
-from .assembly import build_fusion_input, pool_to_phonemes
 from .durations import fit_durations, gopd_vector
 from .errors import FormatError, InfeasibleAlignmentError, PronAssessError, ValidationError
 from .functionals import compute_functionals
 from .lld import FrameFeatures, extract_frame_features
 from .metrics import pcc, predict_score
 from .model import ScoringModel
-from .pipeline import prepare_dataset, prepare_utterance
+from .pipeline import compose_fusion, prepare_dataset, prepare_utterance
 from .synth import SyntheticSpec, generate_corpus
 from .train import history_csv, parse_train_config, train
 
@@ -79,9 +78,7 @@ def _cmd_assemble(args) -> int:
         ff = extract_frame_features(audio_io.load_wav(args.wav))
     alignment = audio_io.read_alignment(args.alignment)
     model = audio_io.read_duration_model(args.duration_model)
-    fusion = build_fusion_input(
-        pool_to_phonemes(ff, alignment), gopd_vector(alignment, model), alignment.phones
-    )
+    fusion = compose_fusion(ff, alignment, model)
     audio_io.write_matrix(args.out, fusion.numeric_block())
     sidecar = Path(str(args.out) + ".phones")
     lines = ["phone\tindex"]
@@ -161,11 +158,22 @@ def _read_score_csv(path) -> dict[str, tuple[float, float]]:
     if not lines or lines[0] != "id,fluency,prosody":
         raise FormatError(f"bad score CSV header in {path}")
     out = {}
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        uid, f, p = line.split(",")
-        out[uid] = (float(f), float(p))
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{ln}: expected 3 fields, got {len(fields)}")
+        uid, f, p = fields
+        try:
+            scores = (float(f), float(p))
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: non-numeric score in {line!r}") from None
+        if not np.all(np.isfinite(scores)):
+            raise FormatError(f"{path}:{ln}: non-finite score in {line!r}")
+        if uid in out:
+            raise FormatError(f"{path}:{ln}: duplicate id {uid!r}")
+        out[uid] = scores
     return out
 
 
@@ -182,6 +190,9 @@ def _cmd_eval(args) -> int:
             raise ValidationError(
                 f"{pred_path}: missing predictions for {sorted(missing)[:3]}..."
             )
+        unknown = set(pred) - set(ids)
+        if unknown:
+            raise ValidationError(f"{pred_path}: ids not in gold: {sorted(unknown)[:3]}...")
         r_f = pcc([pred[i][0] for i in ids], ref_f)
         r_p = pcc([pred[i][1] for i in ids], ref_p)
         all_f.append(r_f)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
 from .lld import HOP_S, FrameFeatures
 
 FUNCTIONAL_NAMES = (
@@ -38,13 +37,6 @@ class UtteranceFunctionals:
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "UtteranceFunctionals":
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if vec.size != len(FUNCTIONAL_NAMES):
-            raise ValidationError(f"functionals vector must have 13 entries, got {vec.size}")
-        return cls(*[float(v) for v in vec])
 
 
 def segment_voicing(ff: FrameFeatures) -> list[tuple[bool, int, int]]:

@@ -26,9 +26,3 @@ def phone_index(symbol: str) -> int:
         return PHONE_TO_INDEX[symbol]
     except KeyError:
         raise InventoryError(f"unknown phoneme symbol {symbol!r}") from None
-
-
-def check_phones(symbols) -> None:
-    for s in symbols:
-        if s not in PHONE_TO_INDEX:
-            raise InventoryError(f"unknown phoneme symbol {s!r}")

@@ -5,6 +5,10 @@ without masking: valid outputs never depend on later inputs, and in the
 backward pass padded positions receive zero upstream gradient, which
 makes every padded step's contribution exactly zero.
 
+The cache keeps each step's output h_t and cell state c_t; the backward
+pass reads the previous step's states h_{t-1} and c_{t-1} from them,
+shifted by one step, with zeros at t = 0.
+
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
 
@@ -26,9 +30,8 @@ def _sigmoid(x):
 class LSTMCache:
     x: np.ndarray          # (B, T, D)
     gates: np.ndarray      # (B, T, 4H) post-activation [i, f, g, o]
-    c: np.ndarray          # (B, T, H)
-    h_prev: np.ndarray     # (B, T, H) hidden state entering each step
-    c_prev: np.ndarray     # (B, T, H)
+    c: np.ndarray          # (B, T, H) cell state after each step; c[:, t-1] is c_{t-1}
+    hs: np.ndarray         # (B, T, H) output after each step; hs[:, t-1] is h_{t-1}
 
 
 def lstm_forward(x, w_x, w_h, b):
@@ -40,14 +43,10 @@ def lstm_forward(x, w_x, w_h, b):
     gates = np.empty((bsz, t_max, 4 * hid))
     cs = np.empty((bsz, t_max, hid))
     hs = np.empty((bsz, t_max, hid))
-    h_prevs = np.empty((bsz, t_max, hid))
-    c_prevs = np.empty((bsz, t_max, hid))
 
     h = np.zeros((bsz, hid))
     c = np.zeros((bsz, hid))
     for t in range(t_max):
-        h_prevs[:, t] = h
-        c_prevs[:, t] = c
         z = z_in[:, t] + h @ w_h.T
         i = _sigmoid(z[:, :hid])
         f = _sigmoid(z[:, hid : 2 * hid])
@@ -61,7 +60,7 @@ def lstm_forward(x, w_x, w_h, b):
         gates[:, t, 3 * hid :] = o
         cs[:, t] = c
         hs[:, t] = h
-    return hs, LSTMCache(x, gates, cs, h_prevs, c_prevs)
+    return hs, LSTMCache(x, gates, cs, hs)
 
 
 def lstm_backward(d_hs, cache, w_x, w_h):
@@ -69,8 +68,9 @@ def lstm_backward(d_hs, cache, w_x, w_h):
     bsz, t_max, hid = cache.c.shape
     dz_all = np.empty((bsz, t_max, 4 * hid))
 
-    dh_next = np.zeros((bsz, hid))
-    dc_next = np.zeros((bsz, hid))
+    zeros = np.zeros((bsz, hid))
+    dh_next = zeros
+    dc_next = zeros
     for t in range(t_max - 1, -1, -1):
         i = cache.gates[:, t, :hid]
         f = cache.gates[:, t, hid : 2 * hid]
@@ -83,7 +83,7 @@ def lstm_backward(d_hs, cache, w_x, w_h):
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
         di = dc * g
         dg = dc * i
-        df = dc * cache.c_prev[:, t]
+        df = dc * (cache.c[:, t - 1] if t else zeros)
         dc_next = dc * f
 
         dz = dz_all[:, t]
@@ -95,7 +95,9 @@ def lstm_backward(d_hs, cache, w_x, w_h):
 
     flat_dz = dz_all.reshape(-1, 4 * hid)
     d_wx = flat_dz.T @ cache.x.reshape(-1, cache.x.shape[-1])
-    d_wh = flat_dz.T @ cache.h_prev.reshape(-1, hid)
+    h_in = np.zeros_like(cache.hs)  # h_{t-1} for every step, contiguous for the GEMM
+    h_in[:, 1:] = cache.hs[:, :-1]
+    d_wh = flat_dz.T @ h_in.reshape(-1, hid)
     d_b = flat_dz.sum(axis=0)
     d_x = dz_all @ w_x
     return d_x, d_wx, d_wh, d_b

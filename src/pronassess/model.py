@@ -22,7 +22,7 @@ All parameters are float64. Gradients are exact reverse-mode derivatives,
 checked against central finite differences in the test suite.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -103,102 +103,99 @@ def _pad(rows_list: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarra
     return out, lengths
 
 
+_DIRECTIONS = ("fwd", "bwd")
+_LSTM_PARTS = ("wx", "wh", "b")
+
+
+def _param_table(c: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of every parameter, in init draw order.
+
+    The order is part of the determinism contract: it fixes which uniform
+    draws each tensor receives for a given seed.
+    """
+    d = c.feature_dim
+
+    def encoder(prefix, d_in):
+        h4 = 4 * c.hidden
+        return [row for dr in _DIRECTIONS for row in (
+            (f"{prefix}_{dr}_wx", (h4, d_in), d_in),
+            (f"{prefix}_{dr}_wh", (h4, c.hidden), c.hidden),
+            (f"{prefix}_{dr}_b", (h4,), d_in),
+        )]
+
+    return [
+        ("embed", (c.vocab_size, c.embed_dim), c.embed_dim),
+        ("ff_w", (c.ff_dim, c.embed_dim), c.embed_dim),
+        ("ff_b", (c.ff_dim,), c.embed_dim),
+        *encoder("pc", c.fusion_in_dim),
+        ("u_w", (d, c.u_dim), c.u_dim),
+        ("u_b", (d,), c.u_dim),
+        *encoder("fu", d),
+        ("head_f_w", (c.n_classes, d), d),
+        ("head_f_b", (c.n_classes,), d),
+        ("head_p_w", (c.n_classes, d), d),
+        ("head_p_b", (c.n_classes,), d),
+    ]
+
+
 class ScoringModel:
     """Parameter container plus forward/backward for batches of utterances."""
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
         self.config = config
-        c = config
-        d = c.feature_dim
-        shapes = [
-            ("embed", (c.vocab_size, c.embed_dim)),
-            ("ff_w", (c.ff_dim, c.embed_dim)),
-            ("ff_b", (c.ff_dim,)),
-            ("pc_fwd_wx", (4 * c.hidden, c.fusion_in_dim)),
-            ("pc_fwd_wh", (4 * c.hidden, c.hidden)),
-            ("pc_fwd_b", (4 * c.hidden,)),
-            ("pc_bwd_wx", (4 * c.hidden, c.fusion_in_dim)),
-            ("pc_bwd_wh", (4 * c.hidden, c.hidden)),
-            ("pc_bwd_b", (4 * c.hidden,)),
-            ("u_w", (d, c.u_dim)),
-            ("u_b", (d,)),
-            ("fu_fwd_wx", (4 * c.hidden, d)),
-            ("fu_fwd_wh", (4 * c.hidden, c.hidden)),
-            ("fu_fwd_b", (4 * c.hidden,)),
-            ("fu_bwd_wx", (4 * c.hidden, d)),
-            ("fu_bwd_wh", (4 * c.hidden, c.hidden)),
-            ("fu_bwd_b", (4 * c.hidden,)),
-            ("head_f_w", (c.n_classes, d)),
-            ("head_f_b", (c.n_classes,)),
-            ("head_p_w", (c.n_classes, d)),
-            ("head_p_b", (c.n_classes,)),
-        ]
-        fan_in = {
-            "embed": c.embed_dim, "ff_w": c.embed_dim, "ff_b": c.embed_dim,
-            "pc_fwd_wx": c.fusion_in_dim, "pc_fwd_wh": c.hidden, "pc_fwd_b": c.fusion_in_dim,
-            "pc_bwd_wx": c.fusion_in_dim, "pc_bwd_wh": c.hidden, "pc_bwd_b": c.fusion_in_dim,
-            "u_w": c.u_dim, "u_b": c.u_dim,
-            "fu_fwd_wx": d, "fu_fwd_wh": c.hidden, "fu_fwd_b": d,
-            "fu_bwd_wx": d, "fu_bwd_wh": c.hidden, "fu_bwd_b": d,
-            "head_f_w": d, "head_f_b": d, "head_p_w": d, "head_p_b": d,
-        }
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
-        for name, shape in shapes:
-            bound = 1.0 / np.sqrt(fan_in[name])
+        for name, shape, fan_in in _param_table(config):
+            bound = 1.0 / np.sqrt(fan_in)
             self.params[name] = rng.uniform(-bound, bound, size=shape)
-
-    @property
-    def param_names(self) -> list[str]:
-        return list(self.params)
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def _pc_params(self):
-        p = self.params
-        return (p["pc_fwd_wx"], p["pc_fwd_wh"], p["pc_fwd_b"]), (
-            p["pc_bwd_wx"], p["pc_bwd_wh"], p["pc_bwd_b"])
+    def _encoder(self, prefix: str):
+        """((wx, wh, b) forward, (wx, wh, b) backward) of encoder `prefix` ("pc" or "fu")."""
+        return tuple(tuple(self.params[f"{prefix}_{dr}_{part}"] for part in _LSTM_PARTS)
+                     for dr in _DIRECTIONS)
 
-    def _fu_params(self):
-        p = self.params
-        return (p["fu_fwd_wx"], p["fu_fwd_wh"], p["fu_fwd_b"]), (
-            p["fu_bwd_wx"], p["fu_bwd_wh"], p["fu_bwd_b"])
+    def _encoder_backward(self, prefix: str, d_out, cache, grads) -> np.ndarray:
+        """Backward through encoder `prefix`: adds its weight gradients to
+        `grads` and returns the gradient of its padded input."""
+        d_x, *dir_grads = bilstm_backward(d_out, cache, *self._encoder(prefix))
+        for dr, gs in zip(_DIRECTIONS, dir_grads):
+            for part, g in zip(_LSTM_PARTS, gs):
+                grads[f"{prefix}_{dr}_{part}"] += g
+        return d_x
 
-    def _phone_rows(self, fusion: FusionInput):
-        """Standardized numeric block joined with the tanh phone features."""
-        idx = fusion.phone_indices
-        if idx.size and (idx.min() < 0 or idx.max() >= self.config.vocab_size):
-            raise InventoryError(
-                f"phone index out of range 0..{self.config.vocab_size - 1}"
-            )
-        emb = self.params["embed"][idx]
-        pre = emb @ self.params["ff_w"].T + self.params["ff_b"]
-        ptilde = np.tanh(pre)
-        numeric = (fusion.numeric_block() - NUMERIC_OFFSET) / NUMERIC_SCALE
-        return np.hstack([numeric, ptilde]), emb, ptilde
+    def _encode_phones(self, fusions: list[FusionInput]):
+        """Phone-cue encoder over a batch of per-phoneme inputs.
+
+        Each utterance's rows are its standardized numeric block joined with
+        tanh phone features. Returns (padded encoder outputs, lengths, encoder
+        cache, embeddings, tanh features); the last two are per utterance.
+        """
+        rows_list, embs, ptildes = [], [], []
+        for fusion in fusions:
+            idx = fusion.phone_indices
+            if idx.size and (idx.min() < 0 or idx.max() >= self.config.vocab_size):
+                raise InventoryError(
+                    f"phone index out of range 0..{self.config.vocab_size - 1}"
+                )
+            emb = self.params["embed"][idx]
+            ptilde = np.tanh(emb @ self.params["ff_w"].T + self.params["ff_b"])
+            numeric = (fusion.numeric_block() - NUMERIC_OFFSET) / NUMERIC_SCALE
+            rows_list.append(np.hstack([numeric, ptilde]))
+            embs.append(emb)
+            ptildes.append(ptilde)
+        r_pad, lengths = _pad(rows_list, self.config.fusion_in_dim)
+        p_all, pc_cache = bilstm_forward(r_pad, lengths, *self._encoder("pc"))
+        return p_all, lengths, pc_cache, embs, ptildes
 
     # -- spec-level single-utterance operations ------------------------------
 
     def phonecue_forward(self, fusion: FusionInput) -> np.ndarray:
         """Encode one utterance's per-phoneme rows to (L, feature_dim)."""
-        rows, _, _ = self._phone_rows(fusion)
-        x, lengths = _pad([rows], self.config.fusion_in_dim)
-        out, _ = bilstm_forward(x, lengths, *self._pc_params())
-        return out[0, : len(rows)]
-
-    def projection_forward(self, ct, alpha, u_nv) -> tuple[np.ndarray, np.ndarray]:
-        """Fusion encoder and score heads for one utterance."""
-        u_std = (np.asarray(u_nv, dtype=np.float64) - U_OFFSET) / U_SCALE
-        u = self.params["u_w"] @ u_std + self.params["u_b"]
-        fseq = np.vstack([ct, alpha, u[None, :]])
-        x, lengths = _pad([fseq], self.config.feature_dim)
-        hs, _ = bilstm_forward(x, lengths, *self._fu_params())
-        pooled = hs[0, : len(fseq)].mean(axis=0)
-        fvec = pooled + u
-        dist_f = softmax(self.params["head_f_w"] @ fvec + self.params["head_f_b"])
-        dist_p = softmax(self.params["head_p_w"] @ fvec + self.params["head_p_b"])
-        return dist_f, dist_p
+        p_all, *_ = self._encode_phones([fusion])
+        return p_all[0, : len(fusion)]
 
     def score_utterance(self, utt: UtteranceFeatures) -> tuple[np.ndarray, np.ndarray]:
         """Full forward for one utterance, returning both head distributions."""
@@ -212,19 +209,12 @@ class ScoringModel:
         head distributions, cache for backward)."""
         cfg = self.config
         d = cfg.feature_dim
-        rows_list, embs, ptildes = [], [], []
         for utt in batch:
             if utt.ct.ndim != 2 or utt.ct.shape[1] != d:
                 raise ValidationError(f"ct must be T x {d}, got {utt.ct.shape}")
             if len(utt.u_nv) != cfg.u_dim:
                 raise ValidationError(f"u_nv must have {cfg.u_dim} entries")
-            rows, emb, ptilde = self._phone_rows(utt.fusion)
-            rows_list.append(rows)
-            embs.append(emb)
-            ptildes.append(ptilde)
-
-        r_pad, l_lens = _pad(rows_list, cfg.fusion_in_dim)
-        p_all, pc_cache = bilstm_forward(r_pad, l_lens, *self._pc_params())
+        p_all, l_lens, pc_cache, embs, ptildes = self._encode_phones([u.fusion for u in batch])
 
         fseqs, attns, us, u_stds = [], [], [], []
         for i, utt in enumerate(batch):
@@ -238,10 +228,9 @@ class ScoringModel:
             u_stds.append(u_std)
 
         f_pad, s_lens = _pad(fseqs, d)
-        hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._fu_params())
+        hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
 
         dists, fvecs, losses = [], [], []
-        wf, wp = loss_weights
         has_labels = all(u.fluency is not None and u.prosody is not None for u in batch)
         for i, utt in enumerate(batch):
             pooled = hs_all[i, : s_lens[i]].mean(axis=0)
@@ -251,9 +240,7 @@ class ScoringModel:
             dists.append((dist_f, dist_p))
             fvecs.append(fvec)
             if has_labels:
-                if not (0 <= utt.fluency < cfg.n_classes and 0 <= utt.prosody < cfg.n_classes):
-                    raise ValidationError("labels must lie in 0..10")
-                losses.append(-wf * np.log(dist_f[utt.fluency]) - wp * np.log(dist_p[utt.prosody]))
+                losses.append(loss_fn(dist_f, dist_p, utt.fluency, utt.prosody, loss_weights))
 
         loss = float(np.mean(losses)) if has_labels else None
         cache = {
@@ -267,8 +254,7 @@ class ScoringModel:
 
     def backward(self, cache) -> dict[str, np.ndarray]:
         """Exact gradients of the mean batch loss for every parameter."""
-        cfg = self.config
-        d = cfg.feature_dim
+        d = self.config.feature_dim
         batch = cache["batch"]
         n = len(batch)
         wf, wp = cache["loss_weights"]
@@ -295,11 +281,7 @@ class ScoringModel:
             d_hs[i, : s_lens[i]] = dfvec / s_lens[i]
             d_us.append(dfvec.copy())  # residual path into u
 
-        d_fseq, fu_f, fu_b = bilstm_backward(d_hs, cache["fu_cache"], *self._fu_params())
-        for g, name in zip(fu_f, ("fu_fwd_wx", "fu_fwd_wh", "fu_fwd_b")):
-            grads[name] += g
-        for g, name in zip(fu_b, ("fu_bwd_wx", "fu_bwd_wh", "fu_bwd_b")):
-            grads[name] += g
+        d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads)
 
         p_all = cache["p_all"]
         l_lens = cache["l_lens"]
@@ -316,11 +298,7 @@ class ScoringModel:
             grads["u_w"] += np.outer(d_us[i], cache["u_stds"][i])
             grads["u_b"] += d_us[i]
 
-        d_rows, pc_f, pc_b = bilstm_backward(d_p, cache["pc_cache"], *self._pc_params())
-        for g, name in zip(pc_f, ("pc_fwd_wx", "pc_fwd_wh", "pc_fwd_b")):
-            grads[name] += g
-        for g, name in zip(pc_b, ("pc_bwd_wx", "pc_bwd_wh", "pc_bwd_b")):
-            grads[name] += g
+        d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
 
         for i, utt in enumerate(batch):
             dr = d_rows[i, : l_lens[i]]
@@ -363,42 +341,54 @@ class ScoringModel:
             end = blob.index(b"END\n")
         except ValueError:
             raise FormatError(f"checkpoint {path} has no END marker") from None
-        lines = blob[len(CKPT_MAGIC) : end].decode("ascii").strip().splitlines()
-        dims = lines[0].split()
-        if dims[0] != "dims" or len(dims) != 7:
-            raise FormatError("checkpoint dims line malformed")
-        cfg = ModelConfig(*[int(v) for v in dims[1:]])
-        n_tensors = int(lines[1])
-        entries = []
-        for line in lines[2 : 2 + n_tensors]:
-            name, rows, cols = line.split()
-            entries.append((name, int(rows), int(cols)))
+        try:
+            lines = blob[len(CKPT_MAGIC) : end].decode("ascii").strip().splitlines()
+            dims = lines[0].split()
+            if dims[0] != "dims" or len(dims) != 7:
+                raise FormatError("checkpoint dims line malformed")
+            cfg = ModelConfig(*[int(v) for v in dims[1:]])
+            n_tensors = int(lines[1])
+            entries = [(name, int(rows), int(cols))
+                       for name, rows, cols in (line.split() for line in lines[2:])]
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"checkpoint {path} has a malformed index: {exc}") from None
+        if min(astuple(cfg)) < 1:
+            raise FormatError(f"checkpoint {path} has non-positive dims {astuple(cfg)}")
+        if len(entries) != n_tensors:
+            raise FormatError(f"checkpoint {path} declares {n_tensors} tensors, lists {len(entries)}")
+        expected = {name: shape if len(shape) == 2 else (1, shape[0])
+                    for name, shape, _ in _param_table(cfg)}
+        names = [name for name, _, _ in entries]
+        if sorted(names) != sorted(expected):
+            raise FormatError(
+                f"checkpoint {path} must list each model tensor once: lists {len(names)} of "
+                f"{len(expected)}, missing {sorted(set(expected) - set(names))}, "
+                f"unknown {sorted(set(names) - set(expected))}"
+            )
+        for name, rows, cols in entries:
+            if (rows, cols) != expected[name]:
+                raise FormatError(
+                    f"tensor {name!r} has shape {(rows, cols)}, expected {expected[name]}"
+                )
+        # Checked before the model is built, so a forged index cannot make
+        # load allocate more than the file holds.
+        payload = len(blob) - (end + 4)
+        needed = 4 * sum(rows * cols for _, rows, cols in entries)
+        if payload != needed:
+            raise FormatError(f"checkpoint {path} holds {payload} tensor bytes, index needs {needed}")
         model = cls(cfg, seed=0)
         offset = end + 4
         for name, rows, cols in entries:
-            if name not in model.params:
-                raise FormatError(f"unknown tensor {name!r} in checkpoint")
-            count = rows * cols
-            raw = blob[offset : offset + 4 * count]
-            if len(raw) != 4 * count:
-                raise FormatError(f"checkpoint truncated in tensor {name!r}")
-            vals = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            target = model.params[name]
-            expected = target.shape if target.ndim == 2 else (1, target.size)
-            if (rows, cols) != expected:
-                raise FormatError(
-                    f"tensor {name!r} has shape {(rows, cols)}, expected {expected}"
-                )
-            model.params[name] = vals.reshape(target.shape)
-            offset += 4 * count
-        if offset != len(blob):
-            raise FormatError(f"trailing bytes after checkpoint tensors ({len(blob) - offset})")
+            vals = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
+            model.params[name] = vals.astype(np.float64).reshape(model.params[name].shape)
+            offset += 4 * rows * cols
         return model
 
 
 def loss_fn(dist_f, dist_p, fluency, prosody, loss_weights=(0.5, 0.5)) -> float:
     """Weighted cross-entropy over the two heads (natural log)."""
-    if not (0 <= fluency <= 10 and 0 <= prosody <= 10):
-        raise ValidationError("labels must lie in 0..10")
+    n_classes = len(dist_f)
+    if not (0 <= fluency < n_classes and 0 <= prosody < n_classes):
+        raise ValidationError(f"labels must lie in 0..{n_classes - 1}")
     wf, wp = loss_weights
     return float(-wf * np.log(dist_f[fluency]) - wp * np.log(dist_p[prosody]))

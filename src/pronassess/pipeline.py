@@ -2,13 +2,21 @@
 scoring-network inputs."""
 
 from . import audio_io
-from .aligner import dtw_align, validate_posteriors
-from .assembly import build_fusion_input, pool_to_phonemes
+from .aligner import Alignment, dtw_align, validate_posteriors
+from .assembly import FusionInput, build_fusion_input, pool_to_phonemes
 from .durations import DurationModel, gopd_vector
 from .errors import ValidationError
 from .functionals import compute_functionals
-from .lld import extract_frame_features
+from .lld import FrameFeatures, extract_frame_features
 from .model import UtteranceFeatures
+
+
+def compose_fusion(ff: FrameFeatures, alignment: Alignment, duration_model: DurationModel) -> FusionInput:
+    """Per-phoneme fusion input: GoPD of each aligned span, its pooled frame
+    features and the phone index, in alignment order."""
+    gopd_values = gopd_vector(alignment, duration_model)
+    pooled = pool_to_phonemes(ff, alignment)
+    return build_fusion_input(pooled, gopd_values, alignment.phones)
 
 
 def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationModel) -> UtteranceFeatures:
@@ -25,10 +33,7 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
         )
     validate_posteriors(posteriors, check_normalized=True)
     alignment, _ = dtw_align(posteriors, entry.phones)
-
-    gopd_values = gopd_vector(alignment, duration_model)
-    pooled = pool_to_phonemes(ff, alignment)
-    fusion = build_fusion_input(pooled, gopd_values, entry.phones)
+    fusion = compose_fusion(ff, alignment, duration_model)
 
     ct = audio_io.read_matrix(entry.ct_path)
     if ct.shape[0] != ff.num_frames:

@@ -135,6 +135,25 @@ class TestGopdAndAssemble:
         assert sidecar[0] == "phone\tindex"
         assert sidecar[1].split("\t")[0] == "AA"
 
+    def test_assemble_matches_pipeline(self, tmp_path, capsys):
+        from pronassess import SyntheticSpec, generate_corpus, prepare_utterance, read_manifest
+
+        corpus = tmp_path / "c"
+        entry = read_manifest(generate_corpus(
+            SyntheticSpec(n_utterances=1, seed=4, min_phones=5, max_phones=5), corpus))[0]
+        durations = corpus / "durations.tsv"
+        align = tmp_path / "a.tsv"
+        assert main(["align", "--posteriors", str(entry.posterior_path),
+                     "--phones", " ".join(entry.phones), "--out", str(align)]) == 0
+        out = tmp_path / "fusion.mtx"
+        assert main(["assemble", "--wav", str(entry.wav_path), "--alignment", str(align),
+                     "--duration-model", str(durations), "--out", str(out)]) == 0
+        fusion = prepare_utterance(entry, read_duration_model(durations)).fusion
+        expected = fusion.numeric_block().astype(np.float32).astype(np.float64)
+        np.testing.assert_array_equal(read_matrix(out), expected)
+        sidecar = (tmp_path / "fusion.mtx.phones").read_text().splitlines()[1:]
+        assert [int(line.split("\t")[1]) for line in sidecar] == list(fusion.phone_indices)
+
 
 class TestEval:
     def test_identical_pred_gold(self, tmp_path, capsys):
@@ -153,6 +172,30 @@ class TestEval:
         out = capsys.readouterr().out
         assert out.count("run") == 3
         assert "average fluency_pcc=1.000000" in out
+
+
+    @pytest.mark.parametrize("row", ["u2,7", "u2,7,2,1", "u2,seven,2", "u2,7,nan"])
+    def test_malformed_row(self, tmp_path, capsys, row):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\nu1,3,4\nu2,7,2\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(f"id,fluency,prosody\nu1,3,4\n{row}\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 3
+        assert f"{pred}:3:" in capsys.readouterr().err
+
+    def test_duplicate_id(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\nu1,3,4\nu2,7,2\nu1,5,9\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(gold)]) == 3
+        assert "duplicate id 'u1'" in capsys.readouterr().err
+
+    def test_prediction_not_in_gold(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\nu1,3,4\nu2,7,2\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,fluency,prosody\nu1,3,4\nu2,7,2\nu9,1,1\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 3
+        assert "u9" in capsys.readouterr().err
 
 
 class TestSynthCli:

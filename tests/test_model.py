@@ -258,6 +258,76 @@ class TestCheckpoint:
             ScoringModel.load(p)
 
 
+def _edit_checkpoint(path, edit):
+    """Rewrite a saved checkpoint: edit(index lines, payload) -> (index lines, payload)."""
+    blob = path.read_bytes()
+    end = blob.index(b"END\n")
+    lines = blob[len(b"CKPT1\n") : end].decode("ascii").splitlines()
+    lines, payload = edit(lines, blob[end + 4 :])
+    path.write_bytes(b"CKPT1\n" + "\n".join(lines + ["END\n"]).encode("ascii") + payload)
+
+
+class TestCheckpointIndex:
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        ScoringModel(CFG, seed=17).save(path)
+        return path
+
+    def test_missing_tensor(self, ckpt):
+        def drop_last(lines, payload):
+            assert lines[-1] == f"head_p_b 1 {CFG.n_classes}"
+            return [lines[0], str(int(lines[1]) - 1)] + lines[2:-1], payload[: -4 * CFG.n_classes]
+
+        _edit_checkpoint(ckpt, drop_last)
+        with pytest.raises(FormatError, match="missing \\['head_p_b'\\]"):
+            ScoringModel.load(ckpt)
+
+    def test_duplicate_tensor(self, ckpt):
+        _edit_checkpoint(ckpt, lambda lines, payload: (
+            lines[:-1] + [lines[-1].replace("head_p_b", "head_f_b")], payload))
+        with pytest.raises(FormatError, match="each model tensor once"):
+            ScoringModel.load(ckpt)
+
+    @pytest.mark.parametrize("old,new", [
+        ("dims 41 10 3 8 ", "dims 41 10 3 8.5 "),
+        ("dims 41 10 3 8 ", "dims 41 10 3 -8 "),
+        ("\n21\n", "\ntwenty-one\n"),
+        ("head_p_b 1 11", "head_p_b 1 eleven"),
+        ("head_p_b 1 11", "head_p_b 11"),
+    ])
+    def test_malformed_index_field(self, ckpt, old, new):
+        def replace(lines, payload):
+            text = "\n".join(lines)
+            assert old in text
+            return text.replace(old, new).split("\n"), payload
+
+        _edit_checkpoint(ckpt, replace)
+        with pytest.raises(FormatError):
+            ScoringModel.load(ckpt)
+
+    def test_empty_index(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"CKPT1\nEND\n")
+        with pytest.raises(FormatError):
+            ScoringModel.load(path)
+
+
+class TestSinglePath:
+    """The single-utterance entry points run the batched forward path."""
+
+    def test_batch_of_one_matches_mixed_length_batch(self):
+        rng = np.random.default_rng(18)
+        model = ScoringModel(CFG, seed=11)
+        batch = [make_utt(rng, length, t) for length, t in ((1, 4), (3, 2), (6, 7))]
+        _, dists, cache = model.forward_batch(batch)
+        for i, utt in enumerate(batch):
+            np.testing.assert_allclose(model.phonecue_forward(utt.fusion),
+                                       cache["p_all"][i, : len(utt.fusion)], rtol=0, atol=1e-12)
+            for single, batched in zip(model.score_utterance(utt), dists[i]):
+                np.testing.assert_allclose(single, batched, rtol=0, atol=1e-12)
+
+
 class TestFullSizeDefaults:
     def test_documented_dimensions(self):
         cfg = ModelConfig()
