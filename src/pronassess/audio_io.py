@@ -222,6 +222,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     the manifest's own directory."""
     base = Path(path).parent
     entries = []
+    seen_ids = set()
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             if not line.strip():
@@ -230,6 +231,8 @@ def read_manifest(path) -> list[ManifestEntry]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{ln}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{path}:{ln}: expected a JSON object, got {type(obj).__name__}")
             for field_name in _MANIFEST_FIELDS:
                 if field_name not in obj:
                     raise ValidationError(f"{path}:{ln}: missing field {field_name!r}")
@@ -237,15 +240,22 @@ def read_manifest(path) -> list[ManifestEntry]:
             if not isinstance(phones, list) or not phones:
                 raise ValidationError(f"{path}:{ln}: phones must be a non-empty list")
             for p in phones:
-                if p not in PHONE_TO_INDEX:
+                if not isinstance(p, str) or p not in PHONE_TO_INDEX:
                     raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {p!r}")
             for key in ("fluency", "prosody"):
                 v = obj[key]
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 10:
                     raise ValidationError(f"{path}:{ln}: {key} must be an integer in 0-10, got {v!r}")
+            for key in ("wav_path", "ct_path", "posterior_path"):
+                if not isinstance(obj[key], str):
+                    raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
+            uid = str(obj["id"])
+            if uid in seen_ids:
+                raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
+            seen_ids.add(uid)
             entries.append(
                 ManifestEntry(
-                    id=str(obj["id"]),
+                    id=uid,
                     wav_path=base / obj["wav_path"],
                     ct_path=base / obj["ct_path"],
                     posterior_path=base / obj["posterior_path"],

@@ -107,10 +107,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _score_one(model, entry, duration_model):
-    utt = prepare_utterance(entry, duration_model)
-    dist_f, dist_p = model.score_utterance(utt)
-    return predict_score(dist_f), predict_score(dist_p)
+# Utterances per forward pass in `score`. Each chunk is prepared just
+# before its pass, so memory stays bounded by one chunk's features and
+# forward cache whatever the manifest size.
+SCORE_CHUNK = 16
+
+
+def _score_entries(model, entries, duration_model) -> list[tuple[float, float]]:
+    """(fluency, prosody) of each entry, in order: one `forward_batch` per
+    chunk of SCORE_CHUNK consecutive entries."""
+    scores = []
+    for start in range(0, len(entries), SCORE_CHUNK):
+        batch = [prepare_utterance(e, duration_model) for e in entries[start : start + SCORE_CHUNK]]
+        dists = model.forward_batch(batch)[1]
+        scores.extend((predict_score(f), predict_score(p)) for f, p in dists)
+    return scores
 
 
 def _cmd_score(args) -> int:
@@ -121,17 +132,8 @@ def _cmd_score(args) -> int:
         if not entries:
             print("error: manifest is empty", file=sys.stderr)
             return 5
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(args.jobs) as pool:
-                scores = list(pool.map(
-                    lambda e: _score_one(model, e, duration_model), entries
-                ))
-        else:
-            scores = [_score_one(model, e, duration_model) for e in entries]
         lines = ["id,fluency,prosody"]
-        for entry, (f, p) in zip(entries, scores):
+        for entry, (f, p) in zip(entries, _score_entries(model, entries, duration_model)):
             lines.append(f"{entry.id},{f!r},{p!r}")
         text = "\n".join(lines) + "\n"
         if args.out:
@@ -148,7 +150,7 @@ def _cmd_score(args) -> int:
         posterior_path=Path(args.posteriors), phones=args.phones.split(),
         fluency=0, prosody=0,
     )
-    f, p = _score_one(model, entry, duration_model)
+    [(f, p)] = _score_entries(model, [entry], duration_model)
     print(f"{f!r} {p!r}")
     return 0
 
@@ -264,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--duration-model", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write CSV here instead of stdout (manifest mode)")
     p.add_argument("--wav")
     p.add_argument("--posteriors")

@@ -5,9 +5,12 @@ without masking: valid outputs never depend on later inputs, and in the
 backward pass padded positions receive zero upstream gradient, which
 makes every padded step's contribution exactly zero.
 
-The cache keeps each step's output h_t and cell state c_t; the backward
-pass reads the previous step's states h_{t-1} and c_{t-1} from them,
-shifted by one step, with zeros at t = 0.
+Each direction's cache keeps its post-activation gates and each step's
+output h_t and cell state c_t; the backward pass reads the previous
+step's states h_{t-1} and c_{t-1} from them, shifted by one step, with
+zeros at t = 0. The bidirectional cache keeps the input once: the
+backward direction's time-reversed input is rebuilt from it in the
+backward pass with `reverse_padded`, an exact copy.
 
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
@@ -28,7 +31,6 @@ def _sigmoid(x):
 
 @dataclass
 class LSTMCache:
-    x: np.ndarray          # (B, T, D)
     gates: np.ndarray      # (B, T, 4H) post-activation [i, f, g, o]
     c: np.ndarray          # (B, T, H) cell state after each step; c[:, t-1] is c_{t-1}
     hs: np.ndarray         # (B, T, H) output after each step; hs[:, t-1] is h_{t-1}
@@ -60,11 +62,11 @@ def lstm_forward(x, w_x, w_h, b):
         gates[:, t, 3 * hid :] = o
         cs[:, t] = c
         hs[:, t] = h
-    return hs, LSTMCache(x, gates, cs, hs)
+    return hs, LSTMCache(gates, cs, hs)
 
 
-def lstm_backward(d_hs, cache, w_x, w_h):
-    """Gradients for lstm_forward. d_hs must be zero at padded positions."""
+def lstm_backward(d_hs, x, cache, w_x, w_h):
+    """Gradients for lstm_forward over input x. d_hs must be zero at padded positions."""
     bsz, t_max, hid = cache.c.shape
     dz_all = np.empty((bsz, t_max, 4 * hid))
 
@@ -94,7 +96,7 @@ def lstm_backward(d_hs, cache, w_x, w_h):
         dh_next = dz @ w_h
 
     flat_dz = dz_all.reshape(-1, 4 * hid)
-    d_wx = flat_dz.T @ cache.x.reshape(-1, cache.x.shape[-1])
+    d_wx = flat_dz.T @ x.reshape(-1, x.shape[-1])
     h_in = np.zeros_like(cache.hs)  # h_{t-1} for every step, contiguous for the GEMM
     h_in[:, 1:] = cache.hs[:, :-1]
     d_wh = flat_dz.T @ h_in.reshape(-1, hid)
@@ -114,19 +116,20 @@ def reverse_padded(x, lengths):
 def bilstm_forward(x, lengths, fwd_params, bwd_params):
     """Bidirectional pass; output is (B, T, 2H), forward features first."""
     hs_f, cache_f = lstm_forward(x, *fwd_params)
-    x_rev = reverse_padded(x, lengths)
-    hs_b_rev, cache_b = lstm_forward(x_rev, *bwd_params)
+    hs_b_rev, cache_b = lstm_forward(reverse_padded(x, lengths), *bwd_params)
     hs_b = reverse_padded(hs_b_rev, lengths)
     out = np.concatenate([hs_f, hs_b], axis=2)
-    return out, (cache_f, cache_b, lengths)
+    return out, (x, cache_f, cache_b, lengths)
 
 
 def bilstm_backward(d_out, cache, fwd_params, bwd_params):
-    cache_f, cache_b, lengths = cache
+    x, cache_f, cache_b, lengths = cache
     hid = cache_f.c.shape[2]
     d_f = d_out[:, :, :hid]
     d_b_rev = reverse_padded(d_out[:, :, hid:], lengths)
-    dx_f, dwx_f, dwh_f, db_f = lstm_backward(d_f, cache_f, fwd_params[0], fwd_params[1])
-    dx_b_rev, dwx_b, dwh_b, db_b = lstm_backward(d_b_rev, cache_b, bwd_params[0], bwd_params[1])
+    dx_f, dwx_f, dwh_f, db_f = lstm_backward(d_f, x, cache_f, fwd_params[0], fwd_params[1])
+    dx_b_rev, dwx_b, dwh_b, db_b = lstm_backward(
+        d_b_rev, reverse_padded(x, lengths), cache_b, bwd_params[0], bwd_params[1]
+    )
     dx = dx_f + reverse_padded(dx_b_rev, lengths)
     return dx, (dwx_f, dwh_f, db_f), (dwx_b, dwh_b, db_b)

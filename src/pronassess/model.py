@@ -356,8 +356,8 @@ class ScoringModel:
             raise FormatError(f"checkpoint {path} has non-positive dims {astuple(cfg)}")
         if len(entries) != n_tensors:
             raise FormatError(f"checkpoint {path} declares {n_tensors} tensors, lists {len(entries)}")
-        expected = {name: shape if len(shape) == 2 else (1, shape[0])
-                    for name, shape, _ in _param_table(cfg)}
+        table = _param_table(cfg)
+        expected = {name: shape if len(shape) == 2 else (1, shape[0]) for name, shape, _ in table}
         names = [name for name, _, _ in entries]
         if sorted(names) != sorted(expected):
             raise FormatError(
@@ -376,12 +376,17 @@ class ScoringModel:
         needed = 4 * sum(rows * cols for _, rows, cols in entries)
         if payload != needed:
             raise FormatError(f"checkpoint {path} holds {payload} tensor bytes, index needs {needed}")
-        model = cls(cfg, seed=0)
+        blocks = {}
         offset = end + 4
         for name, rows, cols in entries:
-            vals = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
-            model.params[name] = vals.astype(np.float64).reshape(model.params[name].shape)
+            blocks[name] = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
             offset += 4 * rows * cols
+        # Not through __init__: its seeded draws would all be overwritten.
+        model = cls.__new__(cls)
+        model.config = cfg
+        # Table order, whatever the file's order, so that save is byte-stable.
+        model.params = {name: blocks[name].astype(np.float64).reshape(shape)
+                        for name, shape, _ in table}
         return model
 
 

@@ -238,3 +238,20 @@ class TestManifest:
         p.write_text("{not json\n")
         with pytest.raises(ValidationError, match=":1"):
             read_manifest(p)
+
+    @pytest.mark.parametrize("bad_line", [
+        "3",
+        {"phones": [["AA"]]},
+        {"wav_path": 5},
+        {"ct_path": 5},
+        {"posterior_path": None},
+        {"id": "u1"},
+    ], ids=["not-object", "nested-phone", "wav-path", "ct-path", "posterior-path",
+            "duplicate-id"])
+    def test_malformed_line_cites_line(self, tmp_path, bad_line):
+        if isinstance(bad_line, dict):
+            bad_line = self._line(**{"id": "u2", **bad_line})
+        p = tmp_path / "m.jsonl"
+        p.write_text(self._line() + "\n" + bad_line + "\n")
+        with pytest.raises(ValidationError, match=":2"):
+            read_manifest(p)

@@ -236,3 +236,34 @@ class TestScore:
         assert rc == 0
         f, p = [float(v) for v in capsys.readouterr().out.split()]
         assert 0.0 <= f <= 10.0 and 0.0 <= p <= 10.0
+
+    def test_manifest_mode_matches_batch_of_one(self, tmp_path):
+        # 17 utterances of mixed length span two forward chunks
+        from pronassess import (
+            ScoringModel, SyntheticSpec, generate_corpus, predict_score, prepare_utterance,
+            read_manifest,
+        )
+
+        manifest = generate_corpus(
+            SyntheticSpec(n_utterances=17, seed=4, min_phones=2, max_phones=8), tmp_path / "c"
+        )
+        ckpt = tmp_path / "full.ckpt"
+        ScoringModel(seed=2).save(ckpt)
+        dm_path = tmp_path / "c" / "durations.tsv"
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            rc = main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm_path),
+                       "--manifest", str(manifest), "--out", str(out)])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+        entries = read_manifest(manifest)
+        rows = [line.split(",") for line in outs[0].read_text().splitlines()]
+        assert rows[0] == ["id", "fluency", "prosody"]
+        assert [r[0] for r in rows[1:]] == [e.id for e in entries]
+        model = ScoringModel.load(ckpt)
+        dm = read_duration_model(dm_path)
+        for entry, (_, f, p) in zip(entries, rows[1:]):
+            dist_f, dist_p = model.score_utterance(prepare_utterance(entry, dm))
+            assert abs(float(f) - predict_score(dist_f)) <= 1e-9
+            assert abs(float(p) - predict_score(dist_p)) <= 1e-9

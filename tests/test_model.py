@@ -236,6 +236,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[name], p.astype(np.float32).astype(np.float64))
         after = loaded.score_utterance(utt)
         np.testing.assert_allclose(after[0], before[0], atol=1e-5)
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         model = ScoringModel(CFG, seed=9)
