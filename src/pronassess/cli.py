@@ -298,6 +298,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
+    except IsADirectoryError as exc:
+        print(f"error: is a directory, not a file: {exc.filename}", file=sys.stderr)
+        return 2
     except InfeasibleAlignmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

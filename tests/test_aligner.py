@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pronassess import dtw_align, spans_to_durations, validate_posteriors
 from pronassess.aligner import Alignment, Span
@@ -11,19 +13,39 @@ from pronassess.errors import InfeasibleAlignmentError, InventoryError, Validati
 from pronassess.inventory import PHONE_TO_INDEX, PHONEMES
 
 
+def segmentation_score(obs, bounds):
+    """Score of the segmentation where phone i spans frames bounds[i] to
+    bounds[i + 1] - 1, summed in frame order so float accumulation matches
+    the dp recurrence exactly."""
+    score = 0.0
+    for i in range(obs.shape[1]):
+        for t in range(bounds[i], bounds[i + 1]):
+            score = score + obs[t, i]
+    return score
+
+
 def brute_force_best(obs):
-    """Max score over all monotone segmentations, summing in frame order so
-    float accumulation matches the dp recurrence exactly."""
+    """Max score over all monotone segmentations."""
     t_frames, n_phones = obs.shape
-    best = -np.inf
-    for cuts in itertools.combinations(range(1, t_frames), n_phones - 1):
-        bounds = (0,) + cuts + (t_frames,)
-        score = 0.0
-        for i in range(n_phones):
-            for t in range(bounds[i], bounds[i + 1]):
-                score = score + obs[t, i]
-        best = max(best, score)
-    return best
+    return max(segmentation_score(obs, (0,) + cuts + (t_frames,))
+               for cuts in itertools.combinations(range(1, t_frames), n_phones - 1))
+
+
+@st.composite
+def small_alignment_problems(draw):
+    """T x 41 log posteriors (T <= 8) and 1..min(T, 4) phones from a
+    four-phone set, so phones repeat; integer-valued entries make exact
+    ties between segmentations common."""
+    t_frames = draw(st.integers(1, 8))
+    phones = draw(st.lists(st.sampled_from(PHONEMES[:4]), min_size=1,
+                           max_size=min(t_frames, 4)))
+    entry = st.one_of(st.integers(-4, 0).map(float),
+                      st.floats(-30.0, 0.0, allow_nan=False, allow_infinity=False))
+    rows = draw(st.lists(st.lists(entry, min_size=4, max_size=4),
+                         min_size=t_frames, max_size=t_frames))
+    mat = np.full((t_frames, 41), -50.0)
+    mat[:, :4] = rows
+    return mat, phones
 
 
 def _mat(rng, t_frames):
@@ -64,6 +86,18 @@ class TestDtw:
             assert alignment.spans[0].start_frame == 0
             assert alignment.spans[-1].end_frame == t_frames - 1
             assert alignment.phones == phones
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_alignment_problems())
+    def test_brute_force_property(self, problem):
+        mat, phones = problem
+        alignment, score = dtw_align(mat, phones)
+        obs = mat[:, [PHONE_TO_INDEX[p] for p in phones]]
+        assert score == brute_force_best(obs)
+        bounds = [sp.start_frame for sp in alignment.spans] + [len(mat)]
+        assert segmentation_score(obs, bounds) == score
+        assert alignment.phones == phones
+        assert alignment.num_frames == len(mat)
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(8)

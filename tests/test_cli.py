@@ -267,3 +267,25 @@ class TestScore:
             dist_f, dist_p = model.score_utterance(prepare_utterance(entry, dm))
             assert abs(float(f) - predict_score(dist_f)) <= 1e-9
             assert abs(float(p) - predict_score(dist_p)) <= 1e-9
+
+    @pytest.mark.parametrize("field", ["wav_path", "posterior_path", "ct_path"])
+    def test_directory_path_exit_2(self, tmp_path, capsys, field):
+        # an empty path joins to the manifest's own directory
+        import json
+
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=6), tmp_path / "c")
+        lines = manifest.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field] = ""
+        lines[1] = json.dumps(obj)
+        manifest.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "tiny.ckpt"
+        ScoringModel(TINY_CONFIG, seed=0).save(ckpt)
+        rc = main(["score", "--checkpoint", str(ckpt),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "is a directory" in err and str(tmp_path / "c") in err
