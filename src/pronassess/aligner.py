@@ -120,9 +120,9 @@ def dtw_align(log_posteriors: np.ndarray, phones: list[str]) -> tuple[Alignment,
     return Alignment(spans), score
 
 
-def spans_to_durations(alignment: Alignment, hop_ms: float = HOP_MS) -> list[tuple[str, float]]:
-    """Per-span (phone, duration_ms) with inclusive frames: (end - start + 1) * hop."""
+def spans_to_durations(alignment: Alignment) -> list[tuple[str, float]]:
+    """Per-span (phone, duration_ms) with inclusive frames: (end - start + 1) * HOP_MS."""
     return [
-        (sp.phone, (sp.end_frame - sp.start_frame + 1) * hop_ms)
+        (sp.phone, (sp.end_frame - sp.start_frame + 1) * HOP_MS)
         for sp in alignment.spans
     ]

@@ -250,6 +250,10 @@ def read_manifest(path) -> list[ManifestEntry]:
                 if not isinstance(obj[key], str):
                     raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
             uid = str(obj["id"])
+            if not uid or any(c in uid for c in ",\r\n"):
+                # ids become the first field of a score CSV row
+                raise ValidationError(f"{path}:{ln}: id must be non-empty without ',', CR or LF, "
+                                      f"got {uid!r}")
             if uid in seen_ids:
                 raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
             seen_ids.add(uid)

@@ -72,7 +72,10 @@ def _cmd_gopd(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    if args.frames:
+    if (args.wav is None) == (args.frames is None):
+        print("error: need exactly one of --wav or --frames", file=sys.stderr)
+        return 3
+    if args.frames is not None:
         ff = FrameFeatures.from_matrix(audio_io.read_matrix(args.frames))
     else:
         ff = extract_frame_features(audio_io.load_wav(args.wav))

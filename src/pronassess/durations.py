@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .aligner import spans_to_durations
 from .errors import ModelError, ValidationError
 
 MIN_COUNT = 10
@@ -77,7 +78,5 @@ def gopd(duration_ms: float, phone: str, model: DurationModel) -> float:
 
 def gopd_vector(alignment, model: DurationModel) -> np.ndarray:
     """GoPD per aligned span, in span order."""
-    from .aligner import spans_to_durations
-
     durations = spans_to_durations(alignment)
     return np.array([gopd(d, p, model) for p, d in durations])

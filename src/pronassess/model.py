@@ -95,12 +95,17 @@ def cross_attention(p_nv: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.nd
     return weights @ ct, weights
 
 
-def _pad(rows_list: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.array([len(r) for r in rows_list])
-    out = np.zeros((len(rows_list), int(lengths.max()), width))
-    for b, r in enumerate(rows_list):
-        out[b, : len(r)] = r
-    return out, lengths
+def _valid(lengths: np.ndarray) -> np.ndarray:
+    """(B, max length) mask of the valid positions of a padded batch."""
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def _pad(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Zero-padded (B, max length, width) batch of the concatenated rows of
+    B sequences, sequence b holding lengths[b] rows."""
+    out = np.zeros((len(lengths), lengths.max(), rows.shape[1]))
+    out[_valid(lengths)] = rows
+    return out
 
 
 _DIRECTIONS = ("fwd", "bwd")
@@ -169,26 +174,22 @@ class ScoringModel:
     def _encode_phones(self, fusions: list[FusionInput]):
         """Phone-cue encoder over a batch of per-phoneme inputs.
 
-        Each utterance's rows are its standardized numeric block joined with
-        tanh phone features. Returns (padded encoder outputs, lengths, encoder
-        cache, embeddings, tanh features); the last two are per utterance.
+        Each phoneme's row is its standardized numeric block joined with its
+        tanh phone features. Returns (padded encoder outputs, lengths,
+        encoder cache, phone indices, embeddings, tanh features); the last
+        three hold the batch's phonemes concatenated in utterance order.
         """
-        rows_list, embs, ptildes = [], [], []
-        for fusion in fusions:
-            idx = fusion.phone_indices
-            if idx.size and (idx.min() < 0 or idx.max() >= self.config.vocab_size):
-                raise InventoryError(
-                    f"phone index out of range 0..{self.config.vocab_size - 1}"
-                )
-            emb = self.params["embed"][idx]
-            ptilde = np.tanh(emb @ self.params["ff_w"].T + self.params["ff_b"])
-            numeric = (fusion.numeric_block() - NUMERIC_OFFSET) / NUMERIC_SCALE
-            rows_list.append(np.hstack([numeric, ptilde]))
-            embs.append(emb)
-            ptildes.append(ptilde)
-        r_pad, lengths = _pad(rows_list, self.config.fusion_in_dim)
-        p_all, pc_cache = bilstm_forward(r_pad, lengths, *self._encoder("pc"))
-        return p_all, lengths, pc_cache, embs, ptildes
+        idx = np.concatenate([f.phone_indices for f in fusions])
+        if idx.size and (idx.min() < 0 or idx.max() >= self.config.vocab_size):
+            raise InventoryError(f"phone index out of range 0..{self.config.vocab_size - 1}")
+        emb = self.params["embed"][idx]
+        ptilde = np.tanh(emb @ self.params["ff_w"].T + self.params["ff_b"])
+        numeric = np.concatenate([f.numeric_block() for f in fusions])
+        numeric = (numeric - NUMERIC_OFFSET) / NUMERIC_SCALE
+        lengths = np.array([len(f) for f in fusions])
+        p_all, pc_cache = bilstm_forward(_pad(np.hstack([numeric, ptilde]), lengths), lengths,
+                                         *self._encoder("pc"))
+        return p_all, lengths, pc_cache, idx, emb, ptilde
 
     # -- spec-level single-utterance operations ------------------------------
 
@@ -214,41 +215,36 @@ class ScoringModel:
                 raise ValidationError(f"ct must be T x {d}, got {utt.ct.shape}")
             if len(utt.u_nv) != cfg.u_dim:
                 raise ValidationError(f"u_nv must have {cfg.u_dim} entries")
-        p_all, l_lens, pc_cache, embs, ptildes = self._encode_phones([u.fusion for u in batch])
+        p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
+        t_lens = np.array([len(u.ct) for u in batch])
+        u_std = (np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE
+        u = u_std @ self.params["u_w"].T + self.params["u_b"]
 
-        fseqs, attns, us, u_stds = [], [], [], []
+        # Fusion sequence per utterance: [ct rows; attended rows; u token].
+        s_lens = t_lens + l_lens + 1
+        f_pad = np.zeros((len(batch), s_lens.max(), d))
+        attns = []
         for i, utt in enumerate(batch):
-            p = p_all[i, : l_lens[i]]
-            alpha, weights = cross_attention(p, utt.ct)
-            u_std = (np.asarray(utt.u_nv, dtype=np.float64) - U_OFFSET) / U_SCALE
-            u = self.params["u_w"] @ u_std + self.params["u_b"]
-            fseqs.append(np.vstack([utt.ct, alpha, u[None, :]]))
+            t, n_ph = t_lens[i], l_lens[i]
+            f_pad[i, :t] = utt.ct
+            f_pad[i, t : t + n_ph], weights = cross_attention(p_all[i, :n_ph], utt.ct)
             attns.append(weights)
-            us.append(u)
-            u_stds.append(u_std)
-
-        f_pad, s_lens = _pad(fseqs, d)
+        f_pad[np.arange(len(batch)), t_lens + l_lens] = u
         hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
 
-        dists, fvecs, losses = [], [], []
-        has_labels = all(u.fluency is not None and u.prosody is not None for u in batch)
-        for i, utt in enumerate(batch):
-            pooled = hs_all[i, : s_lens[i]].mean(axis=0)
-            fvec = pooled + us[i]
-            dist_f = softmax(self.params["head_f_w"] @ fvec + self.params["head_f_b"])
-            dist_p = softmax(self.params["head_p_w"] @ fvec + self.params["head_p_b"])
-            dists.append((dist_f, dist_p))
-            fvecs.append(fvec)
-            if has_labels:
-                losses.append(loss_fn(dist_f, dist_p, utt.fluency, utt.prosody, loss_weights))
-
-        loss = float(np.mean(losses)) if has_labels else None
+        # Padded positions of hs_all are zero, so the sum is over valid steps.
+        fvec = hs_all.sum(axis=1) / s_lens[:, None] + u
+        dist_f = softmax(fvec @ self.params["head_f_w"].T + self.params["head_f_b"])
+        dist_p = softmax(fvec @ self.params["head_p_w"].T + self.params["head_p_b"])
+        dists = list(zip(dist_f, dist_p))
+        loss = None
+        if all(utt.fluency is not None and utt.prosody is not None for utt in batch):
+            loss = float(np.mean([loss_fn(f, p, utt.fluency, utt.prosody, loss_weights)
+                                  for (f, p), utt in zip(dists, batch)]))
         cache = {
-            "batch": batch, "embs": embs, "ptildes": ptildes,
-            "l_lens": l_lens, "pc_cache": pc_cache, "p_all": p_all,
-            "attns": attns, "us": us, "u_stds": u_stds,
-            "s_lens": s_lens, "fu_cache": fu_cache, "hs_all": hs_all,
-            "fvecs": fvecs, "dists": dists, "loss_weights": loss_weights,
+            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "t_lens": t_lens,
+            "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "attns": attns,
+            "u_std": u_std, "fu_cache": fu_cache, "fvec": fvec, "dist_f": dist_f, "dist_p": dist_p,
         }
         return loss, dists, cache
 
@@ -257,57 +253,46 @@ class ScoringModel:
         d = self.config.feature_dim
         batch = cache["batch"]
         n = len(batch)
+        rows = np.arange(n)
         wf, wp = cache["loss_weights"]
+        l_lens, t_lens = cache["l_lens"], cache["t_lens"]
+        s_lens = t_lens + l_lens + 1
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
 
-        hs_all = cache["hs_all"]
-        s_lens = cache["s_lens"]
-        d_hs = np.zeros_like(hs_all)
-        d_us = []
-        for i, utt in enumerate(batch):
-            dist_f, dist_p = cache["dists"][i]
-            dlf = dist_f.copy()
-            dlf[utt.fluency] -= 1.0
-            dlf *= wf / n
-            dlp = dist_p.copy()
-            dlp[utt.prosody] -= 1.0
-            dlp *= wp / n
-            fvec = cache["fvecs"][i]
-            grads["head_f_w"] += np.outer(dlf, fvec)
-            grads["head_f_b"] += dlf
-            grads["head_p_w"] += np.outer(dlp, fvec)
-            grads["head_p_b"] += dlp
-            dfvec = self.params["head_f_w"].T @ dlf + self.params["head_p_w"].T @ dlp
-            d_hs[i, : s_lens[i]] = dfvec / s_lens[i]
-            d_us.append(dfvec.copy())  # residual path into u
+        dlf = cache["dist_f"].copy()
+        dlf[rows, [utt.fluency for utt in batch]] -= 1.0
+        dlf *= wf / n
+        dlp = cache["dist_p"].copy()
+        dlp[rows, [utt.prosody for utt in batch]] -= 1.0
+        dlp *= wp / n
+        grads["head_f_w"] = dlf.T @ cache["fvec"]
+        grads["head_f_b"] = dlf.sum(axis=0)
+        grads["head_p_w"] = dlp.T @ cache["fvec"]
+        grads["head_p_b"] = dlp.sum(axis=0)
+        dfvec = dlf @ self.params["head_f_w"] + dlp @ self.params["head_p_w"]
 
+        # Mean pooling spreads dfvec over each utterance's valid steps; the
+        # encoder ignores the broadcast values at padded positions.
+        d_hs = np.broadcast_to((dfvec / s_lens[:, None])[:, None, :], (n, s_lens.max(), d))
         d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads)
 
-        p_all = cache["p_all"]
-        l_lens = cache["l_lens"]
-        d_p = np.zeros_like(p_all)
-        for i, utt in enumerate(batch):
-            t_i = len(utt.ct)
-            l_i = l_lens[i]
-            d_alpha = d_fseq[i, t_i : t_i + l_i]
-            d_us[i] += d_fseq[i, t_i + l_i]
-            weights = cache["attns"][i]
-            d_w = d_alpha @ utt.ct.T
-            d_scores = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
-            d_p[i, :l_i] = d_scores @ utt.ct / np.sqrt(d)
-            grads["u_w"] += np.outer(d_us[i], cache["u_stds"][i])
-            grads["u_b"] += d_us[i]
+        d_u = dfvec + d_fseq[rows, t_lens + l_lens]  # residual path plus the u token
+        grads["u_w"] = d_u.T @ cache["u_std"]
+        grads["u_b"] = d_u.sum(axis=0)
 
+        d_p = np.zeros((n, l_lens.max(), d))
+        for i, utt in enumerate(batch):
+            t, n_ph = t_lens[i], l_lens[i]
+            weights = cache["attns"][i]
+            d_w = d_fseq[i, t : t + n_ph] @ utt.ct.T
+            d_scores = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
+            d_p[i, :n_ph] = d_scores @ utt.ct / np.sqrt(d)
         d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
 
-        for i, utt in enumerate(batch):
-            dr = d_rows[i, : l_lens[i]]
-            dptilde = dr[:, 5:]
-            da = dptilde * (1.0 - cache["ptildes"][i] ** 2)
-            grads["ff_w"] += da.T @ cache["embs"][i]
-            grads["ff_b"] += da.sum(axis=0)
-            de = da @ self.params["ff_w"]
-            np.add.at(grads["embed"], utt.fusion.phone_indices, de)
+        da = d_rows[_valid(l_lens)][:, 5:] * (1.0 - cache["ptilde"] ** 2)
+        grads["ff_w"] = da.T @ cache["emb"]
+        grads["ff_b"] = da.sum(axis=0)
+        np.add.at(grads["embed"], cache["idx"], da @ self.params["ff_w"])
         return grads
 
     # -- persistence ----------------------------------------------------------

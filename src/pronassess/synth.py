@@ -34,6 +34,11 @@ CT_DIM = 1024
 _CT_PROJECTION_SEED = 424243
 _ct_projections: dict[int, np.ndarray] = {}
 
+DEVIATION_MAX = 3.0    # worst-case duration deviation, in generator stds
+DEPTH_MAX_ST = 5.0     # max pitch modulation depth
+POSTERIOR_LOGIT = 4.0  # log-odds boost of the aligned phone in each frame's posterior
+POSTERIOR_NOISE = 0.3  # std of the Gaussian logit noise under that boost
+
 # Fixed standardization applied to the 5 descriptor columns before projecting.
 _CT_OFFSET = np.array([1.0, 0.0, 30.0, 0.0, 0.5])
 _CT_SCALE = np.array([2.0, 8.0, 20.0, 0.05, 0.5])
@@ -89,10 +94,6 @@ class SyntheticSpec:
     seed: int = 0
     min_phones: int = 2
     max_phones: int = 4
-    deviation_max: float = 3.0   # worst-case duration deviation, in generator stds
-    depth_max_st: float = 5.0    # max pitch modulation depth
-    posterior_logit: float = 4.0
-    posterior_noise: float = 0.3
 
     def __post_init__(self):
         if self.n_utterances < 1:
@@ -162,7 +163,7 @@ def _gen_one(args):
             continue
         phones.append(p)
 
-    deviation = spec.deviation_max * rng.uniform()
+    deviation = DEVIATION_MAX * rng.uniform()
     deficits = []
     span_frames = []
     for p in phones:
@@ -177,7 +178,7 @@ def _gen_one(args):
 
 
     base_st = rng.uniform(34.0, 38.0)
-    depth = spec.depth_max_st * rng.uniform()
+    depth = DEPTH_MAX_ST * rng.uniform()
     mod_hz = 6.0
     phase0 = rng.uniform(0.0, 2.0 * math.pi)
     amps = rng.uniform(0.45, 0.75, size=len(phones))
@@ -218,10 +219,10 @@ def _gen_one(args):
 
     # near-one-hot log posteriors consistent with the segmentation
     total_frames = sum(span_frames)
-    logits = rng.normal(0.0, spec.posterior_noise, size=(total_frames, len(PHONEMES)))
+    logits = rng.normal(0.0, POSTERIOR_NOISE, size=(total_frames, len(PHONEMES)))
     for sp in spans:
         col = PHONE_TO_INDEX[sp.phone]
-        logits[sp.start_frame : sp.end_frame + 1, col] += spec.posterior_logit
+        logits[sp.start_frame : sp.end_frame + 1, col] += POSTERIOR_LOGIT
     log_post = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     audio_io.write_matrix(out_dir / f"{uid}.post.mtx", log_post)
 

@@ -25,6 +25,19 @@ class TrainConfig:
     loss_weight_prosody: float = 0.5
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        for key in ("batch", "epochs"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed!r}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValidationError(f"val_fraction must lie in [0, 1), got {self.val_fraction!r}")
+        for key in ("lr", "loss_weight_fluency", "loss_weight_prosody"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{key} must be finite and non-negative, got {value!r}")
+
 
 def parse_train_config(path) -> TrainConfig:
     """key=value file; blank lines and # comments ignored; unknown keys rejected."""
@@ -46,7 +59,10 @@ def parse_train_config(path) -> TrainConfig:
             kwargs[key] = int(value) if key in int_keys else float(value)
         except ValueError as exc:
             raise ValidationError(f"{path}:{ln}: bad value for {key!r}: {value!r}") from exc
-    return TrainConfig(**kwargs)
+    try:
+        return TrainConfig(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 class Adam:
@@ -92,9 +108,10 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
           config: TrainConfig = TrainConfig(), epoch_callback=None) -> TrainResult:
     """Train a fresh model on the dataset.
 
-    10% of the data (at least one utterance) is held out for validation
-    and early stopping; training stops once validation loss has failed to
-    improve for `patience` consecutive epochs. The returned model carries
+    A `val_fraction` share of the data (at least one utterance, none for
+    a dataset of one) is held out for validation and early stopping;
+    training stops once validation loss has failed to improve for
+    `patience` consecutive epochs. The returned model carries
     the parameters of the best-validation epoch.
     """
     if not dataset:
@@ -113,6 +130,11 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
         n_val = 0
     val_idx = [int(i) for i in order[:n_val]]
     train_idx = [int(i) for i in order[n_val:]]
+    if not train_idx:
+        raise ValidationError(
+            f"val_fraction={config.val_fraction!r} holds out all {len(dataset)} utterances; "
+            "no training utterance is left"
+        )
     val_set = [dataset[i] for i in val_idx]
     train_set = [dataset[i] for i in train_idx]
 

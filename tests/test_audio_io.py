@@ -246,8 +246,12 @@ class TestManifest:
         {"ct_path": 5},
         {"posterior_path": None},
         {"id": "u1"},
+        {"id": ""},
+        {"id": "a,b"},
+        {"id": "a\rb"},
+        {"id": "a\nb"},
     ], ids=["not-object", "nested-phone", "wav-path", "ct-path", "posterior-path",
-            "duplicate-id"])
+            "duplicate-id", "empty-id", "comma-id", "cr-id", "lf-id"])
     def test_malformed_line_cites_line(self, tmp_path, bad_line):
         if isinstance(bad_line, dict):
             bad_line = self._line(**{"id": "u2", **bad_line})

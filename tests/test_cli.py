@@ -154,6 +154,31 @@ class TestGopdAndAssemble:
         sidecar = (tmp_path / "fusion.mtx.phones").read_text().splitlines()[1:]
         assert [int(line.split("\t")[1]) for line in sidecar] == list(fusion.phone_indices)
 
+    @pytest.mark.parametrize("inputs", [[], ["--wav", "w.wav", "--frames", "f.mtx"]],
+                             ids=["neither", "both"])
+    def test_assemble_needs_exactly_one_input(self, tmp_path, capsys, inputs):
+        adir, model = self._setup(tmp_path)
+        rc = main(["assemble", *inputs, "--alignment", str(adir),
+                   "--duration-model", str(model), "--out", str(tmp_path / "fusion.mtx")])
+        assert rc == 3
+        assert "exactly one of --wav or --frames" in capsys.readouterr().err
+        assert not (tmp_path / "fusion.mtx").exists()
+
+
+class TestTrainCli:
+    @pytest.mark.parametrize("line", ["batch=0", "epochs=0", "val_fraction=2", "val_fraction=0.9"])
+    def test_bad_config_exit_3(self, tmp_path, capsys, line):
+        from pronassess import SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=4, seed=8), tmp_path / "c")
+        config = tmp_path / "config.txt"
+        config.write_text(line + "\n")
+        rc = main(["train", "--manifest", str(manifest), "--config", str(config),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert line.partition("=")[0] in capsys.readouterr().err
+
 
 class TestEval:
     def test_identical_pred_gold(self, tmp_path, capsys):

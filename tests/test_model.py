@@ -212,6 +212,19 @@ class TestBackward:
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
+    def test_mixed_length_batch_is_mean_of_batches_of_one(self):
+        rng = np.random.default_rng(19)
+        model = ScoringModel(CFG, seed=12)
+        batch = [make_utt(rng, length, t, f, p)
+                 for length, t, f, p in ((1, 4, 3, 8), (3, 2, 10, 0), (6, 7, 5, 2))]
+        _, _, cache = model.forward_batch(batch)
+        grads = model.backward(cache)
+        singles = [model.backward(model.forward_batch([utt])[2]) for utt in batch]
+        assert grads.keys() == model.params.keys()
+        for name, g in grads.items():
+            mean = sum(s[name] for s in singles) / len(batch)
+            np.testing.assert_allclose(g, mean, rtol=0, atol=1e-12, err_msg=name)
+
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(15)
         model = ScoringModel(CFG, seed=7)
@@ -322,10 +335,11 @@ class TestSinglePath:
         rng = np.random.default_rng(18)
         model = ScoringModel(CFG, seed=11)
         batch = [make_utt(rng, length, t) for length, t in ((1, 4), (3, 2), (6, 7))]
-        _, dists, cache = model.forward_batch(batch)
+        _, dists, _ = model.forward_batch(batch)
+        p_all, *_ = model._encode_phones([utt.fusion for utt in batch])
         for i, utt in enumerate(batch):
             np.testing.assert_allclose(model.phonecue_forward(utt.fusion),
-                                       cache["p_all"][i, : len(utt.fusion)], rtol=0, atol=1e-12)
+                                       p_all[i, : len(utt.fusion)], rtol=0, atol=1e-12)
             for single, batched in zip(model.score_utterance(utt), dists[i]):
                 np.testing.assert_allclose(single, batched, rtol=0, atol=1e-12)
 

@@ -96,9 +96,12 @@ class TestConfigFile:
 
     def test_bad_value(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("epochs=fifty\n")
-        with pytest.raises(ValidationError):
-            parse_train_config(p)
+        for line in ("epochs=fifty", "batch=0", "epochs=0", "seed=-1", "val_fraction=2",
+                     "val_fraction=1", "val_fraction=-0.1", "lr=-1e-3", "lr=nan", "lr=inf",
+                     "loss_weight_fluency=-0.5", "loss_weight_prosody=nan"):
+            p.write_text(line + "\n")
+            with pytest.raises(ValidationError, match=line.partition("=")[0]):
+                parse_train_config(p)
 
 
 class TestPredictScore:
