@@ -17,6 +17,7 @@ from pronassess import (
     estimate_f0,
     extract_frame_features,
     hz_to_semitones,
+    power_spectrum,
 )
 
 SR = 16000
@@ -46,15 +47,15 @@ print(f"  expected semitones for 220 Hz: {hz_to_semitones(220.0):.1f} "
 
 print("\n=== loudness scaling law ===")
 grid = FrameGrid.for_signal(SR)
-full = compute_loudness(tone, grid)
-half = compute_loudness(AudioBuffer(tone.samples * 0.5), grid)
+full = compute_loudness(power_spectrum(tone, grid))
+half = compute_loudness(power_spectrum(AudioBuffer(tone.samples * 0.5), grid))
 print(f"  loudness(0.5 x) / loudness(x) = {half[5] / full[5]:.6f}, "
       f"0.25**0.3 = {0.25**0.3:.6f}")
 
 print("\n=== band energy balance ===")
 for freq in (200, 3000):
     buf = AudioBuffer(0.8 * np.sin(2 * np.pi * freq * t))
-    alpha = compute_alpha_ratio(buf, grid)
+    alpha = compute_alpha_ratio(power_spectrum(buf, grid))
     print(f"  {freq:4d} Hz tone -> alpha ratio {alpha[10]:8.1f} dB")
 
 print("\n=== jitter on a perturbed pulse train ===")

@@ -33,6 +33,7 @@ from .lld import (
     estimate_f0,
     extract_frame_features,
     hz_to_semitones,
+    power_spectrum,
 )
 from .metrics import pcc, predict_score
 from .model import ModelConfig, ScoringModel, UtteranceFeatures, cross_attention, loss_fn

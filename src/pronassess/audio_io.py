@@ -6,7 +6,8 @@ Formats, all little-endian where binary:
 * MTX1     -- magic "MTX1", u32 rows, u32 cols, rows*cols float32 row-major.
 * Alignment TSV      -- header ``phone\\tstart_frame\\tend_frame``, inclusive frames.
 * Duration-model TSV -- header ``phone\\tmean_ms\\tstd_ms\\tcount`` plus a
-  reserved ``__GLOBAL__`` row carrying the pooled fallback.
+  reserved ``__GLOBAL__`` row carrying the pooled fallback; means are
+  finite and standard deviations finite and positive.
 * Manifest -- one JSON object per line (see ManifestEntry).
 
 Loading never rescales, resamples or truncates; any deviation from the
@@ -192,6 +193,9 @@ def read_duration_model(path) -> DurationModel:
             stats = PhoneStats(float(mean_s), float(std_s), int(count_s))
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: malformed numeric field") from exc
+        if not (np.isfinite(stats.mean_ms) and np.isfinite(stats.std_ms) and stats.std_ms > 0):
+            raise ValidationError(f"{path}:{ln}: mean_ms must be finite and std_ms finite and "
+                                  f"positive, got {mean_s!r} and {std_s!r}")
         if phone == GLOBAL_PHONE:
             global_stats = stats
         elif phone in PHONE_TO_INDEX:

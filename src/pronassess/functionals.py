@@ -12,13 +12,6 @@ import numpy as np
 
 from .lld import HOP_S, FrameFeatures
 
-FUNCTIONAL_NAMES = (
-    "pitch_mean_st", "pitch_std_st", "pitch_p20_st", "pitch_p50_st", "pitch_p80_st",
-    "rise_slope_mean", "rise_slope_std", "fall_slope_mean", "fall_slope_std",
-    "voiced_seg_mean_s", "voiced_seg_std_s", "unvoiced_seg_mean_s", "unvoiced_seg_std_s",
-)
-
-
 @dataclass
 class UtteranceFunctionals:
     pitch_mean_st: float
@@ -37,6 +30,9 @@ class UtteranceFunctionals:
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)])
+
+
+FUNCTIONAL_NAMES = tuple(f.name for f in fields(UtteranceFunctionals))
 
 
 def segment_voicing(ff: FrameFeatures) -> list[tuple[bool, int, int]]:

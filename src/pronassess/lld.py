@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aligner import HOP_MS
 from .audio_io import SAMPLE_RATE, AudioBuffer
 from .errors import TooShortError, ValidationError
 
 WINDOW_MS = 25
-HOP_MS = 10
 HOP_S = HOP_MS / 1000.0
 WINDOW_SAMPLES = SAMPLE_RATE * WINDOW_MS // 1000  # 400
-HOP_SAMPLES = SAMPLE_RATE * HOP_MS // 1000  # 160
+HOP_SAMPLES = int(SAMPLE_RATE * HOP_MS) // 1000  # 160
 
 N_FFT = 512
 N_MEL_BANDS = 26
@@ -125,7 +125,9 @@ _hann = np.hanning(WINDOW_SAMPLES)
 _fft_freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
 
 
-def _power_spectra(buf: AudioBuffer, grid: FrameGrid) -> np.ndarray:
+def power_spectrum(buf: AudioBuffer, grid: FrameGrid) -> np.ndarray:
+    """Hann-windowed power spectrum per frame, (num_frames, N_FFT // 2 + 1);
+    the input of both compute_loudness and compute_alpha_ratio."""
     frames = _frames(buf.samples, grid) * _hann
     spec = np.fft.rfft(frames, N_FFT, axis=1)
     return spec.real**2 + spec.imag**2
@@ -152,14 +154,12 @@ _low_band = (_fft_freqs >= 50.0) & (_fft_freqs <= 1000.0)
 _high_band = (_fft_freqs > 1000.0) & (_fft_freqs <= 5000.0)
 
 
-def compute_loudness(buf: AudioBuffer, grid: FrameGrid) -> np.ndarray:
-    power = _power_spectra(buf, grid)
+def compute_loudness(power: np.ndarray) -> np.ndarray:
     band_power = power @ _mel_fb.T
     return (band_power**0.3).sum(axis=1)
 
 
-def compute_alpha_ratio(buf: AudioBuffer, grid: FrameGrid) -> np.ndarray:
-    power = _power_spectra(buf, grid)
+def compute_alpha_ratio(power: np.ndarray) -> np.ndarray:
     low = power[:, _low_band].sum(axis=1)
     high = power[:, _high_band].sum(axis=1)
     return 10.0 * np.log10((low + ALPHA_EPS) / (high + ALPHA_EPS))
@@ -194,43 +194,35 @@ def estimate_f0(buf: AudioBuffer, grid: FrameGrid) -> tuple[np.ndarray, np.ndarr
     with np.errstate(invalid="ignore", divide="ignore"):
         ncc = np.where(denom > 1e-12, autocorr[:, lags] / np.maximum(denom, 1e-300), 0.0)
 
-    f0 = np.zeros(grid.num_frames)
-    voiced = np.zeros(grid.num_frames, dtype=bool)
-    lo = 1  # index of _LAG_MIN within the padded lag axis
-    hi = ncc.shape[1] - 1  # exclusive bound of the true lag range
-    for k in range(grid.num_frames):
-        row = ncc[k]
-        search = row[lo:hi]
-        best = float(search.max())
-        if best <= VOICING_THRESHOLD or total[k] <= 1e-18:
-            continue
-        is_peak = (search >= np.roll(row, -1)[lo:hi]) & (search > np.roll(row, 1)[lo:hi])
-        tied = np.flatnonzero(is_peak & (search >= PEAK_TIE_RATIO * best))
-        j = int(tied[0]) if tied.size else int(search.argmax())
-        lag = lags[lo + j]
-        y0, y1, y2 = row[lo + j - 1], row[lo + j], row[lo + j + 1]
-        den = y0 - 2.0 * y1 + y2
-        delta = 0.5 * (y0 - y2) / den if abs(den) > 1e-12 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
-        f0[k] = SAMPLE_RATE / (lag + delta)
-        voiced[k] = True
-    return f0, voiced
+    search = ncc[:, 1:-1]  # lags pad the search range by one, so neighbours never wrap
+    best = search.max(axis=1)
+    voiced = (best > VOICING_THRESHOLD) & (total > 1e-18)
+    is_peak = (search >= ncc[:, 2:]) & (search > ncc[:, :-2])
+    tied = is_peak & (search >= PEAK_TIE_RATIO * best[:, None])
+    col = 1 + np.where(tied.any(axis=1), tied.argmax(axis=1), search.argmax(axis=1))
+    rows = np.arange(grid.num_frames)
+    delta = _parabolic_offset(ncc[rows, col - 1], ncc[rows, col], ncc[rows, col + 1])
+    return np.where(voiced, SAMPLE_RATE / (lags[col] + delta), 0.0), voiced
 
 
-def _parabolic_peak(y: np.ndarray, p: int) -> float:
-    if p <= 0 or p >= len(y) - 1:
-        return float(p)
-    den = y[p - 1] - 2.0 * y[p] + y[p + 1]
-    if abs(den) < 1e-300:
-        return float(p)
-    return p + float(np.clip(0.5 * (y[p - 1] - y[p + 1]) / den, -0.5, 0.5))
+def _parabolic_offset(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Vertex of the parabola through (-1, y0), (0, y1), (1, y2), clipped to
+    [-0.5, 0.5]; 0 where the three points are (nearly) collinear."""
+    den = y0 - 2.0 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(np.abs(den) > 1e-12, 0.5 * (y0 - y2) / den, 0.0)
+    return np.clip(delta, -0.5, 0.5)
 
 
-def _is_local_max(seg: np.ndarray, p: int) -> bool:
-    return 0 < p < len(seg) - 1 and seg[p] >= seg[p - 1] and seg[p] >= seg[p + 1]
+def _local_maxima(seg: np.ndarray) -> np.ndarray:
+    """Mask of the interior samples that are no lower than either neighbour."""
+    mask = np.zeros(len(seg), dtype=bool)
+    mask[1:-1] = (seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:])
+    return mask
 
 
-def _track_peaks(seg: np.ndarray, period: float, anchor: int, min_height: float) -> list[int]:
+def _track_peaks(seg: np.ndarray, is_max: np.ndarray, period: float, anchor: int,
+                 min_height: float) -> list[int]:
     """Integer positions of waveform peaks spaced ~period around the anchor.
 
     A candidate must be an interior local maximum; an argmax sitting on the
@@ -251,7 +243,7 @@ def _track_peaks(seg: np.ndarray, period: float, anchor: int, min_height: float)
             if a > b:
                 break
             p = a + int(seg[a : b + 1].argmax())
-            if seg[p] < min_height or not _is_local_max(seg, p):
+            if seg[p] < min_height or not is_max[p]:
                 break
             positions.append(p)
             prev = p
@@ -271,18 +263,18 @@ def compute_jitter(
         period = SAMPLE_RATE / f0_hz[k]
         start = grid.frame_start(k)
         seg = x[max(0, start - WINDOW_SAMPLES) : min(len(x), start + 2 * WINDOW_SAMPLES)]
+        is_max = _local_maxima(seg)
         anchor = int(seg.argmax())
-        if not _is_local_max(seg, anchor):
-            interior = np.flatnonzero(
-                (seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:])
-            )
+        if not is_max[anchor]:
+            interior = np.flatnonzero(is_max)
             if interior.size == 0:
                 continue
-            anchor = 1 + int(interior[seg[1 + interior].argmax()])
+            anchor = int(interior[seg[interior].argmax()])
         if seg[anchor] <= 0.0:
             continue
-        ints = _track_peaks(seg, period, anchor, 0.3 * seg[anchor])
-        refined = np.array([_parabolic_peak(seg, p) for p in ints])
+        # every tracked peak is an interior local maximum, so p +- 1 is in range
+        ints = np.array(_track_peaks(seg, is_max, period, anchor, 0.3 * seg[anchor]))
+        refined = ints + _parabolic_offset(seg[ints - 1], seg[ints], seg[ints + 1])
         periods = np.diff(refined)
         if len(periods) < 3:
             continue
@@ -293,8 +285,9 @@ def compute_jitter(
 def extract_frame_features(buf: AudioBuffer) -> FrameFeatures:
     """All four descriptors plus voicing on the shared frame grid."""
     grid = FrameGrid.for_signal(len(buf.samples))
-    loudness = compute_loudness(buf, grid)
-    alpha = compute_alpha_ratio(buf, grid)
+    power = power_spectrum(buf, grid)
+    loudness = compute_loudness(power)
+    alpha = compute_alpha_ratio(power)
     f0_hz, voiced = estimate_f0(buf, grid)
     jitter = compute_jitter(buf, grid, f0_hz, voiced)
     semis = np.zeros(grid.num_frames)

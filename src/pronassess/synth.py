@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io
-from .aligner import Alignment, Span
+from .aligner import HOP_MS, Alignment, Span
 from .durations import DurationModel, PhoneStats
 from .errors import ValidationError
 from .inventory import PHONE_TO_INDEX, PHONEMES
@@ -170,9 +170,9 @@ def _gen_one(args):
         mean, std = phone_duration_params(p)
         d = mean + std * deviation * rng.normal()
         d = float(np.clip(d, 20.0, 200.0))
-        nf = max(2, int(np.rint(d / 10.0)))
+        nf = max(2, int(np.rint(d / HOP_MS)))
         span_frames.append(nf)
-        d_real = nf * 10.0
+        d_real = nf * HOP_MS
         deficits.append(-((d_real - mean) ** 2) / (2.0 * std**2))
     fluency = fluency_label(float(np.mean(deficits)))
 

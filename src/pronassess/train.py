@@ -26,7 +26,7 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        for key in ("batch", "epochs"):
+        for key in ("batch", "epochs", "patience"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key} must be at least 1, got {getattr(self, key)!r}")
         if self.seed < 0:
@@ -108,11 +108,12 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
           config: TrainConfig = TrainConfig(), epoch_callback=None) -> TrainResult:
     """Train a fresh model on the dataset.
 
-    A `val_fraction` share of the data (at least one utterance, none for
-    a dataset of one) is held out for validation and early stopping;
-    training stops once validation loss has failed to improve for
-    `patience` consecutive epochs. The returned model carries
-    the parameters of the best-validation epoch.
+    A `val_fraction` share of the data (at least one utterance; none for
+    `val_fraction=0` or a dataset of one) is held out for validation and
+    early stopping; without a validation split the training loss stands in
+    for the validation loss. Training stops once that loss has failed to
+    improve for `patience` consecutive epochs. The returned model carries
+    the parameters of the best epoch.
     """
     if not dataset:
         raise ValidationError("empty dataset")
@@ -125,9 +126,9 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
     weights = (config.loss_weight_fluency, config.loss_weight_prosody)
 
     order = rng.permutation(len(dataset))
-    n_val = max(1, int(round(config.val_fraction * len(dataset))))
-    if len(dataset) < 2:
-        n_val = 0
+    n_val = 0
+    if config.val_fraction > 0 and len(dataset) > 1:
+        n_val = max(1, int(round(config.val_fraction * len(dataset))))
     val_idx = [int(i) for i in order[:n_val]]
     train_idx = [int(i) for i in order[n_val:]]
     if not train_idx:

@@ -1,6 +1,7 @@
 """Serialization round trips and format-error behaviour."""
 
 import json
+import re
 import struct
 import wave
 
@@ -187,6 +188,15 @@ class TestDurationModelFile:
             back = read_duration_model(p)
             assert back.phones == model.phones
             assert back.global_stats == model.global_stats
+
+    @pytest.mark.parametrize("mean, std", [("100.0", "-5.0"), ("100.0", "0.0"), ("100.0", "nan"),
+                                           ("100.0", "inf"), ("nan", "20.0"), ("-inf", "20.0")])
+    def test_bad_stats_cite_line(self, tmp_path, mean, std):
+        p = tmp_path / "d.tsv"
+        p.write_text(f"phone\tmean_ms\tstd_ms\tcount\n__GLOBAL__\t100.0\t20.0\t100\n"
+                     f"AA\t{mean}\t{std}\t50\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{p}:3:")):
+            read_duration_model(p)
 
     def test_missing_global_row(self, tmp_path):
         p = tmp_path / "g.tsv"

@@ -122,6 +122,13 @@ class TestGopdAndAssemble:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2 and lines[0].startswith("AA\t100.0\t")
 
+    def test_gopd_bad_model_exit_3(self, tmp_path, capsys):
+        adir, model = self._setup(tmp_path)
+        model.write_text(model.read_text().replace("B\t100.0\t20.0", "B\t100.0\t0.0"))
+        rc = main(["gopd", "--alignment", str(adir), "--model", str(model)])
+        assert rc == 3
+        assert f"{model}:4:" in capsys.readouterr().err
+
     def test_assemble_writes_block_and_sidecar(self, tmp_path):
         # 20-frame alignment needs a 20-frame wav: 400 + 19*160 samples
         write_wav(tmp_path / "w.wav", AudioBuffer(np.zeros(400 + 19 * 160)))

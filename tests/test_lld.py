@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pronassess import (
     AudioBuffer,
@@ -13,8 +15,17 @@ from pronassess import (
     estimate_f0,
     extract_frame_features,
     hz_to_semitones,
+    power_spectrum,
 )
 from pronassess.errors import TooShortError, ValidationError
+from pronassess.lld import (
+    _LAG_MAX,
+    _LAG_MIN,
+    PEAK_TIE_RATIO,
+    VOICING_THRESHOLD,
+    WINDOW_SAMPLES,
+    _frames,
+)
 from signals import SR, pulse_train, tone
 
 
@@ -36,33 +47,34 @@ class TestFrameGrid:
 class TestLoudness:
     def test_zero_signal(self):
         buf = AudioBuffer(np.zeros(16000))
-        assert np.all(compute_loudness(buf, FrameGrid.for_signal(16000)) == 0.0)
+        assert np.all(compute_loudness(power_spectrum(buf, FrameGrid.for_signal(16000))) == 0.0)
 
     def test_power_law_homogeneity(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-0.5, 0.5, 8000)
         grid = FrameGrid.for_signal(8000)
-        base = compute_loudness(AudioBuffer(x), grid)
-        half = compute_loudness(AudioBuffer(0.5 * x), grid)
+        base = compute_loudness(power_spectrum(AudioBuffer(x), grid))
+        half = compute_loudness(power_spectrum(AudioBuffer(0.5 * x), grid))
         np.testing.assert_allclose(half, base * 0.25**0.3, rtol=1e-9)
 
     def test_stationary_tone(self):
-        loud = compute_loudness(tone(220), FrameGrid.for_signal(16000))
+        loud = compute_loudness(power_spectrum(tone(220), FrameGrid.for_signal(16000)))
         interior = loud[2:-2]
         assert interior.std() / interior.mean() < 0.01
 
 
 class TestAlphaRatio:
     def test_low_tone_positive(self):
-        a = compute_alpha_ratio(tone(200), FrameGrid.for_signal(16000))
+        a = compute_alpha_ratio(power_spectrum(tone(200), FrameGrid.for_signal(16000)))
         assert np.all(a[2:-2] >= 20.0)
 
     def test_high_tone_negative(self):
-        a = compute_alpha_ratio(tone(3000), FrameGrid.for_signal(16000))
+        a = compute_alpha_ratio(power_spectrum(tone(3000), FrameGrid.for_signal(16000)))
         assert np.all(a[2:-2] <= -20.0)
 
     def test_zero_signal_is_exactly_zero(self):
-        a = compute_alpha_ratio(AudioBuffer(np.zeros(16000)), FrameGrid.for_signal(16000))
+        a = compute_alpha_ratio(power_spectrum(AudioBuffer(np.zeros(16000)),
+                                               FrameGrid.for_signal(16000)))
         assert np.all(a == 0.0)
 
 
@@ -178,3 +190,128 @@ class TestExtract:
                 f0_semitones=np.array([30.0, 0.0]), jitter_local=np.zeros(2),
                 voiced=np.array([False, False]),
             )
+
+
+# Reference pitch selection and jitter peak refinement: one frame and one
+# peak at a time, as the front end computed them before its selection was
+# vectorised. The vectorised code must reproduce them bit for bit.
+
+def reference_estimate_f0(buf, grid):
+    frames = _frames(buf.samples, grid)
+    centered = frames - frames.mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(centered, 1024, axis=1)
+    autocorr = np.fft.irfft(spec.real**2 + spec.imag**2, 1024, axis=1)
+    cum = np.concatenate([np.zeros((len(frames), 1)), np.cumsum(centered**2, axis=1)], axis=1)
+    total = cum[:, -1]
+    lags = np.arange(_LAG_MIN - 1, _LAG_MAX + 2)
+    denom = np.sqrt(cum[:, WINDOW_SAMPLES - lags] * (total[:, None] - cum[:, lags]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ncc = np.where(denom > 1e-12, autocorr[:, lags] / np.maximum(denom, 1e-300), 0.0)
+
+    f0 = np.zeros(grid.num_frames)
+    voiced = np.zeros(grid.num_frames, dtype=bool)
+    lo, hi = 1, ncc.shape[1] - 1
+    for k in range(grid.num_frames):
+        row = ncc[k]
+        search = row[lo:hi]
+        best = float(search.max())
+        if best <= VOICING_THRESHOLD or total[k] <= 1e-18:
+            continue
+        is_peak = (search >= np.roll(row, -1)[lo:hi]) & (search > np.roll(row, 1)[lo:hi])
+        tied = np.flatnonzero(is_peak & (search >= PEAK_TIE_RATIO * best))
+        j = int(tied[0]) if tied.size else int(search.argmax())
+        y0, y1, y2 = row[lo + j - 1], row[lo + j], row[lo + j + 1]
+        den = y0 - 2.0 * y1 + y2
+        delta = 0.5 * (y0 - y2) / den if abs(den) > 1e-12 else 0.0
+        f0[k] = SR / (lags[lo + j] + float(np.clip(delta, -0.5, 0.5)))
+        voiced[k] = True
+    return f0, voiced
+
+
+def _reference_parabolic_peak(y, p):
+    if p <= 0 or p >= len(y) - 1:
+        return float(p)
+    den = y[p - 1] - 2.0 * y[p] + y[p + 1]
+    if abs(den) < 1e-300:
+        return float(p)
+    return p + float(np.clip(0.5 * (y[p - 1] - y[p + 1]) / den, -0.5, 0.5))
+
+
+def _reference_is_local_max(seg, p):
+    return 0 < p < len(seg) - 1 and seg[p] >= seg[p - 1] and seg[p] >= seg[p + 1]
+
+
+def _reference_track_peaks(seg, period, anchor, min_height):
+    positions = [anchor]
+    for direction in (1, -1):
+        prev = anchor
+        while True:
+            if direction == 1:
+                a, b = int(np.ceil(prev + 0.75 * period)), int(np.floor(prev + 1.25 * period))
+            else:
+                a, b = int(np.ceil(prev - 1.25 * period)), int(np.floor(prev - 0.75 * period))
+            a, b = max(a, 0), min(b, len(seg) - 1)
+            if a > b:
+                break
+            p = a + int(seg[a : b + 1].argmax())
+            if seg[p] < min_height or not _reference_is_local_max(seg, p):
+                break
+            positions.append(p)
+            prev = p
+    return sorted(positions)
+
+
+def reference_compute_jitter(buf, grid, f0_hz, voiced):
+    x = buf.samples
+    jitter = np.zeros(grid.num_frames)
+    for k in np.flatnonzero(voiced):
+        start = grid.frame_start(k)
+        seg = x[max(0, start - WINDOW_SAMPLES) : min(len(x), start + 2 * WINDOW_SAMPLES)]
+        anchor = int(seg.argmax())
+        if not _reference_is_local_max(seg, anchor):
+            interior = np.flatnonzero((seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:]))
+            if interior.size == 0:
+                continue
+            anchor = 1 + int(interior[seg[1 + interior].argmax()])
+        if seg[anchor] <= 0.0:
+            continue
+        ints = _reference_track_peaks(seg, SR / f0_hz[k], anchor, 0.3 * seg[anchor])
+        periods = np.diff([_reference_parabolic_peak(seg, p) for p in ints])
+        if len(periods) < 3:
+            continue
+        jitter[k] = min(1.0, float(np.abs(np.diff(periods)).mean() / periods.mean()))
+    return jitter
+
+
+@st.composite
+def harmonic_mixes(draw):
+    """f0 in 60-450 Hz with 1-4 partials of random amplitude and phase plus
+    white noise: strong upper partials put near-tied peaks into the
+    autocorrelation, which is what the tie-break rule decides."""
+    n = draw(st.integers(WINDOW_SAMPLES, 4800))
+    f0 = draw(st.floats(60.0, 450.0))
+    n_partials = draw(st.integers(1, 4))
+    amps = draw(st.lists(st.floats(0.05, 1.0), min_size=n_partials, max_size=n_partials))
+    noise = draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) / SR
+    x = sum(a * np.sin(2 * np.pi * f0 * (h + 1) * t + rng.uniform(0, 2 * np.pi))
+            for h, a in enumerate(amps))
+    x = x + noise * rng.standard_normal(n)
+    x = 0.9 * x / np.abs(x).max()
+    if draw(st.booleans()):  # 16-bit steps, as loaded from a WAV: flat-topped peaks
+        x = np.rint(x * 32768.0) / 32768.0
+    return AudioBuffer(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(harmonic_mixes())
+@example(tone(50, seconds=0.3))  # below F0_MIN_HZ: no peak qualifies, the clipped argmax wins
+def test_pitch_and_jitter_match_reference(buf):
+    grid = FrameGrid.for_signal(len(buf.samples))
+    f0, voiced = estimate_f0(buf, grid)
+    ref_f0, ref_voiced = reference_estimate_f0(buf, grid)
+    assert np.array_equal(voiced, ref_voiced)
+    assert f0.tobytes() == ref_f0.tobytes()
+    jitter = compute_jitter(buf, grid, f0, voiced)
+    assert jitter.tobytes() == reference_compute_jitter(buf, grid, f0, voiced).tobytes()

@@ -70,6 +70,13 @@ class TestTrainLoop:
         assert len(result.train_indices) == 18
         assert sorted(result.val_indices + result.train_indices) == list(range(20))
 
+    def test_zero_val_fraction_trains_on_everything(self):
+        data = tiny_dataset(6)
+        result = train(data, TINY_CONFIG, TrainConfig(epochs=2, seed=4, batch=4, val_fraction=0.0))
+        assert result.val_indices == []
+        assert sorted(result.train_indices) == list(range(6))
+        assert [va for _, _, va in result.history] == [tr for _, tr, _ in result.history]
+
     def test_history_csv_format(self):
         text = history_csv([(1, 2.5, 2.4), (2, 2.0, 2.1)])
         lines = text.splitlines()
@@ -98,7 +105,8 @@ class TestConfigFile:
         p = tmp_path / "c.txt"
         for line in ("epochs=fifty", "batch=0", "epochs=0", "seed=-1", "val_fraction=2",
                      "val_fraction=1", "val_fraction=-0.1", "lr=-1e-3", "lr=nan", "lr=inf",
-                     "loss_weight_fluency=-0.5", "loss_weight_prosody=nan"):
+                     "loss_weight_fluency=-0.5", "loss_weight_prosody=nan", "patience=0",
+                     "patience=-3"):
             p.write_text(line + "\n")
             with pytest.raises(ValidationError, match=line.partition("=")[0]):
                 parse_train_config(p)
