@@ -6,8 +6,9 @@ Formats, all little-endian where binary:
 * MTX1     -- magic "MTX1", u32 rows, u32 cols, rows*cols float32 row-major.
 * Alignment TSV      -- header ``phone\\tstart_frame\\tend_frame``, inclusive frames.
 * Duration-model TSV -- header ``phone\\tmean_ms\\tstd_ms\\tcount`` plus a
-  reserved ``__GLOBAL__`` row carrying the pooled fallback; means are
-  finite and standard deviations finite and positive.
+  reserved ``__GLOBAL__`` row carrying the pooled fallback; each phone has
+  at most one row, means are finite, standard deviations finite and
+  positive, and counts non-negative.
 * Manifest -- one JSON object per line (see ManifestEntry).
 
 Loading never rescales, resamples or truncates; any deviation from the
@@ -182,6 +183,7 @@ def read_duration_model(path) -> DurationModel:
         raise FormatError(f"bad duration-model header in {path}")
     global_stats = None
     phones: dict[str, PhoneStats] = {}
+    first_line: dict[str, int] = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -196,6 +198,12 @@ def read_duration_model(path) -> DurationModel:
         if not (np.isfinite(stats.mean_ms) and np.isfinite(stats.std_ms) and stats.std_ms > 0):
             raise ValidationError(f"{path}:{ln}: mean_ms must be finite and std_ms finite and "
                                   f"positive, got {mean_s!r} and {std_s!r}")
+        if stats.count < 0:
+            raise ValidationError(f"{path}:{ln}: count must be non-negative, got {count_s!r}")
+        if phone in first_line:
+            raise ValidationError(f"{path}:{ln}: second row for {phone!r} "
+                                  f"(first on line {first_line[phone]})")
+        first_line[phone] = ln
         if phone == GLOBAL_PHONE:
             global_stats = stats
         elif phone in PHONE_TO_INDEX:

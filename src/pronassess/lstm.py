@@ -7,22 +7,26 @@ out time-major, so step t occupies packed rows offsets[t] : offsets[t+1]
 and holds the n_t sequences longer than t, longest first. A sequence
 still running at step t was running at step t-1 in the same slot, so
 each step's h_{t-1} and c_{t-1} are the first n_t rows of the previous
-step's slice, and the recurrent GEMM runs over those n_t rows only. No
-padded position is computed, cached or differentiated.
+step's slice. No padded position is computed, cached or differentiated.
 
 The backward direction reads each sequence from its last valid step
 back: its packed row for (sequence, step s) holds input step
-lengths - 1 - s. Both directions share one layout, so the reversal is a
-permutation of packed rows (`PackPlan.rev`, its own inverse), not a
-padded copy.
+lengths - 1 - s. So both directions share one layout, the reversal is a
+permutation of packed rows (`PackPlan.rev`, its own inverse), and one
+step loop runs both directions over stacked arrays: gates (2, N, 4H),
+cell states and outputs (2, N, H), N being the number of valid
+positions. A step is one `np.matmul` with the recurrent weights of both
+directions, laid out once per call (`_recurrent`), and one
+elementwise pass; the sigmoid gates use 0.5 * (1 + tanh(x / 2)).
 
-Each direction's cache keeps its post-activation gates and each step's
-output h_t and cell state c_t as packed (N, ·) arrays, N being the
-number of valid positions; the bidirectional cache adds the plan and the
-packed input, once. The backward pass computes d_wx, d_wh, d_b and the
-input gradient as single GEMMs over packed rows. Outputs and input
-gradients are scattered back to padded (B, T, ·) arrays whose padded
-positions are exactly zero.
+`bilstm_backward` first turns the cached gates into each gate's local
+derivative coefficient over all packed rows at once, so a step only
+multiplies its rows of those coefficients by its dc or dh. d_wx, d_wh
+and d_b are single GEMMs over packed rows. The input gradient is
+computed only where the caller reads it: at every valid step, or, given
+`dx_tail`, at the last few steps of each sequence. Everything stays
+float64. Outputs and input gradients are scattered back to padded
+(B, T, ·) arrays that are zero everywhere else.
 
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
@@ -30,15 +34,6 @@ Gate order in the stacked weight matrices is input, forget, cell, output.
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass
@@ -62,76 +57,46 @@ def pack_plan(lengths) -> PackPlan:
 
 
 @dataclass
-class LSTMCache:
-    gates: np.ndarray      # (N, 4H) post-activation [i, f, g, o]
-    c: np.ndarray          # (N, H) cell state after each step
-    hs: np.ndarray         # (N, H) output after each step
+class BiLSTMCache:
+    plan: PackPlan
+    lengths: np.ndarray    # (B,) valid steps of each batch row
+    x: np.ndarray          # (N, D) packed input, forward-direction order
+    gates: np.ndarray      # (2, N, 4H) post-activation [i, f, g, o] per direction
+    c: np.ndarray          # (2, N, H) cell state after each step
+    hs: np.ndarray         # (2, N, H) output after each step
 
 
-def lstm_forward(x, offsets, w_x, w_h, b):
-    """Single-direction pass over packed rows x: (N, D); returns ((N, H), cache)."""
-    hid = w_h.shape[1]
-    gates = x @ w_x.T  # input contribution for every step at once, activated in place
-    gates += b
-    cs = np.empty((len(x), hid))
-    hs = np.empty((len(x), hid))
-    for t in range(len(offsets) - 1):
-        lo, hi = offsets[t], offsets[t + 1]
-        z = gates[lo:hi]
-        if t:  # h_{t-1}, c_{t-1}: the first hi - lo rows of the previous step
-            prev = slice(offsets[t - 1], offsets[t - 1] + hi - lo)
-            z += hs[prev] @ w_h.T
-        z[:, : 2 * hid] = _sigmoid(z[:, : 2 * hid])
-        z[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
-        z[:, 3 * hid :] = _sigmoid(z[:, 3 * hid :])
-        i, f, g, o = (z[:, k * hid : (k + 1) * hid] for k in range(4))
-        c = cs[lo:hi]
-        np.multiply(i, g, out=c)
-        if t:
-            c += f * cs[prev]
-        hs[lo:hi] = o * np.tanh(c)
-    return hs, LSTMCache(gates, cs, hs)
+def _activate(z, hid):
+    """Gate activations, in place, of pre-activations z: (..., 4H) ordered
+    [i, f, g, o]: tanh on g, sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o."""
+    sig = (z[..., : 2 * hid], z[..., 3 * hid :])
+    for s in sig:
+        s *= 0.5
+    np.tanh(z, out=z)
+    for s in sig:
+        s *= 0.5
+        s += 0.5
 
 
-def lstm_backward(d_hs, x, cache, offsets, w_x, w_h):
-    """Gradients for lstm_forward over packed input x, given d_hs: (N, H)."""
-    n_rows, hid = cache.c.shape
-    dz_all = np.empty((n_rows, 4 * hid))
-    first = offsets[1] if len(offsets) > 1 else 0  # rows of step 0 have h_{t-1} = 0
-    h_in = np.empty((n_rows - first, hid))  # h_{t-1} of every later row, for the d_wh GEMM
+def _recurrent(ws, n_rows):
+    """a -> a @ w per direction for a: (2, n <= n_rows, K), given the two
+    directions' (K, N) weights ws, laid out once as (2, N / b, K, b) blocks.
 
-    dh_next = dc_next = np.zeros((0, hid))
-    for t in range(len(offsets) - 2, -1, -1):
-        lo, hi = offsets[t], offsets[t + 1]
-        gates = cache.gates[lo:hi]
-        i, f, g, o = (gates[:, k * hid : (k + 1) * hid] for k in range(4))
-        tanh_c = np.tanh(cache.c[lo:hi])
-        n_next = len(dh_next)  # sequences still running at step t + 1
+    A GEMM call repacks the whole weight matrix, which dominates a step of
+    a few rows. OpenBLAS runs products of at most 1e6 multiply-adds through
+    a small-matrix kernel without packing, so b is 32 or 16 if an
+    (n_rows, K) @ (K, b) product stays within that bound, else N."""
+    k, n = ws[0].shape
+    b = next((b for b in (32, 16) if n % b == 0 and n_rows * k * b <= 1e6), n)
+    blocks = np.ascontiguousarray([w.reshape(k, n // b, b).transpose(1, 0, 2) for w in ws])
+    return lambda a: np.matmul(a[:, None], blocks).transpose(0, 2, 1, 3).reshape(a.shape[:2] + (-1,))
 
-        dh = d_hs[lo:hi].copy()
-        dh[:n_next] += dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c**2)
-        dc[:n_next] += dc_next
 
-        dz = dz_all[lo:hi]
-        dz[:, :hid] = dc * g * i * (1.0 - i)
-        dz[:, 2 * hid : 3 * hid] = dc * i * (1.0 - g**2)
-        dz[:, 3 * hid :] = do * o * (1.0 - o)
-        if t:
-            prev = slice(offsets[t - 1], offsets[t - 1] + hi - lo)
-            dz[:, hid : 2 * hid] = dc * cache.c[prev] * f * (1.0 - f)
-            h_in[lo - first : hi - first] = cache.hs[prev]
-            dc_next = dc * f
-            dh_next = dz @ w_h
-        else:
-            dz[:, hid : 2 * hid] = 0.0
-
-    d_wx = dz_all.T @ x
-    d_wh = dz_all[first:].T @ h_in
-    d_b = dz_all.sum(axis=0)
-    d_x = dz_all @ w_x
-    return d_x, d_wx, d_wh, d_b
+def _prev_rows(offsets):
+    """(slice of rows at step t, slice of their h_{t-1} and c_{t-1} rows) per step."""
+    return [(slice(offsets[t], offsets[t + 1]),
+             slice(offsets[t - 1], offsets[t - 1] + offsets[t + 1] - offsets[t]) if t else None)
+            for t in range(len(offsets) - 1)]
 
 
 def reverse_padded(x, lengths):
@@ -149,28 +114,96 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
     """Bidirectional pass over a zero-padded batch x: (B, T, D) whose row b
     holds lengths[b] valid steps. Returns the (B, T, 2H) output, forward
     features first and zero at padded positions, and the backward cache."""
+    lengths = np.asarray(lengths)
     plan = pack_plan(lengths)
     x_p = x[plan.rows, plan.steps]
-    hs_f, cache_f = lstm_forward(x_p, plan.offsets, *fwd_params)
-    hs_b, cache_b = lstm_forward(x_p[plan.rev], plan.offsets, *bwd_params)
-    hid = hs_f.shape[1]
+    hid = fwd_params[1].shape[1]
+    gates = np.empty((2, len(x_p), 4 * hid))
+    np.matmul(x_p, fwd_params[0].T, out=gates[0])
+    np.matmul(x_p[plan.rev], bwd_params[0].T, out=gates[1])
+    gates += np.stack([fwd_params[2], bwd_params[2]])[:, None]
+    recurrent = _recurrent([fwd_params[1].T, bwd_params[1].T], len(lengths))
+    cs = np.empty((2, len(x_p), hid))
+    hs = np.empty((2, len(x_p), hid))
+    for now, prev in _prev_rows(plan.offsets):
+        z = gates[:, now]
+        if prev:
+            z += recurrent(hs[:, prev])
+        _activate(z, hid)
+        c = cs[:, now]
+        np.multiply(z[..., : hid], z[..., 2 * hid : 3 * hid], out=c)
+        if prev:
+            c += z[..., hid : 2 * hid] * cs[:, prev]
+        h = hs[:, now]
+        np.tanh(c, out=h)
+        h *= z[..., 3 * hid :]
     out = np.zeros(x.shape[:2] + (2 * hid,))
-    out[plan.rows, plan.steps, :hid] = hs_f
-    out[plan.rows, plan.steps, hid:] = hs_b[plan.rev]
-    return out, (plan, x_p, cache_f, cache_b)
+    out[plan.rows, plan.steps, :hid] = hs[0]
+    out[plan.rows, plan.steps, hid:] = hs[1, plan.rev]
+    return out, BiLSTMCache(plan, lengths, x_p, gates, cs, hs)
 
 
-def bilstm_backward(d_out, cache, fwd_params, bwd_params):
+def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     """Gradients for bilstm_forward: (d_x padded like x, forward-direction
     (d_wx, d_wh, d_b), backward-direction (d_wx, d_wh, d_b)). Upstream
-    gradients at padded positions of d_out are ignored."""
-    plan, x_p, cache_f, cache_b = cache
-    hid = cache_f.c.shape[1]
-    d_p = d_out[plan.rows, plan.steps]
-    dx_f, *grads_f = lstm_backward(d_p[:, :hid], x_p, cache_f, plan.offsets, *fwd_params[:2])
-    dx_b, *grads_b = lstm_backward(
-        d_p[plan.rev, hid:], x_p[plan.rev], cache_b, plan.offsets, *bwd_params[:2]
-    )
-    d_x = np.zeros(d_out.shape[:2] + (x_p.shape[1],))
-    d_x[plan.rows, plan.steps] = dx_f + dx_b[plan.rev]
-    return d_x, tuple(grads_f), tuple(grads_b)
+    gradients at padded positions of d_out are ignored.
+
+    d_x holds the input gradient at every valid step, or, given dx_tail
+    (B,), only at the last dx_tail[b] valid steps of row b; it is zero
+    everywhere else."""
+    plan = cache.plan
+    n_rows, hid = cache.c.shape[1:]
+    first = plan.offsets[1] if len(plan.offsets) > 1 else 0  # step 0 rows: h, c_{t-1} = 0
+    i, f, g, o = (cache.gates.reshape(2, n_rows, 4, hid)[:, :, k] for k in range(4))
+    # dz = coefficient * dc for i, f, g and * dh for o (f still lacking its
+    # factor c_{t-1}); dc = coef_c * dh plus the carry from step t + 1.
+    dz_all = np.empty((2, n_rows, 4 * hid))
+    dz = dz_all.reshape(2, n_rows, 4, hid)
+    for k, s in ((0, i), (1, f)):
+        np.subtract(1.0, s, out=dz[:, :, k])
+        dz[:, :, k] *= s
+    dz[:, :, 0] *= g
+    dz[:, :first, 1] = 0.0
+    np.square(g, out=dz[:, :, 2])
+    np.subtract(1.0, dz[:, :, 2], out=dz[:, :, 2])
+    dz[:, :, 2] *= i
+    np.subtract(1.0, o, out=dz[:, :, 3])
+    dz[:, :, 3] *= cache.hs  # h = o * tanh(c)
+    coef_c = np.tanh(cache.c)
+    np.square(coef_c, out=coef_c)
+    np.subtract(1.0, coef_c, out=coef_c)
+    coef_c *= o
+
+    # Upstream gradient of (direction, packed row): the backward direction's
+    # row r sits at input position (rows, steps)[rev[r]].
+    at = ((plan.rows, plan.steps, slice(None, hid)),
+          (plan.rows[plan.rev], plan.steps[plan.rev], slice(hid, None)))
+    recurrent = _recurrent([fwd_params[1], bwd_params[1]], len(cache.lengths))
+    dh_next = dc_next = np.zeros((2, 0, hid))  # carries into the sequences still running
+    for now, prev in reversed(_prev_rows(plan.offsets)):
+        dh = np.stack([d_out[rows[now], steps[now], cols] for rows, steps, cols in at])
+        dh[:, : dh_next.shape[1]] += dh_next
+        dz[:, now, 3] *= dh
+        dc = coef_c[:, now]
+        dc *= dh
+        dc[:, : dc_next.shape[1]] += dc_next
+        dz[:, now, :3] *= dc[:, :, None]
+        if prev:
+            dz[:, now, 1] *= cache.c[:, prev]
+            dc_next = dc * f[:, now]
+            dh_next = recurrent(dz_all[:, now])
+    del coef_c, recurrent
+
+    # h_{t-1} of every later row: packed row r at step t follows row r - n_{t-1}
+    h_rows = np.arange(first, n_rows) - np.diff(plan.offsets)[plan.steps[first:] - 1]
+    d_wx = (dz_all[0].T @ cache.x, dz_all[1].T @ cache.x[plan.rev])
+    grads = [(d_wx[d], dz_all[d, first:].T @ cache.hs[d, h_rows], dz_all[d].sum(axis=0))
+             for d in range(2)]
+
+    sel = np.arange(n_rows)
+    if dx_tail is not None:
+        sel = np.flatnonzero(plan.steps >= (cache.lengths - np.asarray(dx_tail))[plan.rows])
+    d_x = np.zeros(d_out.shape[:2] + (cache.x.shape[1],))
+    d_x[plan.rows[sel], plan.steps[sel]] = (dz_all[0, sel] @ fwd_params[0]
+                                             + dz_all[1, plan.rev[sel]] @ bwd_params[0])
+    return d_x, *grads

@@ -162,10 +162,11 @@ class ScoringModel:
         return tuple(tuple(self.params[f"{prefix}_{dr}_{part}"] for part in _LSTM_PARTS)
                      for dr in _DIRECTIONS)
 
-    def _encoder_backward(self, prefix: str, d_out, cache, grads) -> np.ndarray:
+    def _encoder_backward(self, prefix: str, d_out, cache, grads, dx_tail=None) -> np.ndarray:
         """Backward through encoder `prefix`: adds its weight gradients to
-        `grads` and returns the gradient of its padded input."""
-        d_x, *dir_grads = bilstm_backward(d_out, cache, *self._encoder(prefix))
+        `grads` and returns the gradient of its padded input (only at the
+        last dx_tail[b] steps of row b, if given)."""
+        d_x, *dir_grads = bilstm_backward(d_out, cache, *self._encoder(prefix), dx_tail=dx_tail)
         for dr, gs in zip(_DIRECTIONS, dir_grads):
             for part, g in zip(_LSTM_PARTS, gs):
                 grads[f"{prefix}_{dr}_{part}"] += g
@@ -274,7 +275,9 @@ class ScoringModel:
         # Mean pooling spreads dfvec over each utterance's valid steps; the
         # encoder ignores the broadcast values at padded positions.
         d_hs = np.broadcast_to((dfvec / s_lens[:, None])[:, None, :], (n, s_lens.max(), d))
-        d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads)
+        # Only the attended rows and the u token (the last l_lens + 1 steps)
+        # carry gradient further back; the ct rows are data.
+        d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
 
         d_u = dfvec + d_fseq[rows, t_lens + l_lens]  # residual path plus the u token
         grads["u_w"] = d_u.T @ cache["u_std"]

@@ -77,15 +77,28 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One update, in place. Bit-identical to m = b1*m + (1-b1)*g,
+        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps)."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        # Two scratch buffers as large as the largest gradient, freed on return
+        # so that they do not add to the forward and backward passes' memory.
+        scratch = np.empty((2, max((g.size for g in grads.values()), default=0)))
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[k], self.v[k]
+            a, b = (buf[: g.size].reshape(g.shape) for buf in scratch)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            params[k] -= np.divide(a, b, out=a)
 
 
 @dataclass

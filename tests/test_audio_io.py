@@ -198,6 +198,23 @@ class TestDurationModelFile:
         with pytest.raises(ValidationError, match=re.escape(f"{p}:3:")):
             read_duration_model(p)
 
+    @pytest.mark.parametrize("rows, bad_line", [
+        ("AA\t80.0\t10.0\t50\nAA\t150.0\t30.0\t7\n", 4),
+        ("AA\t80.0\t10.0\t50\n__GLOBAL__\t90.0\t20.0\t100\n", 4),
+        ("AA\t80.0\t10.0\t50\nAH\t150.0\t30.0\t-7\n", 4),
+        ("AA\t80.0\t10.0\t-1\n", 3),
+    ], ids=["duplicate-phone", "duplicate-global", "negative-count", "negative-count-first"])
+    def test_duplicate_row_or_negative_count_cites_line(self, tmp_path, rows, bad_line):
+        p = tmp_path / "d.tsv"
+        p.write_text("phone\tmean_ms\tstd_ms\tcount\n__GLOBAL__\t100.0\t20.0\t100\n" + rows)
+        with pytest.raises(ValidationError, match=re.escape(f"{p}:{bad_line}:")):
+            read_duration_model(p)
+
+    def test_zero_count_accepted(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("phone\tmean_ms\tstd_ms\tcount\n__GLOBAL__\t100.0\t20.0\t0\n")
+        assert read_duration_model(p).global_stats.count == 0
+
     def test_missing_global_row(self, tmp_path):
         p = tmp_path / "g.tsv"
         p.write_text("phone\tmean_ms\tstd_ms\tcount\nAA\t100.0\t10.0\t5\n")

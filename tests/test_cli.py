@@ -129,6 +129,15 @@ class TestGopdAndAssemble:
         assert rc == 3
         assert f"{model}:4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra_row", ["AA\t150.0\t30.0\t7\n", "AH\t150.0\t30.0\t-7\n"],
+                             ids=["duplicate-row", "negative-count"])
+    def test_gopd_duplicate_row_or_negative_count_exit_3(self, tmp_path, capsys, extra_row):
+        adir, model = self._setup(tmp_path)
+        model.write_text(model.read_text() + extra_row)
+        rc = main(["gopd", "--alignment", str(adir), "--model", str(model)])
+        assert rc == 3
+        assert f"{model}:5:" in capsys.readouterr().err
+
     def test_assemble_writes_block_and_sidecar(self, tmp_path):
         # 20-frame alignment needs a 20-frame wav: 400 + 19*160 samples
         write_wav(tmp_path / "w.wav", AudioBuffer(np.zeros(400 + 19 * 160)))

@@ -1,10 +1,10 @@
 """Packed BiLSTM against each sequence run alone, without padding."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pronassess.lstm import bilstm_backward, bilstm_forward
+from pronassess.lstm import _activate, _recurrent, bilstm_backward, bilstm_forward
 
 TOL = 1e-12
 
@@ -101,3 +101,76 @@ def test_gradients_match_central_differences(case):
     eps = 1e-6
     numeric = (loss(eps) - loss(-eps)) / (2 * eps)
     assert abs(numeric - analytic) <= 1e-6 * max(1.0, abs(analytic))
+
+
+def _branchy_sigmoid(x):
+    """The sigmoid the gates used before the tanh form, kept as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=64), st.integers(1, 3))
+@example([-800.0, 800.0, 0.0, -1000.0, 1000.0, 1.189], 1)
+def test_tanh_form_gates_match_the_branchy_sigmoid(values, hid):
+    x = np.array(values)
+    z = np.repeat(x[:, None], 4 * hid, axis=1)  # every gate column holds x
+    # numpy ignores underflow by default; halving a subnormal input underflows
+    # to the same gate value, so only the warnings a caller would see are raised.
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        _activate(z, hid)
+    sig = _branchy_sigmoid(x)[:, None]
+    for cols in (slice(0, 2 * hid), slice(3 * hid, 4 * hid)):  # i, f, o
+        assert np.max(np.abs(z[:, cols] - sig)) <= 2.3e-16
+    assert np.array_equal(z[:, 2 * hid : 3 * hid], np.tanh(np.repeat(x[:, None], hid, axis=1)))
+    saturated = np.array([[-800.0] * 4, [800.0] * 4])
+    _activate(saturated, 1)
+    assert saturated[0, [0, 1, 3]].tolist() == [0.0] * 3
+    assert saturated[1, [0, 1, 3]].tolist() == [1.0] * 3
+
+
+@st.composite
+def tails(draw):
+    case = draw(batches())
+    lengths = case[4]
+    return case, np.array([draw(st.integers(1, n)) for n in lengths])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tails())
+@example(((1, 1, 3, 2, np.array([1]), 0), np.array([1])))
+@example(((1, 6, 2, 3, np.array([6]), 1), np.array([6])))
+@example(((3, 5, 4, 2, np.array([5, 1, 3]), 2), np.array([5, 1, 3])))
+def test_input_gradient_at_selected_tail_matches_full_path(case_tail):
+    case, tail = case_tail
+    bsz, t_max, d_in, hid, lengths, seed = case
+    x, d_out, fwd, bwd = _setup(*case)
+    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    dx_full, *grads_full = bilstm_backward(d_out, cache, fwd, bwd)
+    dx_tail, *grads_tail = bilstm_backward(d_out, cache, fwd, bwd, dx_tail=tail)
+
+    steps = np.arange(t_max)[None, :]
+    selected = (steps >= (lengths - tail)[:, None]) & _valid(t_max, lengths)
+    np.testing.assert_allclose(dx_tail[selected], dx_full[selected], rtol=0, atol=TOL)
+    assert np.all(dx_tail[~selected] == 0.0)
+    for got, ref in zip(sum(grads_tail, ()), sum(grads_full, ())):
+        np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(512, 2048), (2048, 512), (64, 96), (8, 32)]), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_blocked_recurrent_product_matches_plain_matmul(shape, n_rows, seed):
+    # (512, 2048) and (2048, 512) are the full-size forward and backward
+    # products; n_rows spans blocks of 32, of 16 and no blocking.
+    rng = np.random.default_rng(seed)
+    ws = [rng.uniform(-1.0, 1.0, shape) for _ in range(2)]
+    a = rng.normal(size=(2, int(rng.integers(1, n_rows + 1)), shape[0]))
+    got = _recurrent(ws, n_rows)(a)
+    ref = np.matmul(a, np.stack(ws))
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=0, atol=TOL * np.abs(ref).max())

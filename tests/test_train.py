@@ -6,7 +6,7 @@ import pytest
 from pronassess.errors import ValidationError
 from pronassess.metrics import pcc, predict_score
 from pronassess.model import TINY_CONFIG, ScoringModel
-from pronassess.train import TrainConfig, history_csv, parse_train_config, train
+from pronassess.train import Adam, TrainConfig, history_csv, parse_train_config, train
 
 from test_model import make_utt
 
@@ -82,6 +82,31 @@ class TestTrainLoop:
         lines = text.splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert lines[1].startswith("1,2.5")
+
+
+class TestAdam:
+    def test_in_place_step_matches_reference_formula(self):
+        rng = np.random.default_rng(7)
+        shapes = {"w": (6, 5), "b": (5,), "big": (40, 3), "empty": (0,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr)
+        for t in range(1, 6):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape)
+                     for k, p in params.items()}
+            opt.step(params, grads)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():  # the formula the in-place step must reproduce
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
+                ref[k] -= lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2) + eps)
+        for k in params:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(opt.m[k], ref_m[k])
+            assert np.array_equal(opt.v[k], ref_v[k])
 
 
 class TestConfigFile:
