@@ -24,9 +24,14 @@ derivative coefficient over all packed rows at once, so a step only
 multiplies its rows of those coefficients by its dc or dh. d_wx, d_wh
 and d_b are single GEMMs over packed rows. The input gradient is
 computed only where the caller reads it: at every valid step, or, given
-`dx_tail`, at the last few steps of each sequence. Everything stays
-float64. Outputs and input gradients are scattered back to padded
-(B, T, ·) arrays that are zero everywhere else.
+`dx_tail`, at the last few steps of each sequence. Outputs and input
+gradients are scattered back to padded (B, T, ·) arrays that are zero
+everywhere else.
+
+The forward pass computes in x's dtype: gates, cell states and outputs
+are allocated in it, and `_recurrent` lays the recurrent weights out in
+theirs, so float32 inputs and weights run float32 end to end. The
+backward pass is float64; only float64 models are trained.
 
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
@@ -118,13 +123,13 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
     plan = pack_plan(lengths)
     x_p = x[plan.rows, plan.steps]
     hid = fwd_params[1].shape[1]
-    gates = np.empty((2, len(x_p), 4 * hid))
+    gates = np.empty((2, len(x_p), 4 * hid), dtype=x.dtype)
     np.matmul(x_p, fwd_params[0].T, out=gates[0])
     np.matmul(x_p[plan.rev], bwd_params[0].T, out=gates[1])
     gates += np.stack([fwd_params[2], bwd_params[2]])[:, None]
     recurrent = _recurrent([fwd_params[1].T, bwd_params[1].T], len(lengths))
-    cs = np.empty((2, len(x_p), hid))
-    hs = np.empty((2, len(x_p), hid))
+    cs = np.empty((2, len(x_p), hid), dtype=x.dtype)
+    hs = np.empty_like(cs)
     for now, prev in _prev_rows(plan.offsets):
         z = gates[:, now]
         if prev:
@@ -137,7 +142,7 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
         h = hs[:, now]
         np.tanh(c, out=h)
         h *= z[..., 3 * hid :]
-    out = np.zeros(x.shape[:2] + (2 * hid,))
+    out = np.zeros(x.shape[:2] + (2 * hid,), dtype=x.dtype)
     out[plan.rows, plan.steps, :hid] = hs[0]
     out[plan.rows, plan.steps, hid:] = hs[1, plan.rev]
     return out, BiLSTMCache(plan, lengths, x_p, gates, cs, hs)

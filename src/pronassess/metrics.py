@@ -8,9 +8,11 @@ from .errors import ValidationError
 
 
 def predict_score(distribution: np.ndarray) -> float:
-    """Expected score of an 11-class distribution: sum_k k * p_k, in [0, 10]."""
+    """Expected score of an 11-class distribution: sum_k k * p_k, in [0, 10].
+    A distribution with a non-finite entry is rejected."""
     dist = np.asarray(distribution, dtype=np.float64).reshape(-1)
-    if dist.size != 11 or abs(dist.sum() - 1.0) > 1e-6 or np.any(dist < 0):
+    if dist.size != 11 or not np.isfinite(dist).all() or abs(dist.sum() - 1.0) > 1e-6 \
+            or np.any(dist < 0):
         raise ValidationError("input is not a valid 11-class distribution")
     return float(np.arange(11) @ dist)
 

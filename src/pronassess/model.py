@@ -18,10 +18,17 @@ log-densities), which would saturate the recurrent gates at the pinned
 uniform init, so the network standardizes its numeric inputs with the
 fixed constants below before anything learnable sees them.
 
-All parameters are float64. Gradients are exact reverse-mode derivatives,
-checked against central finite differences in the test suite.
+The forward pass computes in the dtype of the parameters: float64 for a
+model built here (training, its validation pass, the gradient check) and
+float32, the stored precision, for a model read by `ScoringModel.load`.
+Inputs are cast to that dtype once on entry; the head logits and softmax
+run in float64 whatever the encoders ran in, so each distribution sums to
+1 within ~1e-16. A float32 forward scores within 1e-6 of the same weights
+in float64 (tested). Gradients are float64, exact reverse-mode
+derivatives, checked against central finite differences in the test suite.
 """
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -90,7 +97,7 @@ def cross_attention(p_nv: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValidationError(
             f"query dim {p_nv.shape[1]} != key/value dim {ct.shape[1]}"
         )
-    scores = p_nv @ ct.T / np.sqrt(ct.shape[1])
+    scores = p_nv @ ct.T / math.sqrt(ct.shape[1])
     weights = softmax(scores, axis=1)
     return weights @ ct, weights
 
@@ -102,8 +109,8 @@ def _valid(lengths: np.ndarray) -> np.ndarray:
 
 def _pad(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Zero-padded (B, max length, width) batch of the concatenated rows of
-    B sequences, sequence b holding lengths[b] rows."""
-    out = np.zeros((len(lengths), lengths.max(), rows.shape[1]))
+    B sequences, sequence b holding lengths[b] rows, in the rows' dtype."""
+    out = np.zeros((len(lengths), lengths.max(), rows.shape[1]), dtype=rows.dtype)
     out[_valid(lengths)] = rows
     return out
 
@@ -157,6 +164,11 @@ class ScoringModel:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the forward pass computes in: that of the parameters."""
+        return self.params["embed"].dtype
+
     def _encoder(self, prefix: str):
         """((wx, wh, b) forward, (wx, wh, b) backward) of encoder `prefix` ("pc" or "fu")."""
         return tuple(tuple(self.params[f"{prefix}_{dr}_{part}"] for part in _LSTM_PARTS)
@@ -186,7 +198,7 @@ class ScoringModel:
         emb = self.params["embed"][idx]
         ptilde = np.tanh(emb @ self.params["ff_w"].T + self.params["ff_b"])
         numeric = np.concatenate([f.numeric_block() for f in fusions])
-        numeric = (numeric - NUMERIC_OFFSET) / NUMERIC_SCALE
+        numeric = ((numeric - NUMERIC_OFFSET) / NUMERIC_SCALE).astype(self.dtype, copy=False)
         lengths = np.array([len(f) for f in fusions])
         p_all, pc_cache = bilstm_forward(_pad(np.hstack([numeric, ptilde]), lengths), lengths,
                                          *self._encoder("pc"))
@@ -218,25 +230,30 @@ class ScoringModel:
                 raise ValidationError(f"u_nv must have {cfg.u_dim} entries")
         p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
         t_lens = np.array([len(u.ct) for u in batch])
-        u_std = (np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE
+        u_std = ((np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE
+                 ).astype(self.dtype, copy=False)
         u = u_std @ self.params["u_w"].T + self.params["u_b"]
 
         # Fusion sequence per utterance: [ct rows; attended rows; u token].
+        # Attention reads its keys and values from the rows already cast.
         s_lens = t_lens + l_lens + 1
-        f_pad = np.zeros((len(batch), s_lens.max(), d))
+        f_pad = np.zeros((len(batch), s_lens.max(), d), dtype=self.dtype)
         attns = []
         for i, utt in enumerate(batch):
             t, n_ph = t_lens[i], l_lens[i]
             f_pad[i, :t] = utt.ct
-            f_pad[i, t : t + n_ph], weights = cross_attention(p_all[i, :n_ph], utt.ct)
+            f_pad[i, t : t + n_ph], weights = cross_attention(p_all[i, :n_ph], f_pad[i, :t])
             attns.append(weights)
         f_pad[np.arange(len(batch)), t_lens + l_lens] = u
         hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
 
         # Padded positions of hs_all are zero, so the sum is over valid steps.
-        fvec = hs_all.sum(axis=1) / s_lens[:, None] + u
-        dist_f = softmax(fvec @ self.params["head_f_w"].T + self.params["head_f_b"])
-        dist_p = softmax(fvec @ self.params["head_p_w"].T + self.params["head_p_b"])
+        # From here on float64, whatever dtype the encoders ran in.
+        fvec = hs_all.sum(axis=1, dtype=np.float64) / s_lens[:, None] + u
+        w_f, b_f, w_p, b_p = (self.params[f"head_{h}_{part}"].astype(np.float64, copy=False)
+                              for h in ("f", "p") for part in ("w", "b"))
+        dist_f = softmax(fvec @ w_f.T + b_f)
+        dist_p = softmax(fvec @ w_p.T + b_p)
         dists = list(zip(dist_f, dist_p))
         loss = None
         if all(utt.fluency is not None and utt.prosody is not None for utt in batch):
@@ -321,6 +338,9 @@ class ScoringModel:
 
     @classmethod
     def load(cls, path) -> "ScoringModel":
+        """Read a checkpoint written by `save`. The model keeps the stored
+        float32 precision, so its forward pass runs in float32; every tensor
+        must be finite."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if not blob.startswith(CKPT_MAGIC):
@@ -367,14 +387,17 @@ class ScoringModel:
         blocks = {}
         offset = end + 4
         for name, rows, cols in entries:
-            blocks[name] = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
+            # astype: a native-endian, writable float32 copy, the stored precision.
+            blocks[name] = np.frombuffer(blob, dtype="<f4", count=rows * cols,
+                                         offset=offset).astype(np.float32)
+            if not np.isfinite(blocks[name]).all():
+                raise FormatError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
             offset += 4 * rows * cols
         # Not through __init__: its seeded draws would all be overwritten.
         model = cls.__new__(cls)
         model.config = cfg
         # Table order, whatever the file's order, so that save is byte-stable.
-        model.params = {name: blocks[name].astype(np.float64).reshape(shape)
-                        for name, shape, _ in table}
+        model.params = {name: blocks[name].reshape(shape) for name, shape, _ in table}
         return model
 
 

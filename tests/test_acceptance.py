@@ -215,6 +215,23 @@ def test_criterion_7_end_to_end_learnability(trained):
           f"prosody {r_p:.3f} >= 0.9 in {len(result.history)} epochs ({elapsed:.0f} s)")
 
 
+def test_criterion_7_float32_scores_within_gate(trained, tmp_path):
+    """`score` runs a loaded checkpoint in its stored float32; on the trained
+    model its scores stay within 1e-6 of the same weights in float64."""
+    result, dataset, _, _ = trained
+    result.model.save(tmp_path / "m.ckpt")
+    loaded = ScoringModel.load(tmp_path / "m.ckpt")
+    upcast = ScoringModel.load(tmp_path / "m.ckpt")
+    upcast.params = {name: p.astype(np.float64) for name, p in upcast.params.items()}
+    train_utts = [dataset[i] for i in result.train_indices]
+    scores = [np.array([[pa.predict_score(d) for d in pair] for pair in m.forward_batch(train_utts)[1]])
+              for m in (loaded, upcast)]
+    worst = float(np.abs(scores[0] - scores[1]).max())
+    assert worst <= 1e-6, f"float32 vs float64 |dscore| {worst:.2e}"
+    ok(7, f"float32 scoring of the trained checkpoint within {worst:.1e} <= 1e-6 of float64 "
+          f"on {len(train_utts)} training utterances")
+
+
 def test_criterion_8_synthetic_alignment_self_consistency(tmp_path):
     manifest = pa.generate_corpus(pa.SyntheticSpec(n_utterances=100, seed=11), tmp_path)
     total = exact = 0

@@ -19,7 +19,7 @@ from pronassess.inventory import PHONE_TO_INDEX
 from pronassess.model import TINY_CONFIG
 from pronassess.train import TrainConfig, train
 
-from test_model import make_utt
+from test_model import make_utt, payload_offset
 
 
 @pytest.fixture()
@@ -302,12 +302,58 @@ class TestScore:
         rows = [line.split(",") for line in outs[0].read_text().splitlines()]
         assert rows[0] == ["id", "fluency", "prosody"]
         assert [r[0] for r in rows[1:]] == [e.id for e in entries]
+        # The CLI scores in the checkpoint's float32; the reference is the
+        # float64 forward of the same weights, one utterance at a time, and
+        # the tolerance is the benchmark's score gate.
         model = ScoringModel.load(ckpt)
+        model.params = {name: p.astype(np.float64) for name, p in model.params.items()}
         dm = read_duration_model(dm_path)
         for entry, (_, f, p) in zip(entries, rows[1:]):
             dist_f, dist_p = model.score_utterance(prepare_utterance(entry, dm))
-            assert abs(float(f) - predict_score(dist_f)) <= 1e-9
-            assert abs(float(p) - predict_score(dist_p)) <= 1e-9
+            assert abs(float(f) - predict_score(dist_f)) <= 1e-6
+            assert abs(float(p) - predict_score(dist_p)) <= 1e-6
+
+    def test_non_finite_checkpoint_tensor_exit_3(self, tmp_path, capsys):
+        # one bit flip turns head_f_b[0] = 1.5 (0x3FC00000) into NaN
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        model = ScoringModel(TINY_CONFIG, seed=0)
+        model.params["head_f_b"][0] = 1.5
+        ckpt = tmp_path / "nan.ckpt"
+        model.save(ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b"END\n") + 4 + payload_offset("head_f_b", TINY_CONFIG) + 3] ^= 0x40
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--checkpoint", str(ckpt),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert "'head_f_b' holds non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float32_overflow_exit_3_not_nan(self, tmp_path, capsys):
+        # Finite contextual rows of +-3.3e38 overflow the float32 attention
+        # scores to +-inf; the softmax turns that into NaN, which must fail
+        # loud rather than reach the CSV.
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        ct_path = read_manifest(manifest)[0].ct_path
+        ct = read_matrix(ct_path)
+        ct[0], ct[1] = 3.3e38, -3.3e38
+        write_matrix(ct_path, ct)
+        ckpt = tmp_path / "full.ckpt"
+        ScoringModel(seed=0).save(ckpt)
+        out = tmp_path / "s.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["score", "--checkpoint", str(ckpt),
+                       "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                       "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert "not a valid 11-class distribution" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["wav_path", "posterior_path", "ct_path"])
     def test_directory_path_exit_2(self, tmp_path, capsys, field):

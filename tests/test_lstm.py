@@ -63,6 +63,21 @@ def test_padded_batch_matches_each_sequence_alone(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(batches())
+def test_float32_forward_stays_float32_near_float64(case):
+    """float32 inputs and weights run float32 end to end: output and cache
+    are float32 and within float32 rounding (atol 1e-5, ~100 ulp at 1) of
+    the float64 pass."""
+    x, _, fwd, bwd = _setup(*case)
+    lengths = case[4]
+    out, _ = bilstm_forward(x, lengths, fwd, bwd)
+    out32, cache = bilstm_forward(x.astype(np.float32), lengths,
+                                  *(tuple(p.astype(np.float32) for p in ps) for ps in (fwd, bwd)))
+    assert all(a.dtype == np.float32 for a in (out32, cache.x, cache.gates, cache.c, cache.hs))
+    np.testing.assert_allclose(out32, out, rtol=0, atol=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
 @given(batches(), st.randoms(use_true_random=False))
 def test_permuting_the_batch_permutes_the_outputs(case, rnd):
     bsz, t_max, d_in, hid, lengths, seed = case

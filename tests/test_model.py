@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pronassess.assembly import FusionInput
 from pronassess.errors import FormatError, InventoryError, ValidationError
+from pronassess.metrics import predict_score
 from pronassess.model import (
     TINY_CONFIG,
     ModelConfig,
     ScoringModel,
     UtteranceFeatures,
+    _param_table,
     cross_attention,
     loss_fn,
     softmax,
@@ -273,6 +277,14 @@ class TestCheckpoint:
             ScoringModel.load(p)
 
 
+def payload_offset(name, cfg=CFG):
+    """Byte offset of tensor `name` in the payload of a checkpoint saved by
+    `ScoringModel.save`, which writes tensors in table order."""
+    table = _param_table(cfg)
+    end = [row[0] for row in table].index(name)
+    return 4 * sum(int(np.prod(shape)) for _, shape, _ in table[:end])
+
+
 def _edit_checkpoint(path, edit):
     """Rewrite a saved checkpoint: edit(index lines, payload) -> (index lines, payload)."""
     blob = path.read_bytes()
@@ -327,6 +339,57 @@ class TestCheckpointIndex:
         with pytest.raises(FormatError):
             ScoringModel.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, ckpt, value):
+        def poison(lines, payload):
+            start = payload_offset("u_b")
+            return lines, payload[:start] + np.float32(value).tobytes() + payload[start + 4 :]
+
+        _edit_checkpoint(ckpt, poison)
+        with pytest.raises(FormatError, match="'u_b' holds non-finite"):
+            ScoringModel.load(ckpt)
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt_bytes(tmp_path_factory):
+    # Every weight in ±[1, 2), so that flipping the top exponent bit of any
+    # weight makes it non-finite.
+    model = ScoringModel(CFG, seed=21)
+    for p in model.params.values():
+        p += np.sign(p)
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    model.save(path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_truncated_or_bit_flipped_checkpoint_fails_loud_or_loads_finite(
+        tiny_ckpt_bytes, tmp_path_factory, data):
+    """Any truncation or single-bit flip either raises FormatError or loads
+    a model whose tensors have the table's shapes and are finite."""
+    blob = tiny_ckpt_bytes
+    payload_start = blob.index(b"END\n") + 4
+    kind = data.draw(st.sampled_from(["truncate", "flip index", "flip payload"]))
+    if kind == "truncate":
+        corrupt = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        lo, hi = (0, payload_start) if kind == "flip index" else (payload_start, len(blob))
+        corrupt = bytearray(blob)
+        bit = data.draw(st.integers(8 * lo, 8 * hi - 1))
+        corrupt[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+    path.write_bytes(bytes(corrupt))
+    try:
+        model = ScoringModel.load(path)
+    except FormatError:
+        return
+    table = _param_table(model.config)
+    assert list(model.params) == [name for name, _, _ in table]
+    for name, shape, _ in table:
+        assert model.params[name].shape == shape, name
+        assert np.isfinite(model.params[name]).all(), name
+
 
 class TestSinglePath:
     """The single-utterance entry points run the batched forward path."""
@@ -342,6 +405,35 @@ class TestSinglePath:
                                        p_all[i, : len(utt.fusion)], rtol=0, atol=1e-12)
             for single, batched in zip(model.score_utterance(utt), dists[i]):
                 np.testing.assert_allclose(single, batched, rtol=0, atol=1e-12)
+
+
+class TestFloat32Scoring:
+    """A loaded checkpoint keeps its float32 precision and the forward pass
+    runs in the parameters' dtype; scores stay within the 1e-6 gate of the
+    same weights in float64."""
+
+    def test_loaded_float32_scores_within_1e6_of_float64(self, tmp_path):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(23)
+        batch = [make_utt(rng, length, t, cfg=cfg)
+                 for length, t in ((2, 26), (9, 80), (40, 400), (4, 37))]
+        for utt in batch:  # contextual rows are stored as float32 (MTX1)
+            utt.ct = utt.ct.astype(np.float32).astype(np.float64)
+        fresh = ScoringModel(cfg, seed=14)
+        assert all(p.dtype == np.float64 for p in fresh.params.values())
+        assert fresh.phonecue_forward(batch[0].fusion).dtype == np.float64
+        fresh.save(tmp_path / "m.ckpt")
+        loaded = ScoringModel.load(tmp_path / "m.ckpt")
+        assert all(p.dtype == np.float32 and p.flags.writeable for p in loaded.params.values())
+        assert loaded.phonecue_forward(batch[0].fusion).dtype == np.float32
+        upcast = ScoringModel.load(tmp_path / "m.ckpt")
+        upcast.params = {name: p.astype(np.float64) for name, p in upcast.params.items()}
+        _, dists32, _ = loaded.forward_batch(batch)
+        _, dists64, _ = upcast.forward_batch(batch)
+        for d32, d64 in zip(dists32, dists64):
+            for a, b in zip(d32, d64):
+                assert a.dtype == np.float64 and abs(a.sum() - 1.0) <= 1e-12
+                assert abs(predict_score(a) - predict_score(b)) <= 1e-6
 
 
 class TestFullSizeDefaults:

@@ -155,6 +155,14 @@ class TestPredictScore:
         with pytest.raises(ValidationError):
             predict_score(np.full(11, 0.2))
 
+    def test_non_finite_distribution_rejected(self):
+        # NaN compares false both ways, so a sum check alone lets it through
+        one_nan = np.zeros(11)
+        one_nan[[0, 5]] = np.nan, 1.0
+        for dist in (one_nan, np.full(11, np.nan)):
+            with pytest.raises(ValidationError):
+                predict_score(dist)
+
 
 class TestPcc:
     def test_perfect_positive(self):
