@@ -110,19 +110,41 @@ def _cmd_train(args) -> int:
     return 0
 
 
-# Utterances per forward pass in `score`. Each chunk is prepared just
-# before its pass, so memory stays bounded by one chunk's features and
-# forward cache whatever the manifest size.
-SCORE_CHUNK = 16
+# Padded fusion rows per forward pass in `score`: utterances times the
+# longest fusion sequence (frames + phones + 1), the size of
+# `forward_batch`'s padded arrays. A float32 forward of the full-size model
+# peaks at ~42 KiB per padded row when every row is valid, so a pass stays
+# within ~168 MiB, below the ~194 MiB forward cache of a full-size float64
+# training batch of 16 mixed-length utterances. Each chunk is prepared just
+# before its pass, so memory stays bounded by one chunk whatever the
+# manifest size.
+SCORE_ROWS = 4096
+
+
+def _chunks(entries, duration_model):
+    """Prepared entries in order, grouped so that each group's padded fusion
+    rows stay within SCORE_ROWS; an entry over it alone is its own group."""
+    chunk, longest = [], 0
+    for entry in entries:
+        utt = prepare_utterance(entry, duration_model)
+        rows = len(utt.ct) + len(utt.fusion) + 1
+        if chunk and (len(chunk) + 1) * max(longest, rows) > SCORE_ROWS:
+            yield chunk
+            chunk, longest = [], 0
+        chunk.append(utt)
+        longest = max(longest, rows)
+    if chunk:
+        yield chunk
 
 
 def _score_entries(model, entries, duration_model) -> list[tuple[float, float]]:
     """(fluency, prosody) of each entry, in order: one `forward_batch` per
-    chunk of SCORE_CHUNK consecutive entries."""
+    chunk. A forward that overflows gives a non-finite distribution, which
+    `predict_score` rejects, so numpy's overflow warnings are not shown."""
     scores = []
-    for start in range(0, len(entries), SCORE_CHUNK):
-        batch = [prepare_utterance(e, duration_model) for e in entries[start : start + SCORE_CHUNK]]
-        dists = model.forward_batch(batch)[1]
+    for batch in _chunks(entries, duration_model):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = model.forward_batch(batch)[1]
         scores.extend((predict_score(f), predict_score(p)) for f, p in dists)
     return scores
 

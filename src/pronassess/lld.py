@@ -16,7 +16,10 @@ Conventions fixed here:
   pure tones off their octave-down alias.
 * jitter     -- cycle-to-cycle period variability from waveform peaks
   tracked at the detected period inside a 3-window neighborhood;
-  unvoiced frames and frames with fewer than 3 periods report 0.
+  unvoiced frames and frames with fewer than 3 periods report 0. The peaks
+  of all voiced frames are tracked in lockstep, one peak per chain per
+  step, with window maxima read from a sparse table; the result equals
+  tracking one frame at a time bit for bit.
 """
 
 from dataclasses import dataclass
@@ -63,9 +66,6 @@ class FrameGrid:
                 f"{WINDOW_SAMPLES}-sample window"
             )
         return cls((n_samples - WINDOW_SAMPLES) // HOP_SAMPLES + 1)
-
-    def frame_start(self, k: int) -> int:
-        return k * HOP_SAMPLES
 
 
 @dataclass
@@ -214,71 +214,127 @@ def _parabolic_offset(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndar
     return np.clip(delta, -0.5, 0.5)
 
 
-def _local_maxima(seg: np.ndarray) -> np.ndarray:
-    """Mask of the interior samples that are no lower than either neighbour."""
-    mask = np.zeros(len(seg), dtype=bool)
-    mask[1:-1] = (seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:])
-    return mask
+def _argmax_table(values: np.ndarray, max_width: int) -> np.ndarray:
+    """Sparse table of leftmost argmaxes for windows up to max_width wide
+    (below 2**16): row j, column i holds the offset from i of the first
+    maximum of values[i : i + 2**j]. Columns whose span runs past the end
+    hold 0 and are never read."""
+    n = len(values)
+    table = np.zeros((max_width.bit_length(), n), dtype=np.uint16)
+    best = values
+    for j in range(1, len(table)):
+        h = 1 << (j - 1)
+        m = n - 2 * h + 1
+        right = best[h:] > best[:-h]  # ties keep the left half's maximum
+        left = table[j - 1, :m]
+        # select without branching; uint16 wrap-around cancels exactly
+        table[j, :m] = left + right * (table[j - 1, h : h + m] + h - left)
+        best = np.maximum(best[:-h], best[h:])
+    return table
 
 
-def _track_peaks(seg: np.ndarray, is_max: np.ndarray, period: float, anchor: int,
-                 min_height: float) -> list[int]:
-    """Integer positions of waveform peaks spaced ~period around the anchor.
-
-    A candidate must be an interior local maximum; an argmax sitting on the
-    edge of a clipped search window is a cut-off cycle, not a peak.
-    """
-    positions = [anchor]
-    for direction in (1, -1):
-        prev = anchor
-        while True:
-            if direction == 1:
-                a = int(np.ceil(prev + 0.75 * period))
-                b = int(np.floor(prev + 1.25 * period))
-            else:
-                a = int(np.ceil(prev - 1.25 * period))
-                b = int(np.floor(prev - 0.75 * period))
-            a = max(a, 0)
-            b = min(b, len(seg) - 1)
-            if a > b:
-                break
-            p = a + int(seg[a : b + 1].argmax())
-            if seg[p] < min_height or not is_max[p]:
-                break
-            positions.append(p)
-            prev = p
-    return sorted(positions)
+def _window_argmax(values: np.ndarray, table: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    """First index of the maximum of values[lo : hi + 1], per window, from
+    the two power-of-two spans that cover it; the left one wins ties."""
+    j = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(width)), exact
+    right = hi - (1 << j) + 1
+    left = lo + table[j, lo]
+    right = right + table[j, right]
+    return np.where(values[left] >= values[right], left, right)
 
 
 def compute_jitter(
     buf: AudioBuffer, grid: FrameGrid, f0_hz: np.ndarray, voiced: np.ndarray
 ) -> np.ndarray:
     """Mean absolute consecutive-period difference over mean period, per voiced
-    frame, measured on sub-sample-refined waveform peaks."""
+    frame, measured on sub-sample-refined waveform peaks.
+
+    Each voiced frame k searches the segment x[k*HOP - W : k*HOP + 2W]
+    (W = WINDOW_SAMPLES, clipped to the signal). Its anchor is the
+    segment's argmax, or where that is an end sample, the highest interior
+    local maximum; the anchor must be above zero. From the anchor, peaks
+    are followed in both directions: the next peak is the leftmost maximum
+    of the window 0.75-1.25 periods away. Tracking stops at the segment
+    edge, at a maximum below 0.3 of the anchor's height, or at one that is
+    not an interior local maximum of the segment (a cycle cut off by the
+    window).
+
+    All voiced frames are tracked at once: every chain of every frame
+    advances by one peak per step of one loop, and each window maximum is
+    read from a sparse table built once over the whole signal. Window
+    bounds, refinement and means use the same float expressions, in
+    segment-local coordinates, as tracking one frame at a time, so the
+    result is that loop's bit for bit (tests/test_lld.py keeps it as the
+    reference).
+    """
     x = buf.samples
     jitter = np.zeros(grid.num_frames)
-    for k in range(grid.num_frames):
-        if not voiced[k]:
-            continue
-        period = SAMPLE_RATE / f0_hz[k]
-        start = grid.frame_start(k)
-        seg = x[max(0, start - WINDOW_SAMPLES) : min(len(x), start + 2 * WINDOW_SAMPLES)]
-        is_max = _local_maxima(seg)
-        anchor = int(seg.argmax())
-        if not is_max[anchor]:
-            interior = np.flatnonzero(is_max)
-            if interior.size == 0:
-                continue
-            anchor = int(interior[seg[interior].argmax()])
-        if seg[anchor] <= 0.0:
-            continue
-        # every tracked peak is an interior local maximum, so p +- 1 is in range
-        ints = np.array(_track_peaks(seg, is_max, period, anchor, 0.3 * seg[anchor]))
-        refined = ints + _parabolic_offset(seg[ints - 1], seg[ints], seg[ints + 1])
-        periods = np.diff(refined)
-        if len(periods) < 3:
-            continue
-        jitter[k] = min(1.0, float(np.abs(np.diff(periods)).mean() / periods.mean()))
+    frames = np.flatnonzero(voiced)
+    starts = frames * HOP_SAMPLES
+    seg_lo = np.maximum(starts - WINDOW_SAMPLES, 0)
+    seg_hi = np.minimum(starts + 2 * WINDOW_SAMPLES, len(x)) - 1  # last sample
+    is_max = np.zeros(len(x), dtype=bool)
+    is_max[1:-1] = (x[1:-1] >= x[:-2]) & (x[1:-1] >= x[2:])
+    height = np.where(is_max, x, -np.inf)  # only local maxima can be peaks
+
+    # A segment's argmax is a local maximum unless it is an end sample, so
+    # the anchor is the first highest local maximum strictly inside it.
+    table = _argmax_table(height, min(len(x), 3 * WINDOW_SAMPLES) - 2)
+    anchor = _window_argmax(height, table, seg_lo + 1, seg_hi - 1)
+    keep = height[anchor] > 0.0  # -inf: no interior local maximum
+    frames, seg_lo, seg_hi = frames[keep], seg_lo[keep], seg_hi[keep]
+    anchor = anchor[keep] - seg_lo
+    n = len(frames)
+    if n == 0:
+        return jitter
+    period = SAMPLE_RATE / f0_hz[frames]
+
+    # chains 0..n-1 run forward from the anchors, n..2n-1 backward
+    lo = np.concatenate([seg_lo, seg_lo])
+    last = np.concatenate([seg_hi - seg_lo, seg_hi - seg_lo])
+    # the one segment end each chain can reach; it is never a peak
+    edge = np.concatenate([seg_hi, seg_lo])
+    min_height = np.tile(0.3 * x[seg_lo + anchor], 2)
+    near = np.concatenate([0.75 * period, -(1.25 * period)])
+    far = np.concatenate([1.25 * period, -(0.75 * period)])
+    widest = int(0.5 * period.max()) + 2  # a window spans at most half a period + 1
+    table = _argmax_table(x, min(len(x), 3 * WINDOW_SAMPLES, widest))
+    chain = np.arange(2 * n)
+    prev = np.concatenate([anchor, anchor])
+    steps = []
+    while chain.size:
+        base, top = lo[chain], last[chain]
+        # a window cut off by the segment end is clipped to the edge sample,
+        # which ends the chain as an empty window would; a > b is left only
+        # for periods under 2 samples
+        a = np.minimum(np.maximum(np.ceil(prev + near[chain]), 0), top).astype(np.intp)
+        b = np.minimum(np.maximum(np.floor(prev + far[chain]), 0), top).astype(np.intp)
+        g = _window_argmax(x, table, base + np.minimum(a, b), base + b)
+        live = (a <= b) & (g != edge[chain]) & (height[g] >= min_height[chain])
+        chain, prev = chain[live], (g - base)[live]
+        steps.append((chain, prev))
+
+    # per frame, its peaks in order: backward chain reversed, anchor, forward
+    s = len(steps)
+    peaks = np.repeat(anchor[:, None], 2 * s + 1, axis=1)
+    chain = np.concatenate([c for c, _ in steps])
+    step = np.repeat(np.arange(s), [len(c) for c, _ in steps])
+    forward = chain < n
+    peaks[chain % n, np.where(forward, s + 1 + step, s - 1 - step)] = np.concatenate(
+        [p for _, p in steps])
+    n_back = np.bincount(chain[~forward] - n, minlength=n)
+    count = np.bincount(chain[forward], minlength=n) + n_back + 1
+    g = peaks + seg_lo[:, None]  # peaks and anchors are interior: g +- 1 is in range
+    refined = peaks + _parabolic_offset(x[g - 1], x[g], x[g + 1])
+
+    # frames grouped by peak count: a row sum over one frame's periods adds
+    # them in the same order as the 1-D mean of the per-frame loop
+    for c in np.unique(count[count > 3]):
+        rows = np.flatnonzero(count == c)
+        periods = np.diff(refined[rows[:, None], (s - n_back[rows])[:, None] + np.arange(c)], axis=1)
+        spread = np.abs(np.diff(periods, axis=1)).sum(axis=1) / (c - 2)
+        jitter[frames[rows]] = np.minimum(1.0, spread / (periods.sum(axis=1) / (c - 1)))
     return jitter
 
 

@@ -1,5 +1,10 @@
 """Subcommand behaviour, exit codes, and stdout payloads."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,6 +254,63 @@ class TestSynthCli:
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+def _score_corpus(tmp_path):
+    """(manifest, duration model, full-size checkpoint) of 17 synthetic
+    utterances of 2-8 phones."""
+    from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+    manifest = generate_corpus(
+        SyntheticSpec(n_utterances=17, seed=4, min_phones=2, max_phones=8), tmp_path / "c"
+    )
+    ckpt = tmp_path / "full.ckpt"
+    ScoringModel(seed=2).save(ckpt)
+    return manifest, tmp_path / "c" / "durations.tsv", ckpt
+
+
+def _score_in_chunks(monkeypatch, budget, ckpt, dm_path, manifest, out):
+    """Run `score --manifest` with a padded-row budget of `budget`; returns
+    each forward chunk as its utterances' fusion lengths, after checking
+    that every chunk keeps to the budget (or is one utterance) and closed
+    only when the next utterance would have broken it."""
+    from pronassess import cli
+
+    monkeypatch.setattr(cli, "SCORE_ROWS", budget)
+    chunks = []
+    chunk_entries = cli._chunks
+
+    def recording(entries, duration_model):
+        for chunk in chunk_entries(entries, duration_model):
+            chunks.append([len(u.ct) + len(u.fusion) + 1 for u in chunk])
+            yield chunk
+
+    monkeypatch.setattr(cli, "_chunks", recording)
+    rc = main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm_path),
+               "--manifest", str(manifest), "--out", str(out)])
+    assert rc == 0
+    for chunk, following in zip(chunks, chunks[1:] + [None]):
+        assert len(chunk) == 1 or len(chunk) * max(chunk) <= budget
+        if following:
+            assert (len(chunk) + 1) * max(chunk + following[:1]) > budget
+    return chunks
+
+
+def _overflow_score_args(tmp_path):
+    """`score --manifest` arguments for one utterance whose contextual rows
+    0 and 1 are +-3.3e38, finite in float32, with a full-size checkpoint."""
+    from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
+
+    manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+    ct_path = read_manifest(manifest)[0].ct_path
+    ct = read_matrix(ct_path)
+    ct[0], ct[1] = 3.3e38, -3.3e38
+    write_matrix(ct_path, ct)
+    ckpt = tmp_path / "full.ckpt"
+    ScoringModel(seed=0).save(ckpt)
+    return ["score", "--checkpoint", str(ckpt),
+            "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+            "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")]
+
+
 class TestScore:
     def test_scores_in_range(self, tmp_path, capsys):
         # tiny checkpoint trained on random data; score one synthetic utterance
@@ -278,24 +340,16 @@ class TestScore:
         f, p = [float(v) for v in capsys.readouterr().out.split()]
         assert 0.0 <= f <= 10.0 and 0.0 <= p <= 10.0
 
-    def test_manifest_mode_matches_batch_of_one(self, tmp_path):
-        # 17 utterances of mixed length span two forward chunks
-        from pronassess import (
-            ScoringModel, SyntheticSpec, generate_corpus, predict_score, prepare_utterance,
-            read_manifest,
-        )
+    def test_manifest_mode_matches_batch_of_one(self, tmp_path, monkeypatch):
+        # 17 utterances of mixed length (17-93 fusion rows each) under a
+        # 400-row budget span four forward chunks
+        from pronassess import ScoringModel, predict_score, prepare_utterance, read_manifest
 
-        manifest = generate_corpus(
-            SyntheticSpec(n_utterances=17, seed=4, min_phones=2, max_phones=8), tmp_path / "c"
-        )
-        ckpt = tmp_path / "full.ckpt"
-        ScoringModel(seed=2).save(ckpt)
-        dm_path = tmp_path / "c" / "durations.tsv"
+        manifest, dm_path, ckpt = _score_corpus(tmp_path)
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for out in outs:
-            rc = main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm_path),
-                       "--manifest", str(manifest), "--out", str(out)])
-            assert rc == 0
+            chunks = _score_in_chunks(monkeypatch, 400, ckpt, dm_path, manifest, out)
+            assert len(chunks) >= 2
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
         entries = read_manifest(manifest)
@@ -312,6 +366,22 @@ class TestScore:
             dist_f, dist_p = model.score_utterance(prepare_utterance(entry, dm))
             assert abs(float(f) - predict_score(dist_f)) <= 1e-6
             assert abs(float(p) - predict_score(dist_p)) <= 1e-6
+
+    def test_utterance_over_budget_is_its_own_chunk(self, tmp_path, monkeypatch):
+        manifest, dm_path, ckpt = _score_corpus(tmp_path)
+        whole = tmp_path / "whole.csv"
+        assert len(_score_in_chunks(monkeypatch, 4096, ckpt, dm_path, manifest, whole)) == 1
+        split = tmp_path / "split.csv"
+        chunks = _score_in_chunks(monkeypatch, 80, ckpt, dm_path, manifest, split)
+        longest = max(max(c) for c in chunks)
+        assert longest > 80 and [longest] in chunks  # over the budget alone
+        assert any(len(c) > 1 for c in chunks)
+        rows = [[line.split(",") for line in out.read_text().splitlines()]
+                for out in (whole, split)]
+        assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]]
+        for a, b in zip(rows[0][1:], rows[1][1:]):
+            assert abs(float(a[1]) - float(b[1])) <= 1e-6
+            assert abs(float(a[2]) - float(b[2])) <= 1e-6
 
     def test_non_finite_checkpoint_tensor_exit_3(self, tmp_path, capsys):
         # one bit flip turns head_f_b[0] = 1.5 (0x3FC00000) into NaN
@@ -337,23 +407,21 @@ class TestScore:
         # Finite contextual rows of +-3.3e38 overflow the float32 attention
         # scores to +-inf; the softmax turns that into NaN, which must fail
         # loud rather than reach the CSV.
-        from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
-
-        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
-        ct_path = read_manifest(manifest)[0].ct_path
-        ct = read_matrix(ct_path)
-        ct[0], ct[1] = 3.3e38, -3.3e38
-        write_matrix(ct_path, ct)
-        ckpt = tmp_path / "full.ckpt"
-        ScoringModel(seed=0).save(ckpt)
-        out = tmp_path / "s.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["score", "--checkpoint", str(ckpt),
-                       "--duration-model", str(tmp_path / "c" / "durations.tsv"),
-                       "--manifest", str(manifest), "--out", str(out)])
+        rc = main(_overflow_score_args(tmp_path))
         assert rc == 3
         assert "not a valid 11-class distribution" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_float32_overflow_stderr_is_error_line_only(self, tmp_path, capfd):
+        # In its own process, where numpy's RuntimeWarnings would reach stderr
+        args = _overflow_score_args(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        rc = subprocess.run([sys.executable, "-m", "pronassess.cli", *args],
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=300).returncode
+        assert rc == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "not a valid 11-class distribution" in err[0]
 
     @pytest.mark.parametrize("field", ["wav_path", "posterior_path", "ct_path"])
     def test_directory_path_exit_2(self, tmp_path, capsys, field):

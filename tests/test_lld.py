@@ -9,18 +9,23 @@ from pronassess import (
     AudioBuffer,
     FrameFeatures,
     FrameGrid,
+    SyntheticSpec,
     compute_alpha_ratio,
     compute_jitter,
     compute_loudness,
     estimate_f0,
     extract_frame_features,
+    generate_corpus,
     hz_to_semitones,
+    load_wav,
     power_spectrum,
+    read_manifest,
 )
 from pronassess.errors import TooShortError, ValidationError
 from pronassess.lld import (
     _LAG_MAX,
     _LAG_MIN,
+    HOP_SAMPLES,
     PEAK_TIE_RATIO,
     VOICING_THRESHOLD,
     WINDOW_SAMPLES,
@@ -265,7 +270,7 @@ def reference_compute_jitter(buf, grid, f0_hz, voiced):
     x = buf.samples
     jitter = np.zeros(grid.num_frames)
     for k in np.flatnonzero(voiced):
-        start = grid.frame_start(k)
+        start = k * HOP_SAMPLES
         seg = x[max(0, start - WINDOW_SAMPLES) : min(len(x), start + 2 * WINDOW_SAMPLES)]
         anchor = int(seg.argmax())
         if not _reference_is_local_max(seg, anchor):
@@ -304,9 +309,40 @@ def harmonic_mixes(draw):
     return AudioBuffer(x)
 
 
+def _first_sample_peak():
+    """A 200 Hz tone whose first sample is its maximum: frame 0's segment
+    has its argmax on an end sample, so its anchor is the best interior
+    local maximum."""
+    x = 0.5 * tone(200, seconds=0.3).samples
+    x[0] = 0.95
+    return AudioBuffer(x)
+
+
+def _integer_pulses(periods, amps, start, width=4, n=4800):
+    """Hann pulses centred on whole samples: pulse k is amps[k % len(amps)]
+    high and starts periods[k % len(periods)] samples after pulse k - 1."""
+    x = np.zeros(n)
+    t = np.arange(-width, width + 1)
+    centre, k = start, 0
+    while centre + width < n - 1:
+        x[centre + t] += amps[k % len(amps)] * 0.5 * (1 + np.cos(np.pi * t / width))
+        centre += periods[k % len(periods)]
+        k += 1
+    return AudioBuffer(x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(harmonic_mixes())
 @example(tone(50, seconds=0.3))  # below F0_MIN_HZ: no peak qualifies, the clipped argmax wins
+@example(_first_sample_peak())
+@example(tone(480, seconds=0.3))  # shortest periods: the longest peak chains
+@example(tone(200, seconds=WINDOW_SAMPLES / SR))  # one window
+@example(AudioBuffer(np.zeros(4800)))  # silence: nothing voiced
+# every third pulse exactly 0.3 of the anchor's height (0.3 * 0.9 == 0.27):
+# a peak on the height floor still counts
+@example(_integer_pulses([31, 33], [0.9, 0.9, 0.27], start=20))
+# window bounds that round differently in whole-signal coordinates
+@example(_integer_pulses([273, 275], [0.9, 0.9, 0.27], start=27))
 def test_pitch_and_jitter_match_reference(buf):
     grid = FrameGrid.for_signal(len(buf.samples))
     f0, voiced = estimate_f0(buf, grid)
@@ -315,3 +351,17 @@ def test_pitch_and_jitter_match_reference(buf):
     assert f0.tobytes() == ref_f0.tobytes()
     jitter = compute_jitter(buf, grid, f0, voiced)
     assert jitter.tobytes() == reference_compute_jitter(buf, grid, f0, voiced).tobytes()
+
+
+def test_jitter_matches_reference_on_long_utterances(tmp_path):
+    # 30-40 phones: hundreds of voiced frames per call, far more than the
+    # hypothesis signals above
+    manifest = generate_corpus(SyntheticSpec(n_utterances=4, seed=9, min_phones=30,
+                                             max_phones=40), tmp_path)
+    for entry in read_manifest(manifest):
+        buf = load_wav(entry.wav_path)
+        grid = FrameGrid.for_signal(len(buf.samples))
+        f0, voiced = estimate_f0(buf, grid)
+        assert voiced.sum() >= 200
+        jitter = compute_jitter(buf, grid, f0, voiced)
+        assert jitter.tobytes() == reference_compute_jitter(buf, grid, f0, voiced).tobytes()
