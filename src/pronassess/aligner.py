@@ -92,12 +92,9 @@ def dtw_align(log_posteriors: np.ndarray, phones: list[str]) -> tuple[Alignment,
 
     dp = np.full((t_frames, n_phones), -np.inf)
     dp[0, 0] = obs[0, 0]
-    for t in range(1, t_frames):
-        stay = dp[t - 1]
-        advance = np.empty(n_phones)
-        advance[0] = -np.inf
-        advance[1:] = dp[t - 1, :-1]
-        dp[t] = obs[t] + np.maximum(stay, advance)
+    for t in range(1, t_frames):  # phone 0 can only stay: max(x, -inf) = x
+        dp[t, 0] = dp[t - 1, 0] + obs[t, 0]
+        dp[t, 1:] = obs[t, 1:] + np.maximum(dp[t - 1, 1:], dp[t - 1, :-1])
 
     score = float(dp[t_frames - 1, n_phones - 1])
 

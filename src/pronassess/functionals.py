@@ -38,14 +38,8 @@ FUNCTIONAL_NAMES = tuple(f.name for f in fields(UtteranceFunctionals))
 def segment_voicing(ff: FrameFeatures) -> list[tuple[bool, int, int]]:
     """Maximal runs of constant voicing flag as (voiced, start, end) inclusive."""
     flags = ff.voiced
-    segments = []
-    start = 0
-    for k in range(1, len(flags)):
-        if flags[k] != flags[start]:
-            segments.append((bool(flags[start]), start, k - 1))
-            start = k
-    segments.append((bool(flags[start]), start, len(flags) - 1))
-    return segments
+    cuts = (np.flatnonzero(np.diff(flags)) + 1).tolist()  # first frame of each later run
+    return [(bool(flags[s]), s, e - 1) for s, e in zip([0] + cuts, cuts + [len(flags)])]
 
 
 def pitch_slopes(ff: FrameFeatures) -> tuple[np.ndarray, np.ndarray]:
@@ -55,23 +49,14 @@ def pitch_slopes(ff: FrameFeatures) -> tuple[np.ndarray, np.ndarray]:
     monotone piece spanning >= 2 frames contributes one slope. Flat pieces
     are discarded.
     """
-    rising, falling = [], []
-    for is_voiced, start, end in segment_voicing(ff):
-        if not is_voiced or end == start:
-            continue
-        contour = ff.f0_semitones[start : end + 1]
-        diffs = np.sign(np.diff(contour))
-        k = 0
-        while k < len(diffs):
-            sign = diffs[k]
-            j = k
-            while j + 1 < len(diffs) and diffs[j + 1] == sign:
-                j += 1
-            if sign != 0:
-                slope = (contour[j + 1] - contour[k]) / ((j + 1 - k) * HOP_S)
-                (rising if sign > 0 else falling).append(slope)
-            k = j + 1
-    return np.array(rising), np.array(falling)
+    c = ff.f0_semitones
+    # sign of each frame-to-frame step, 0 where either frame is unvoiced, so
+    # a monotone piece never reaches across an unvoiced frame
+    sign = np.where(ff.voiced[1:] & ff.voiced[:-1], np.sign(np.diff(c)), 0.0)
+    k = np.flatnonzero(np.diff(sign, prepend=np.inf))  # first step of each run
+    j = np.append(k, len(sign))[1:]  # the frame that ends the run
+    slopes = (c[j] - c[k]) / ((j - k) * HOP_S)
+    return slopes[sign[k] > 0], slopes[sign[k] < 0]
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:

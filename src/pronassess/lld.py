@@ -18,8 +18,8 @@ Conventions fixed here:
   tracked at the detected period inside a 3-window neighborhood;
   unvoiced frames and frames with fewer than 3 periods report 0. The peaks
   of all voiced frames are tracked in lockstep, one peak per chain per
-  step, with window maxima read from a sparse table; the result equals
-  tracking one frame at a time bit for bit.
+  step, each window's maximum an argmax over a row of gathered samples;
+  the result equals tracking one frame at a time bit for bit.
 """
 
 from dataclasses import dataclass
@@ -214,36 +214,6 @@ def _parabolic_offset(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndar
     return np.clip(delta, -0.5, 0.5)
 
 
-def _argmax_table(values: np.ndarray, max_width: int) -> np.ndarray:
-    """Sparse table of leftmost argmaxes for windows up to max_width wide
-    (below 2**16): row j, column i holds the offset from i of the first
-    maximum of values[i : i + 2**j]. Columns whose span runs past the end
-    hold 0 and are never read."""
-    n = len(values)
-    table = np.zeros((max_width.bit_length(), n), dtype=np.uint16)
-    best = values
-    for j in range(1, len(table)):
-        h = 1 << (j - 1)
-        m = n - 2 * h + 1
-        right = best[h:] > best[:-h]  # ties keep the left half's maximum
-        left = table[j - 1, :m]
-        # select without branching; uint16 wrap-around cancels exactly
-        table[j, :m] = left + right * (table[j - 1, h : h + m] + h - left)
-        best = np.maximum(best[:-h], best[h:])
-    return table
-
-
-def _window_argmax(values: np.ndarray, table: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> np.ndarray:
-    """First index of the maximum of values[lo : hi + 1], per window, from
-    the two power-of-two spans that cover it; the left one wins ties."""
-    j = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(width)), exact
-    right = hi - (1 << j) + 1
-    left = lo + table[j, lo]
-    right = right + table[j, right]
-    return np.where(values[left] >= values[right], left, right)
-
-
 def compute_jitter(
     buf: AudioBuffer, grid: FrameGrid, f0_hz: np.ndarray, voiced: np.ndarray
 ) -> np.ndarray:
@@ -261,12 +231,12 @@ def compute_jitter(
     window).
 
     All voiced frames are tracked at once: every chain of every frame
-    advances by one peak per step of one loop, and each window maximum is
-    read from a sparse table built once over the whole signal. Window
-    bounds, refinement and means use the same float expressions, in
-    segment-local coordinates, as tracking one frame at a time, so the
-    result is that loop's bit for bit (tests/test_lld.py keeps it as the
-    reference).
+    advances by one peak per step of one loop. Anchors and window maxima
+    are argmaxes over rows of a -inf-padded array, and np.argmax takes the
+    first maximum, so ties go to the leftmost sample. Window bounds,
+    refinement and means use the same float expressions, in segment-local
+    coordinates, as tracking one frame at a time, so the result is that
+    loop's bit for bit (tests/test_lld.py keeps it as the reference).
     """
     x = buf.samples
     jitter = np.zeros(grid.num_frames)
@@ -279,12 +249,15 @@ def compute_jitter(
     height = np.where(is_max, x, -np.inf)  # only local maxima can be peaks
 
     # A segment's argmax is a local maximum unless it is an end sample, so
-    # the anchor is the first highest local maximum strictly inside it.
-    table = _argmax_table(height, min(len(x), 3 * WINDOW_SAMPLES) - 2)
-    anchor = _window_argmax(height, table, seg_lo + 1, seg_hi - 1)
-    keep = height[anchor] > 0.0  # -inf: no interior local maximum
+    # the anchor is the first highest local maximum strictly inside it. With
+    # W samples of -inf before and 2W after, every segment's interior lies
+    # in the 3W - 2 samples from starts + 1 of the padded array.
+    padded = np.pad(height, (WINDOW_SAMPLES, 2 * WINDOW_SAMPLES), constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 3 * WINDOW_SAMPLES - 2)
+    anchor = starts + 1 + windows[starts + 1].argmax(axis=1)  # index into padded
+    keep = padded[anchor] > 0.0  # -inf: no interior local maximum
     frames, seg_lo, seg_hi = frames[keep], seg_lo[keep], seg_hi[keep]
-    anchor = anchor[keep] - seg_lo
+    anchor = anchor[keep] - WINDOW_SAMPLES - seg_lo
     n = len(frames)
     if n == 0:
         return jitter
@@ -299,7 +272,8 @@ def compute_jitter(
     near = np.concatenate([0.75 * period, -(1.25 * period)])
     far = np.concatenate([1.25 * period, -(0.75 * period)])
     widest = int(0.5 * period.max()) + 2  # a window spans at most half a period + 1
-    table = _argmax_table(x, min(len(x), 3 * WINDOW_SAMPLES, widest))
+    cols = np.arange(widest)
+    xp = np.pad(x, (0, widest))  # every window's widest columns stay in range
     chain = np.arange(2 * n)
     prev = np.concatenate([anchor, anchor])
     steps = []
@@ -310,7 +284,9 @@ def compute_jitter(
         # for periods under 2 samples
         a = np.minimum(np.maximum(np.ceil(prev + near[chain]), 0), top).astype(np.intp)
         b = np.minimum(np.maximum(np.floor(prev + far[chain]), 0), top).astype(np.intp)
-        g = _window_argmax(x, table, base + np.minimum(a, b), base + b)
+        # columns past b - a are not in the window; argmax takes the first maximum
+        window = np.where(cols <= (b - a)[:, None], xp[(base + a)[:, None] + cols], -np.inf)
+        g = base + a + window.argmax(axis=1)
         live = (a <= b) & (g != edge[chain]) & (height[g] >= min_height[chain])
         chain, prev = chain[live], (g - base)[live]
         steps.append((chain, prev))

@@ -41,8 +41,7 @@ class TrainConfig:
 
 def parse_train_config(path) -> TrainConfig:
     """key=value file; blank lines and # comments ignored; unknown keys rejected."""
-    valid = {f.name for f in fields(TrainConfig)}
-    int_keys = {"batch", "epochs", "patience", "seed"}
+    types = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -53,10 +52,10 @@ def parse_train_config(path) -> TrainConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in valid:
+        if key not in types:
             raise ValidationError(f"{path}:{ln}: unknown config key {key!r}")
         try:
-            kwargs[key] = int(value) if key in int_keys else float(value)
+            kwargs[key] = types[key](value)
         except ValueError as exc:
             raise ValidationError(f"{path}:{ln}: bad value for {key!r}: {value!r}") from exc
     try:

@@ -1,9 +1,13 @@
-"""Utterance functionals: hand examples plus the two symmetry laws."""
+"""Utterance functionals: hand examples, the two symmetry laws and a
+bit-for-bit comparison of the run functionals with per-frame loops."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pronassess import FrameFeatures, compute_functionals, pitch_slopes, segment_voicing
+from pronassess.lld import HOP_S
 from signals import random_frame_features
 
 
@@ -106,3 +110,63 @@ class TestFunctionals:
         cases.append(_ff([1], [30]))
         for ff in cases:
             assert np.all(np.isfinite(compute_functionals(ff).to_vector()))
+
+
+def _segment_voicing_loop(ff):
+    """Reference: runs of constant voicing found by stepping frame by frame."""
+    flags = ff.voiced
+    segments = []
+    start = 0
+    for k in range(1, len(flags)):
+        if flags[k] != flags[start]:
+            segments.append((bool(flags[start]), start, k - 1))
+            start = k
+    segments.append((bool(flags[start]), start, len(flags) - 1))
+    return segments
+
+
+def _pitch_slopes_loop(ff):
+    """Reference: each voiced segment's monotone pieces walked step by step."""
+    rising, falling = [], []
+    for is_voiced, start, end in _segment_voicing_loop(ff):
+        if not is_voiced or end == start:
+            continue
+        contour = ff.f0_semitones[start : end + 1]
+        diffs = np.sign(np.diff(contour))
+        k = 0
+        while k < len(diffs):
+            sign = diffs[k]
+            j = k
+            while j + 1 < len(diffs) and diffs[j + 1] == sign:
+                j += 1
+            if sign != 0:
+                slope = (contour[j + 1] - contour[k]) / ((j + 1 - k) * HOP_S)
+                (rising if sign > 0 else falling).append(slope)
+            k = j + 1
+    return np.array(rising), np.array(falling)
+
+
+@st.composite
+def voiced_contours(draw):
+    """Voicing masks of 1-60 frames and contours rounded to 0-2 decimals, so
+    that equal neighbours (flat pieces, ties at extrema) are common."""
+    n = draw(st.integers(1, 60))
+    voiced = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    decimals = draw(st.integers(0, 2))
+    values = draw(st.lists(st.floats(25.0, 45.0), min_size=n, max_size=n))
+    return _ff(voiced, np.round(values, decimals))
+
+
+@settings(max_examples=500, deadline=None)
+@given(voiced_contours())
+@example(_ff([1]))
+@example(_ff([0]))
+@example(_ff([1, 1, 1, 1], [30, 30, 30, 30]))
+@example(_ff([1, 1, 0, 1, 1], [30, 31, 0, 32, 33]))  # rise on both sides of one unvoiced frame
+def test_run_functionals_match_loops(ff):
+    segs = segment_voicing(ff)
+    assert segs == _segment_voicing_loop(ff)
+    assert all(type(v) is bool and type(s) is int and type(e) is int for v, s, e in segs)
+    for new, ref in zip(pitch_slopes(ff), _pitch_slopes_loop(ff)):
+        assert new.dtype == ref.dtype == np.float64
+        assert new.tobytes() == ref.tobytes()
