@@ -70,6 +70,8 @@ def load_wav(path) -> AudioBuffer:
             raw = wf.readframes(n)
     except wave.Error as exc:
         raise FormatError(f"not a valid RIFF/WAVE file: {exc}") from exc
+    except RuntimeError as exc:  # raised by wave for a seek outside a chunk
+        raise FormatError("not a valid RIFF/WAVE file: bad chunk size") from exc
     except EOFError as exc:
         raise FormatError("truncated WAV file") from exc
     if comp != "NONE":
@@ -82,6 +84,9 @@ def load_wav(path) -> AudioBuffer:
         raise UnsupportedFormatError(f"sample width = {width} bytes, only 16-bit PCM is supported")
     if n == 0:
         raise FormatError("WAV data chunk is empty")
+    if len(raw) != 2 * n:
+        raise FormatError(f"truncated WAV file: header declares {n} samples "
+                          f"({2 * n} bytes), data chunk holds {len(raw)} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioBuffer(samples, rate)
 
@@ -135,6 +140,14 @@ def read_matrix(path) -> np.ndarray:
     return mat
 
 
+def read_text(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def write_alignment(path, alignment: Alignment) -> None:
     lines = [ALIGNMENT_HEADER]
     for sp in alignment.spans:
@@ -143,8 +156,7 @@ def write_alignment(path, alignment: Alignment) -> None:
 
 
 def read_alignment(path) -> Alignment:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != ALIGNMENT_HEADER:
         raise FormatError(f"bad alignment header in {path}")
     spans = []
@@ -177,8 +189,7 @@ def write_duration_model(path, model: DurationModel) -> None:
 
 
 def read_duration_model(path) -> DurationModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != DURATION_HEADER:
         raise FormatError(f"bad duration-model header in {path}")
     global_stats = None
@@ -235,51 +246,51 @@ def read_manifest(path) -> list[ManifestEntry]:
     base = Path(path).parent
     entries = []
     seen_ids = set()
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{ln}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{ln}: expected a JSON object, got {type(obj).__name__}")
-            for field_name in _MANIFEST_FIELDS:
-                if field_name not in obj:
-                    raise ValidationError(f"{path}:{ln}: missing field {field_name!r}")
-            phones = obj["phones"]
-            if not isinstance(phones, list) or not phones:
-                raise ValidationError(f"{path}:{ln}: phones must be a non-empty list")
-            for p in phones:
-                if not isinstance(p, str) or p not in PHONE_TO_INDEX:
-                    raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {p!r}")
-            for key in ("fluency", "prosody"):
-                v = obj[key]
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 10:
-                    raise ValidationError(f"{path}:{ln}: {key} must be an integer in 0-10, got {v!r}")
-            for key in ("wav_path", "ct_path", "posterior_path"):
-                if not isinstance(obj[key], str):
-                    raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
-            uid = str(obj["id"])
-            if not uid or any(c in uid for c in ",\r\n"):
-                # ids become the first field of a score CSV row
-                raise ValidationError(f"{path}:{ln}: id must be non-empty without ',', CR or LF, "
-                                      f"got {uid!r}")
-            if uid in seen_ids:
-                raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
-            seen_ids.add(uid)
-            entries.append(
-                ManifestEntry(
-                    id=uid,
-                    wav_path=base / obj["wav_path"],
-                    ct_path=base / obj["ct_path"],
-                    posterior_path=base / obj["posterior_path"],
-                    phones=list(phones),
-                    fluency=obj["fluency"],
-                    prosody=obj["prosody"],
-                )
+    # read_text translates \r\n and \r to \n, as iterating the file does
+    for ln, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{ln}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{path}:{ln}: expected a JSON object, got {type(obj).__name__}")
+        for field_name in _MANIFEST_FIELDS:
+            if field_name not in obj:
+                raise ValidationError(f"{path}:{ln}: missing field {field_name!r}")
+        phones = obj["phones"]
+        if not isinstance(phones, list) or not phones:
+            raise ValidationError(f"{path}:{ln}: phones must be a non-empty list")
+        for p in phones:
+            if not isinstance(p, str) or p not in PHONE_TO_INDEX:
+                raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {p!r}")
+        for key in ("fluency", "prosody"):
+            v = obj[key]
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 10:
+                raise ValidationError(f"{path}:{ln}: {key} must be an integer in 0-10, got {v!r}")
+        for key in ("wav_path", "ct_path", "posterior_path"):
+            if not isinstance(obj[key], str):
+                raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
+        uid = str(obj["id"])
+        if not uid or any(c in uid for c in ",\r\n"):
+            # ids become the first field of a score CSV row
+            raise ValidationError(f"{path}:{ln}: id must be non-empty without ',', CR or LF, "
+                                  f"got {uid!r}")
+        if uid in seen_ids:
+            raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
+        seen_ids.add(uid)
+        entries.append(
+            ManifestEntry(
+                id=uid,
+                wav_path=base / obj["wav_path"],
+                ct_path=base / obj["ct_path"],
+                posterior_path=base / obj["posterior_path"],
+                phones=list(phones),
+                fluency=obj["fluency"],
+                prosody=obj["prosody"],
             )
+        )
     return entries
 
 

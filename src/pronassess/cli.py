@@ -181,7 +181,7 @@ def _cmd_score(args) -> int:
 
 
 def _read_score_csv(path) -> dict[str, tuple[float, float]]:
-    lines = Path(path).read_text().splitlines()
+    lines = audio_io.read_text(path).splitlines()
     if not lines or lines[0] != "id,fluency,prosody":
         raise FormatError(f"bad score CSV header in {path}")
     out = {}

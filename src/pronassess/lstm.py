@@ -31,7 +31,10 @@ everywhere else.
 The forward pass computes in x's dtype: gates, cell states and outputs
 are allocated in it, and `_recurrent` lays the recurrent weights out in
 theirs, so float32 inputs and weights run float32 end to end. The
-backward pass is float64; only float64 models are trained.
+backward pass computes in the cache's dtype: its gate coefficients,
+carries and input gradient are allocated in it, so a float32 forward
+(scoring, and training's float32 working copy) is differentiated in
+float32 and a float64 one (the gradient checks) in float64.
 
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
@@ -158,11 +161,12 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     everywhere else."""
     plan = cache.plan
     n_rows, hid = cache.c.shape[1:]
+    dtype = cache.gates.dtype
     first = plan.offsets[1] if len(plan.offsets) > 1 else 0  # step 0 rows: h, c_{t-1} = 0
     i, f, g, o = (cache.gates.reshape(2, n_rows, 4, hid)[:, :, k] for k in range(4))
     # dz = coefficient * dc for i, f, g and * dh for o (f still lacking its
     # factor c_{t-1}); dc = coef_c * dh plus the carry from step t + 1.
-    dz_all = np.empty((2, n_rows, 4 * hid))
+    dz_all = np.empty((2, n_rows, 4 * hid), dtype=dtype)
     dz = dz_all.reshape(2, n_rows, 4, hid)
     for k, s in ((0, i), (1, f)):
         np.subtract(1.0, s, out=dz[:, :, k])
@@ -184,9 +188,10 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     at = ((plan.rows, plan.steps, slice(None, hid)),
           (plan.rows[plan.rev], plan.steps[plan.rev], slice(hid, None)))
     recurrent = _recurrent([fwd_params[1], bwd_params[1]], len(cache.lengths))
-    dh_next = dc_next = np.zeros((2, 0, hid))  # carries into the sequences still running
+    # carries into the sequences still running
+    dh_next = dc_next = np.zeros((2, 0, hid), dtype=dtype)
     for now, prev in reversed(_prev_rows(plan.offsets)):
-        dh = np.stack([d_out[rows[now], steps[now], cols] for rows, steps, cols in at])
+        dh = np.stack([d_out[rows[now], steps[now], cols] for rows, steps, cols in at], dtype=dtype)
         dh[:, : dh_next.shape[1]] += dh_next
         dz[:, now, 3] *= dh
         dc = coef_c[:, now]
@@ -208,7 +213,7 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     sel = np.arange(n_rows)
     if dx_tail is not None:
         sel = np.flatnonzero(plan.steps >= (cache.lengths - np.asarray(dx_tail))[plan.rows])
-    d_x = np.zeros(d_out.shape[:2] + (cache.x.shape[1],))
+    d_x = np.zeros(d_out.shape[:2] + (cache.x.shape[1],), dtype=dtype)
     d_x[plan.rows[sel], plan.steps[sel]] = (dz_all[0, sel] @ fwd_params[0]
                                              + dz_all[1, plan.rev[sel]] @ bwd_params[0])
     return d_x, *grads

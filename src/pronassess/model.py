@@ -18,14 +18,17 @@ log-densities), which would saturate the recurrent gates at the pinned
 uniform init, so the network standardizes its numeric inputs with the
 fixed constants below before anything learnable sees them.
 
-The forward pass computes in the dtype of the parameters: float64 for a
-model built here (training, its validation pass, the gradient check) and
-float32, the stored precision, for a model read by `ScoringModel.load`.
-Inputs are cast to that dtype once on entry; the head logits and softmax
-run in float64 whatever the encoders ran in, so each distribution sums to
-1 within ~1e-16. A float32 forward scores within 1e-6 of the same weights
-in float64 (tested). Gradients are float64, exact reverse-mode
-derivatives, checked against central finite differences in the test suite.
+The forward and backward passes compute in the dtype of the parameters:
+float64 for a model built here (the gradient checks) and float32 for a
+model read by `ScoringModel.load` (the stored precision) or for training's
+float32 working copy of its float64 master weights (`train`). Inputs are
+cast to that dtype once on entry; the head logits, softmax, loss and head
+gradients run in float64 whatever the encoders ran in, so each
+distribution sums to 1 within ~1e-16. A float32 forward scores within
+1e-6 of the same weights in float64, and its gradients lie within 1e-4 of
+float64 relative to each tensor's largest entry (both tested). Gradients
+are reverse-mode derivatives of the forward, checked in float64 against
+central finite differences.
 """
 
 import math
@@ -161,6 +164,15 @@ class ScoringModel:
             bound = 1.0 / np.sqrt(fan_in)
             self.params[name] = rng.uniform(-bound, bound, size=shape)
 
+    @classmethod
+    def from_params(cls, config: ModelConfig, params: dict[str, np.ndarray]) -> "ScoringModel":
+        """A model over the given parameter arrays (not copied), without
+        the seeded draws of `__init__`."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = params
+        return model
+
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -290,8 +302,10 @@ class ScoringModel:
         dfvec = dlf @ self.params["head_f_w"] + dlp @ self.params["head_p_w"]
 
         # Mean pooling spreads dfvec over each utterance's valid steps; the
-        # encoder ignores the broadcast values at padded positions.
-        d_hs = np.broadcast_to((dfvec / s_lens[:, None])[:, None, :], (n, s_lens.max(), d))
+        # encoder ignores the broadcast values at padded positions. Cast to
+        # the encoders' dtype, which their backward computes in.
+        d_hs = np.broadcast_to((dfvec / s_lens[:, None]).astype(self.dtype, copy=False)[:, None, :],
+                               (n, s_lens.max(), d))
         # Only the attended rows and the u token (the last l_lens + 1 steps)
         # carry gradient further back; the ct rows are data.
         d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
@@ -300,13 +314,14 @@ class ScoringModel:
         grads["u_w"] = d_u.T @ cache["u_std"]
         grads["u_b"] = d_u.sum(axis=0)
 
-        d_p = np.zeros((n, l_lens.max(), d))
+        d_p = np.zeros((n, l_lens.max(), d), dtype=self.dtype)
         for i, utt in enumerate(batch):
             t, n_ph = t_lens[i], l_lens[i]
             weights = cache["attns"][i]
-            d_w = d_fseq[i, t : t + n_ph] @ utt.ct.T
+            ct = utt.ct.astype(self.dtype, copy=False)  # the keys and values attention read
+            d_w = d_fseq[i, t : t + n_ph] @ ct.T
             d_scores = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
-            d_p[i, :n_ph] = d_scores @ utt.ct / np.sqrt(d)
+            d_p[i, :n_ph] = d_scores @ ct / math.sqrt(d)
         d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
 
         da = d_rows[_valid(l_lens)][:, 5:] * (1.0 - cache["ptilde"] ** 2)
@@ -393,12 +408,8 @@ class ScoringModel:
             if not np.isfinite(blocks[name]).all():
                 raise FormatError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
             offset += 4 * rows * cols
-        # Not through __init__: its seeded draws would all be overwritten.
-        model = cls.__new__(cls)
-        model.config = cfg
         # Table order, whatever the file's order, so that save is byte-stable.
-        model.params = {name: blocks[name].reshape(shape) for name, shape, _ in table}
-        return model
+        return cls.from_params(cfg, {name: blocks[name].reshape(shape) for name, shape, _ in table})
 
 
 def loss_fn(dist_f, dist_p, fluency, prosody, loss_weights=(0.5, 0.5)) -> float:

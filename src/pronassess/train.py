@@ -1,15 +1,27 @@
 """Training loop: Adam, early stopping on validation loss, loss history.
 
+Training is mixed precision (Micikevicius et al. 2018, arXiv:1710.03740):
+the model's master parameters and Adam's moments are float64, and every
+forward and backward pass runs on a float32 working copy of the master
+parameters, refreshed in place after each update. The float32 gradients
+update the float64 master. No loss scaling is needed: float32 has the
+exponent range of these gradients. The validation forward runs on the
+working copy too, which is bit for bit what `ScoringModel.save` writes,
+so the validation loss measures the model that `score` runs.
+
 Determinism contract: a fixed seed fixes the parameter init, the
-validation split and the per-epoch shuffling stream, so two runs produce
-bit-identical histories and checkpoints.
+validation split and the per-epoch shuffling stream, so two runs with the
+same numpy/BLAS build and BLAS thread count produce bit-identical
+histories and checkpoints. float32 sums are more sensitive to the BLAS
+summation order than float64 ones, so a different thread count can change
+the trajectory (and the epoch early stopping picks).
 """
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
+from .audio_io import read_text
 from .errors import ValidationError
 from .model import ModelConfig, ScoringModel, UtteranceFeatures
 
@@ -43,7 +55,7 @@ def parse_train_config(path) -> TrainConfig:
     """key=value file; blank lines and # comments ignored; unknown keys rejected."""
     types = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,6 +147,9 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
 
     rng = np.random.default_rng(config.seed)
     model = ScoringModel(model_config, seed=config.seed)
+    # The float32 working copy that every forward and backward pass runs on.
+    work = ScoringModel.from_params(
+        model_config, {k: p.astype(np.float32) for k, p in model.params.items()})
     weights = (config.loss_weight_fluency, config.loss_weight_prosody)
 
     order = rng.permutation(len(dataset))
@@ -163,13 +178,15 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
         epoch_losses = []
         for lo in range(0, len(train_set), config.batch):
             batch = [train_set[int(i)] for i in perm[lo : lo + config.batch]]
-            loss, _, cache = model.forward_batch(batch, weights)
+            loss, _, cache = work.forward_batch(batch, weights)
             if not np.isfinite(loss):
                 raise ValidationError(
                     f"non-finite training loss at epoch {epoch}; aborting"
                 )
-            grads = model.backward(cache)
-            opt.step(model.params, grads)
+            opt.step(model.params, work.backward(cache))
+            del cache  # freed before the next forward builds its own
+            for k, p in model.params.items():
+                np.copyto(work.params[k], p)
             epoch_losses.append((loss, len(batch)))
 
         for name, p in model.params.items():
@@ -182,7 +199,7 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
             sum(l * n for l, n in epoch_losses) / sum(n for _, n in epoch_losses)
         )
         if val_set:
-            val_loss, _, _ = model.forward_batch(val_set, weights)
+            val_loss, _, _ = work.forward_batch(val_set, weights)
             val_loss = float(val_loss)
         else:
             val_loss = train_loss

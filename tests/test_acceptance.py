@@ -22,6 +22,7 @@ from signals import pulse_train, tone
 from test_model import make_utt
 
 CORPUS_SEED = 5
+HELDOUT_SEED = 6
 TRAIN_SEED = 0
 
 
@@ -29,14 +30,24 @@ def ok(criterion: int, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion:2d} PASS: {detail}")
 
 
+def prepared_corpus(out, seed):
+    manifest = pa.generate_corpus(pa.SyntheticSpec(n_utterances=64, seed=seed), out)
+    entries = pa.read_manifest(manifest)
+    model = pa.read_duration_model(out / "durations.tsv")
+    return pa.prepare_dataset(entries, model)
+
+
 @pytest.fixture(scope="module")
 def corpus64(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus64")
-    manifest = pa.generate_corpus(pa.SyntheticSpec(n_utterances=64, seed=CORPUS_SEED), out)
-    entries = pa.read_manifest(manifest)
-    model = pa.read_duration_model(out / "durations.tsv")
-    dataset = pa.prepare_dataset(entries, model)
-    return out, dataset
+    return out, prepared_corpus(out, CORPUS_SEED)
+
+
+def score_pcc(model, utts):
+    """(fluency, prosody) PCC of the model's predicted scores against the labels."""
+    _, dists, _ = model.forward_batch(utts)
+    return tuple(pa.pcc([pa.predict_score(d[head]) for d in dists],
+                        [(u.fluency, u.prosody)[head] for u in utts]) for head in (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +205,7 @@ def test_criterion_6_functionals_laws():
     ok(6, "pitch-shift equivariance and time-reversal slope swap on 20 seeds each")
 
 
-def test_criterion_7_end_to_end_learnability(trained):
+def test_criterion_7_end_to_end_learnability(trained, tmp_path):
     result, dataset, _, elapsed = trained
     assert elapsed < 600.0, f"training took {elapsed:.0f} s"
 
@@ -203,16 +214,16 @@ def test_criterion_7_end_to_end_learnability(trained):
     ratio = best / epoch1
     assert ratio <= 0.5, f"best-epoch train loss ratio {ratio:.3f}"
 
-    train_utts = [dataset[i] for i in result.train_indices]
-    _, dists, _ = result.model.forward_batch(train_utts)
-    pred_f = [pa.predict_score(d[0]) for d in dists]
-    pred_p = [pa.predict_score(d[1]) for d in dists]
-    r_f = pa.pcc(pred_f, [u.fluency for u in train_utts])
-    r_p = pa.pcc(pred_p, [u.prosody for u in train_utts])
+    r_f, r_p = score_pcc(result.model, [dataset[i] for i in result.train_indices])
     assert r_f >= 0.9, f"fluency train PCC {r_f:.3f}"
     assert r_p >= 0.9, f"prosody train PCC {r_p:.3f}"
+    # A second seeded corpus the model never saw: the quality gate of training.
+    h_f, h_p = score_pcc(result.model, prepared_corpus(tmp_path, HELDOUT_SEED))
+    assert h_f >= 0.9, f"fluency held-out PCC {h_f:.3f}"
+    assert h_p >= 0.9, f"prosody held-out PCC {h_p:.3f}"
     ok(7, f"loss ratio {ratio:.3f} <= 0.5, train PCC fluency {r_f:.3f} / "
-          f"prosody {r_p:.3f} >= 0.9 in {len(result.history)} epochs ({elapsed:.0f} s)")
+          f"prosody {r_p:.3f} >= 0.9, held-out PCC fluency {h_f:.3f} / prosody {h_p:.3f} "
+          f">= 0.9 in {len(result.history)} epochs ({elapsed:.0f} s)")
 
 
 def test_criterion_7_float32_scores_within_gate(trained, tmp_path):

@@ -78,6 +78,24 @@ def test_float32_forward_stays_float32_near_float64(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(batches())
+def test_backward_computes_in_the_cache_dtype(case):
+    """A float64 cache gives float64 gradients; a float32 cache gives float32
+    input and weight gradients, whatever the upstream gradient's dtype,
+    within float32 rounding (1e-4 of the largest entry) of float64."""
+    x, d_out, fwd, bwd = _setup(*case)
+    lengths = case[4]
+    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
+    fwd32, bwd32 = (tuple(p.astype(np.float32) for p in ps) for ps in (fwd, bwd))
+    _, cache32 = bilstm_forward(x.astype(np.float32), lengths, fwd32, bwd32)
+    dx32, g_fwd32, g_bwd32 = bilstm_backward(d_out, cache32, fwd32, bwd32)
+    for g, g32 in zip([dx, *g_fwd, *g_bwd], [dx32, *g_fwd32, *g_bwd32]):
+        assert g.dtype == np.float64 and g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g, rtol=0, atol=1e-4 * max(1.0, np.abs(g).max()))
+
+
+@settings(max_examples=60, deadline=None)
 @given(batches(), st.randoms(use_true_random=False))
 def test_permuting_the_batch_permutes_the_outputs(case, rnd):
     bsz, t_max, d_in, hid, lengths, seed = case

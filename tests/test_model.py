@@ -436,6 +436,39 @@ class TestFloat32Scoring:
                 assert abs(predict_score(a) - predict_score(b)) <= 1e-6
 
 
+class TestMixedPrecisionGradients:
+    """Training differentiates a float32 working copy of its float64 master
+    weights. On the same weights and a mixed-length batch, every float32
+    gradient lies within GRAD_TOL of float64, relative to the tensor's
+    largest float64 entry."""
+
+    GRAD_TOL = 1e-4
+
+    @pytest.mark.parametrize("cfg, shapes", [
+        (TINY_CONFIG, ((1, 4), (3, 2), (6, 7), (2, 9))),
+        (ModelConfig(), ((2, 26), (9, 80), (25, 250), (4, 37))),
+    ], ids=["tiny", "full-size"])
+    def test_float32_gradients_near_float64(self, cfg, shapes):
+        rng = np.random.default_rng(29)
+        batch = [make_utt(rng, length, t, int(rng.integers(11)), int(rng.integers(11)), cfg=cfg)
+                 for length, t in shapes]
+        for utt in batch:  # contextual rows are stored as float32 (MTX1)
+            utt.ct = utt.ct.astype(np.float32).astype(np.float64)
+        master = ScoringModel(cfg, seed=15)
+        work = ScoringModel.from_params(
+            cfg, {k: p.astype(np.float32) for k, p in master.params.items()})
+        ref = ScoringModel.from_params(
+            cfg, {k: p.astype(np.float64) for k, p in work.params.items()})
+        grads32 = work.backward(work.forward_batch(batch)[2])
+        grads64 = ref.backward(ref.forward_batch(batch)[2])
+        assert all(p.dtype == np.float64 for p in master.params.values())
+        assert grads32["fu_fwd_wh"].dtype == grads32["embed"].dtype == np.float32
+        for name, g in grads64.items():
+            assert g.dtype == np.float64 and grads32[name].shape == g.shape
+            rel = np.abs(grads32[name] - g).max() / np.abs(g).max()
+            assert rel <= self.GRAD_TOL, f"{name}: max |dg| / max |g| = {rel:.2e}"
+
+
 class TestFullSizeDefaults:
     def test_documented_dimensions(self):
         cfg = ModelConfig()
