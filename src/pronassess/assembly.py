@@ -38,16 +38,12 @@ def pool_to_phonemes(ff: FrameFeatures, alignment: Alignment) -> np.ndarray:
             f"frame count mismatch: features have {ff.num_frames} frames, "
             f"alignment covers {alignment.num_frames}"
         )
-    out = np.zeros((len(alignment.spans), 4))
-    for k, sp in enumerate(alignment.spans):
-        sel = slice(sp.start_frame, sp.end_frame + 1)
-        out[k, 0] = ff.loudness[sel].mean()
-        out[k, 1] = ff.alpha_ratio_db[sel].mean()
-        v = ff.voiced[sel]
-        if v.any():
-            out[k, 2] = ff.f0_semitones[sel][v].mean()
-            out[k, 3] = ff.jitter_local[sel][v].mean()
-    return out
+    # FrameFeatures holds f0 and jitter at exactly 0 on unvoiced frames, so
+    # their span sums are voiced sums, and the voiced column counts them.
+    starts = [sp.start_frame for sp in alignment.spans]
+    sums = np.add.reduceat(ff.to_matrix(), starts, axis=0)
+    frames = np.diff(starts, append=ff.num_frames)[:, None]
+    return np.hstack([sums[:, :2] / frames, sums[:, 2:4] / np.maximum(sums[:, 4:], 1.0)])
 
 
 def build_fusion_input(pooled: np.ndarray, gopd_values: np.ndarray, phones: list[str]) -> FusionInput:

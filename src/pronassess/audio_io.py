@@ -15,6 +15,7 @@ Loading never rescales, resamples or truncates; any deviation from the
 declared format is a hard error.
 """
 
+import io
 import json
 import struct
 import wave
@@ -60,8 +61,10 @@ class AudioBuffer:
 
 def load_wav(path) -> AudioBuffer:
     """Read a PCM16 mono 16 kHz WAV file, scaling samples by 1/32768."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        with wave.open(str(path), "rb") as wf:
+        with wave.open(io.BytesIO(blob), "rb") as wf:
             channels = wf.getnchannels()
             width = wf.getsampwidth()
             rate = wf.getframerate()
@@ -87,6 +90,19 @@ def load_wav(path) -> AudioBuffer:
     if len(raw) != 2 * n:
         raise FormatError(f"truncated WAV file: header declares {n} samples "
                           f"({2 * n} bytes), data chunk holds {len(raw)} bytes")
+    # `wave` reads only as far as the data chunk's declared size, so a
+    # lowered size would silently drop samples. The chunks, each with a
+    # printable ASCII id and padded to even length, must tile the file;
+    # left-over sample bytes (silence too) rarely do.
+    pos = 12
+    while pos + 8 <= len(blob):
+        cid, size = struct.unpack_from("<4sI", blob, pos)
+        if not all(32 <= c < 127 for c in cid):
+            break
+        pos += 8 + size + size % 2
+    if pos != len(blob):
+        raise FormatError(f"WAV chunks do not tile the file: they end at byte {pos} "
+                          f"of {len(blob)}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioBuffer(samples, rate)
 

@@ -113,11 +113,11 @@ def _cmd_train(args) -> int:
 # Padded fusion rows per forward pass in `score`: utterances times the
 # longest fusion sequence (frames + phones + 1), the size of
 # `forward_batch`'s padded arrays. A float32 forward of the full-size model
-# peaks at ~42 KiB per padded row when every row is valid, so a pass stays
-# within ~168 MiB, below the ~194 MiB forward cache of a full-size float64
-# training batch of 16 mixed-length utterances. Each chunk is prepared just
-# before its pass, so memory stays bounded by one chunk whatever the
-# manifest size.
+# peaks at ~42 KiB per padded row if all are valid, so a pass stays within
+# ~168 MiB (159 MiB traced for 10 utterances of 374 rows), below the 222 MiB
+# traced peak of a full-size float32 training step on 16 mixed-length
+# utterances. Each chunk is prepared just before its pass, so memory stays
+# bounded by one chunk whatever the manifest size.
 SCORE_ROWS = 4096
 
 

@@ -1,13 +1,13 @@
 """The trainable scoring head: phone-cue encoder, cross-attention fusion,
 and two 11-class projection heads for fluency and prosody.
 
-Per utterance the forward pass runs:
+Over a zero-padded batch of utterances the forward pass runs:
 
 1. phone embedding -> tanh feedforward, concatenated with the GoPD value
    and 4 pooled descriptors into per-phoneme rows;
 2. a bidirectional LSTM over those rows (the phone-cue encoder);
 3. scaled dot-product cross-attention with the encoder states as queries
-   and the contextual acoustic rows as keys and values;
+   and the contextual acoustic rows as keys and values, padding masked;
 4. a fusion sequence [acoustic rows; attention rows; projected utterance
    functionals as one extra token] through a second bidirectional LSTM,
    mean-pooled, with the projected functionals added back as a residual;
@@ -78,7 +78,7 @@ class UtteranceFeatures:
     """Everything the network consumes for one utterance."""
 
     fusion: FusionInput
-    ct: np.ndarray       # (T, feature_dim) contextual acoustic rows
+    ct: np.ndarray       # (T >= 1, feature_dim) contextual acoustic rows, float32 from MTX1
     u_nv: np.ndarray     # (u_dim,) utterance functionals
     fluency: int | None = None
     prosody: int | None = None
@@ -90,18 +90,18 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def cross_attention(p_nv: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-head scaled dot-product attention, queries p_nv, keys/values ct.
-
-    Returns (attended rows, attention weights). Each output row is a convex
-    combination of ct rows.
+def cross_attention(p_nv: np.ndarray, ct: np.ndarray, t_lens) -> tuple[np.ndarray, np.ndarray]:
+    """Single-head scaled dot-product attention over a padded batch: queries
+    p_nv (B, L, d), keys and values ct (B, T, d) with t_lens[b] >= 1 valid
+    rows in row b. Returns (attended rows, weights (B, L, T)). Padded keys
+    are masked to -inf before the softmax, so each output row is a convex
+    combination of its own valid ct rows, whatever the padding holds.
     """
-    if p_nv.shape[1] != ct.shape[1]:
-        raise ValidationError(
-            f"query dim {p_nv.shape[1]} != key/value dim {ct.shape[1]}"
-        )
-    scores = p_nv @ ct.T / math.sqrt(ct.shape[1])
-    weights = softmax(scores, axis=1)
+    if p_nv.shape[2] != ct.shape[2]:
+        raise ValidationError(f"query dim {p_nv.shape[2]} != key/value dim {ct.shape[2]}")
+    scores = p_nv @ ct.transpose(0, 2, 1) / math.sqrt(ct.shape[2])
+    scores = np.where(np.arange(ct.shape[1]) < t_lens[:, None, None], scores, -np.inf)
+    weights = softmax(scores, axis=2)
     return weights @ ct, weights
 
 
@@ -236,8 +236,8 @@ class ScoringModel:
         cfg = self.config
         d = cfg.feature_dim
         for utt in batch:
-            if utt.ct.ndim != 2 or utt.ct.shape[1] != d:
-                raise ValidationError(f"ct must be T x {d}, got {utt.ct.shape}")
+            if utt.ct.ndim != 2 or utt.ct.shape[1] != d or len(utt.ct) == 0:
+                raise ValidationError(f"ct must be T x {d} with T >= 1, got {utt.ct.shape}")
             if len(utt.u_nv) != cfg.u_dim:
                 raise ValidationError(f"u_nv must have {cfg.u_dim} entries")
         p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
@@ -250,12 +250,11 @@ class ScoringModel:
         # Attention reads its keys and values from the rows already cast.
         s_lens = t_lens + l_lens + 1
         f_pad = np.zeros((len(batch), s_lens.max(), d), dtype=self.dtype)
-        attns = []
-        for i, utt in enumerate(batch):
-            t, n_ph = t_lens[i], l_lens[i]
-            f_pad[i, :t] = utt.ct
-            f_pad[i, t : t + n_ph], weights = cross_attention(p_all[i, :n_ph], f_pad[i, :t])
-            attns.append(weights)
+        keys = f_pad[:, : t_lens.max()]
+        keys[_valid(t_lens)] = np.concatenate([utt.ct for utt in batch])
+        attended, weights = cross_attention(p_all, keys, t_lens)
+        b, j = np.nonzero(_valid(l_lens))
+        f_pad[b, t_lens[b] + j] = attended[b, j]
         f_pad[np.arange(len(batch)), t_lens + l_lens] = u
         hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
 
@@ -273,7 +272,7 @@ class ScoringModel:
                                   for (f, p), utt in zip(dists, batch)]))
         cache = {
             "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "t_lens": t_lens,
-            "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "attns": attns,
+            "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "weights": weights,
             "u_std": u_std, "fu_cache": fu_cache, "fvec": fvec, "dist_f": dist_f, "dist_p": dist_p,
         }
         return loss, dists, cache
@@ -314,14 +313,16 @@ class ScoringModel:
         grads["u_w"] = d_u.T @ cache["u_std"]
         grads["u_b"] = d_u.sum(axis=0)
 
-        d_p = np.zeros((n, l_lens.max(), d), dtype=self.dtype)
-        for i, utt in enumerate(batch):
-            t, n_ph = t_lens[i], l_lens[i]
-            weights = cache["attns"][i]
-            ct = utt.ct.astype(self.dtype, copy=False)  # the keys and values attention read
-            d_w = d_fseq[i, t : t + n_ph] @ ct.T
-            d_scores = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
-            d_p[i, :n_ph] = d_scores @ ct / math.sqrt(d)
+        # Attention over the ct rows as the forward cast them: padded queries
+        # get zero gradient and masked keys zero weight, so neither contributes.
+        ct = _pad(np.concatenate([utt.ct for utt in batch], dtype=self.dtype), t_lens)
+        weights = cache["weights"]
+        d_att = np.zeros((n, l_lens.max(), d), dtype=self.dtype)
+        b, j = np.nonzero(_valid(l_lens))
+        d_att[b, j] = d_fseq[b, t_lens[b] + j]
+        d_w = d_att @ ct.transpose(0, 2, 1)
+        d_scores = weights * (d_w - (d_w * weights).sum(axis=2, keepdims=True))
+        d_p = d_scores @ ct / math.sqrt(d)
         d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
 
         da = d_rows[_valid(l_lens)][:, 5:] * (1.0 - cache["ptilde"] ** 2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pronassess import FrameFeatures, build_fusion_input, pool_to_phonemes
 from pronassess.aligner import Alignment, Span
@@ -55,6 +57,36 @@ class TestPooling:
             sel = slice(sp.start_frame, sp.end_frame + 1)
             assert ff.loudness[sel].min() <= pooled[k, 0] <= ff.loudness[sel].max()
             assert ff.alpha_ratio_db[sel].min() <= pooled[k, 1] <= ff.alpha_ratio_db[sel].max()
+
+
+def loop_pool(ff, alignment):
+    """Span means one span at a time, f0 and jitter over the voiced frames
+    only: the reference for `pool_to_phonemes`."""
+    out = np.zeros((len(alignment.spans), 4))
+    for k, sp in enumerate(alignment.spans):
+        sel = slice(sp.start_frame, sp.end_frame + 1)
+        out[k, 0] = ff.loudness[sel].mean()
+        out[k, 1] = ff.alpha_ratio_db[sel].mean()
+        v = ff.voiced[sel]
+        if v.any():
+            out[k, 2] = ff.f0_semitones[sel][v].mean()
+            out[k, 3] = ff.jitter_local[sel][v].mean()
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_frames=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1), p_voiced=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+def test_pooling_matches_per_span_loop(span_frames, seed, p_voiced):
+    rng = np.random.default_rng(seed)
+    n = sum(span_frames)
+    voiced = rng.random(n) < p_voiced
+    ff = _ff(rng.uniform(0, 3, n), rng.normal(0, 5, n), np.where(voiced, rng.uniform(25, 45, n), 0.0),
+             np.where(voiced, rng.uniform(0, 0.1, n), 0.0), voiced)
+    ends = np.cumsum(span_frames) - 1
+    alignment = Alignment([Span("AA", int(e) - k + 1, int(e)) for k, e in zip(span_frames, ends)])
+    np.testing.assert_allclose(pool_to_phonemes(ff, alignment), loop_pool(ff, alignment),
+                               rtol=1e-12, atol=1e-12)
 
 
 class TestFusionInput:

@@ -69,6 +69,30 @@ class TestWav:
         with pytest.raises(FormatError):
             load_wav(p)
 
+    @pytest.mark.parametrize("tail", ["ramp", "silence"])
+    def test_rejects_lowered_data_size(self, tmp_path, tail):
+        p = tmp_path / "low.wav"
+        samples = np.arange(3440) % 2000 - 1000
+        if tail == "silence":  # zero bytes would read as empty chunks without the id check
+            samples[1392:] = 0
+        _write_pcm16(p, samples)  # data chunk of 6880 = 0x1AE0 bytes
+        blob = bytearray(p.read_bytes())
+        blob[41] ^= 1 << 4  # declares 0x0AE0 bytes, 1392 samples; 4096 bytes left over
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="do not tile the file"):
+            load_wav(p)
+
+    def test_accepts_padded_chunk_after_data(self, tmp_path):
+        p = tmp_path / "list.wav"
+        _write_pcm16(p, np.arange(5))
+        with open(p, "ab") as fh:
+            fh.write(b"LIST" + struct.pack("<I", 3) + b"abc\0")  # odd size, one pad byte
+        assert load_wav(p).samples.tolist() == [k / 32768 for k in range(5)]
+        with open(p, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(FormatError, match="do not tile the file"):
+            load_wav(p)
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         pcm = rng.integers(-32768, 32768, size=500).astype(np.int16)

@@ -49,6 +49,7 @@ def run_corrupted(source, edit, argv):
 @settings(max_examples=200, deadline=None)
 @given(edit=edits)
 @example(edit=("cut", 45))  # 44-byte header and one byte of a sample
+@example(edit=("flip", 8 * 41 + 4))  # lowers the data size from 6880 to 2784 bytes
 def test_corrupted_wav(corpus, edit):
     out, _, entry = corpus
     rc = run_corrupted(entry.wav_path, edit,

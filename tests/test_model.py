@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pronassess.assembly import FusionInput
 from pronassess.errors import FormatError, InventoryError, ValidationError
+from pronassess.lstm import bilstm_forward
 from pronassess.metrics import predict_score
 from pronassess.model import (
     TINY_CONFIG,
+    U_OFFSET,
+    U_SCALE,
     ModelConfig,
     ScoringModel,
     UtteranceFeatures,
     _param_table,
+    _valid,
     cross_attention,
     loss_fn,
     softmax,
@@ -77,37 +82,79 @@ class TestPhoneCue:
             model.phonecue_forward(fusion)
 
 
+def attention_batch(rng, q_lens, t_lens, d, keys=None):
+    """Zero-padded queries (B, max q_lens, d) and keys (B, max t_lens, d) of
+    a mixed-length batch; keys(b, t) gives row b's valid keys if given."""
+    p = np.zeros((len(q_lens), max(q_lens), d))
+    ct = np.zeros((len(t_lens), max(t_lens), d))
+    for b, (q, t) in enumerate(zip(q_lens, t_lens)):
+        p[b, :q] = rng.normal(size=(q, d))
+        ct[b, :t] = rng.normal(size=(t, d)) if keys is None else keys(b, t)
+    return p, ct, np.array(t_lens)
+
+
 class TestAttention:
+    """Properties of each utterance's valid outputs and weights in a
+    mixed-length padded batch."""
+
+    Q_LENS, T_LENS = (3, 1, 5, 2), (1, 6, 4, 9)
+
     def test_single_value_row(self):
         rng = np.random.default_rng(4)
-        p = rng.normal(size=(3, 8))
-        ct = rng.normal(size=(1, 8))
-        out, _ = cross_attention(p, ct)
-        for row in out:
-            np.testing.assert_array_equal(row, ct[0])
+        p, ct, t_lens = attention_batch(rng, self.Q_LENS, (1, 1, 3, 1), 8)
+        out, _ = cross_attention(p, ct, t_lens)
+        for b, (q, t) in enumerate(zip(self.Q_LENS, t_lens)):
+            if t == 1:
+                np.testing.assert_array_equal(out[b, :q], np.tile(ct[b, 0], (q, 1)))
 
     def test_identical_value_rows(self):
         rng = np.random.default_rng(5)
-        p = rng.normal(size=(2, 8))
-        ct = np.tile(rng.normal(size=(1, 8)), (6, 1))
-        out, _ = cross_attention(p, ct)
-        np.testing.assert_allclose(out, np.tile(ct[0], (2, 1)), atol=1e-12)
+        p, ct, t_lens = attention_batch(rng, self.Q_LENS, self.T_LENS, 8,
+                                        keys=lambda b, t: np.tile(rng.normal(size=8), (t, 1)))
+        out, _ = cross_attention(p, ct, t_lens)
+        for b, q in enumerate(self.Q_LENS):
+            np.testing.assert_allclose(out[b, :q], np.tile(ct[b, 0], (q, 1)), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        _, weights = cross_attention(rng.normal(size=(4, 16)), rng.normal(size=(9, 16)))
-        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        _, weights = cross_attention(*attention_batch(rng, self.Q_LENS, self.T_LENS, 16))
+        for b, (q, t) in enumerate(zip(self.Q_LENS, self.T_LENS)):
+            np.testing.assert_allclose(weights[b, :q, :t].sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(weights[b, :, t:] == 0.0)
 
     def test_convex_envelope(self):
         rng = np.random.default_rng(7)
-        ct = rng.normal(size=(7, 16))
-        out, _ = cross_attention(rng.normal(size=(5, 16)), ct)
-        lo, hi = ct.min(axis=0), ct.max(axis=0)
-        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+        p, ct, t_lens = attention_batch(rng, self.Q_LENS, self.T_LENS, 16)
+        out, _ = cross_attention(p, ct, t_lens)
+        for b, (q, t) in enumerate(zip(self.Q_LENS, t_lens)):
+            lo, hi = ct[b, :t].min(axis=0), ct[b, :t].max(axis=0)
+            assert np.all(out[b, :q] >= lo - 1e-12) and np.all(out[b, :q] <= hi + 1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            cross_attention(np.zeros((2, 8)), np.zeros((3, 6)))
+            cross_attention(np.zeros((2, 2, 8)), np.zeros((2, 3, 6)), np.array([3, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_padding_leaves_valid_rows_unchanged(self, data):
+        """Padded keys and queries of any finite value change no valid
+        output row and no valid weight."""
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 7)),
+                                    min_size=1, max_size=4))
+        q_lens, t_lens = zip(*shapes)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        p, ct, t_lens = attention_batch(rng, q_lens, t_lens, 6)
+        out, weights = cross_attention(p, ct, t_lens)
+        q_pad = ~(np.arange(p.shape[1]) < np.array(q_lens)[:, None])
+        t_pad = ~(np.arange(ct.shape[1]) < t_lens[:, None])
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        p[q_pad] = data.draw(hnp.arrays(np.float64, (int(q_pad.sum()), 6), elements=finite))
+        ct[t_pad] = data.draw(hnp.arrays(np.float64, (int(t_pad.sum()), 6), elements=finite))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out2, weights2 = cross_attention(p, ct, t_lens)
+        for b, (q, t) in enumerate(zip(q_lens, t_lens)):
+            np.testing.assert_array_equal(out2[b, :q], out[b, :q])
+            np.testing.assert_array_equal(weights2[b, :q], weights[b, :q])
 
 
 class TestProjectionAndLoss:
@@ -149,6 +196,15 @@ class TestProjectionAndLoss:
                 assert p_nv.shape == (length, CFG.feature_dim)
                 dist_f, dist_p = model.score_utterance(utt)
                 assert dist_f.shape == dist_p.shape == (CFG.n_classes,)
+
+    @pytest.mark.parametrize("shape", [(0, CFG.feature_dim), (4, CFG.feature_dim - 1)],
+                             ids=["no-rows", "wrong-width"])
+    def test_malformed_ct_rejected(self, shape):
+        rng = np.random.default_rng(24)
+        bad = make_utt(rng)
+        bad.ct = np.zeros(shape)
+        with pytest.raises(ValidationError, match="ct must be T x"):
+            ScoringModel(CFG, seed=2).forward_batch([make_utt(rng), bad])
 
     def test_uniform_loss_is_log11(self):
         u = np.full(11, 1.0 / 11)
@@ -237,6 +293,124 @@ class TestBackward:
         loss_a, _, _ = model.forward_batch(batch)
         loss_b, _, _ = model.forward_batch(batch[::-1])
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
+
+
+def loop_cross_attention(p_nv, ct):
+    """Attention of one utterance, unpadded: the reference for the batch."""
+    weights = softmax(p_nv @ ct.T / np.sqrt(ct.shape[1]), axis=1)
+    return weights @ ct, weights
+
+
+class LoopAttentionModel(ScoringModel):
+    """The scoring model with attention and its gradient run one utterance
+    at a time, as before the padded batch path: the reference that
+    `forward_batch` and `backward` must match."""
+
+    def forward_batch(self, batch, loss_weights=(0.5, 0.5)):
+        d = self.config.feature_dim
+        p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
+        t_lens = np.array([len(u.ct) for u in batch])
+        u_std = ((np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE
+                 ).astype(self.dtype, copy=False)
+        u = u_std @ self.params["u_w"].T + self.params["u_b"]
+        s_lens = t_lens + l_lens + 1
+        f_pad = np.zeros((len(batch), s_lens.max(), d), dtype=self.dtype)
+        attns = []
+        for i, utt in enumerate(batch):
+            t, n_ph = t_lens[i], l_lens[i]
+            f_pad[i, :t] = utt.ct
+            f_pad[i, t : t + n_ph], weights = loop_cross_attention(p_all[i, :n_ph], f_pad[i, :t])
+            attns.append(weights)
+        f_pad[np.arange(len(batch)), t_lens + l_lens] = u
+        hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
+        fvec = hs_all.sum(axis=1, dtype=np.float64) / s_lens[:, None] + u
+        dist_f = softmax(fvec @ self.params["head_f_w"].T + self.params["head_f_b"])
+        dist_p = softmax(fvec @ self.params["head_p_w"].T + self.params["head_p_b"])
+        dists = list(zip(dist_f, dist_p))
+        loss = float(np.mean([loss_fn(f, p, utt.fluency, utt.prosody, loss_weights)
+                              for (f, p), utt in zip(dists, batch)]))
+        cache = {
+            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "t_lens": t_lens,
+            "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "attns": attns,
+            "u_std": u_std, "fu_cache": fu_cache, "fvec": fvec, "dist_f": dist_f, "dist_p": dist_p,
+        }
+        return loss, dists, cache
+
+    def backward(self, cache):
+        d = self.config.feature_dim
+        batch = cache["batch"]
+        n = len(batch)
+        rows = np.arange(n)
+        wf, wp = cache["loss_weights"]
+        l_lens, t_lens = cache["l_lens"], cache["t_lens"]
+        s_lens = t_lens + l_lens + 1
+        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        dlf = cache["dist_f"].copy()
+        dlf[rows, [utt.fluency for utt in batch]] -= 1.0
+        dlf *= wf / n
+        dlp = cache["dist_p"].copy()
+        dlp[rows, [utt.prosody for utt in batch]] -= 1.0
+        dlp *= wp / n
+        grads["head_f_w"] = dlf.T @ cache["fvec"]
+        grads["head_f_b"] = dlf.sum(axis=0)
+        grads["head_p_w"] = dlp.T @ cache["fvec"]
+        grads["head_p_b"] = dlp.sum(axis=0)
+        dfvec = dlf @ self.params["head_f_w"] + dlp @ self.params["head_p_w"]
+        d_hs = np.broadcast_to((dfvec / s_lens[:, None])[:, None, :], (n, s_lens.max(), d))
+        d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
+        d_u = dfvec + d_fseq[rows, t_lens + l_lens]
+        grads["u_w"] = d_u.T @ cache["u_std"]
+        grads["u_b"] = d_u.sum(axis=0)
+        d_p = np.zeros((n, l_lens.max(), d))
+        for i, utt in enumerate(batch):
+            t, n_ph = t_lens[i], l_lens[i]
+            weights = cache["attns"][i]
+            d_w = d_fseq[i, t : t + n_ph] @ utt.ct.T
+            d_scores = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
+            d_p[i, :n_ph] = d_scores @ utt.ct / np.sqrt(d)
+        d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
+        da = d_rows[_valid(l_lens)][:, 5:] * (1.0 - cache["ptilde"] ** 2)
+        grads["ff_w"] = da.T @ cache["emb"]
+        grads["ff_b"] = da.sum(axis=0)
+        np.add.at(grads["embed"], cache["idx"], da @ self.params["ff_w"])
+        return grads
+
+
+def assert_matches_loops(model, batch, rel=1e-12):
+    """Loss, distributions and every gradient of the padded batch path lie
+    within `rel` of the per-utterance loops, relative to each quantity's
+    largest entry."""
+    ref = LoopAttentionModel.from_params(model.config, model.params)
+    loss, dists, cache = model.forward_batch(batch)
+    ref_loss, ref_dists, ref_cache = ref.forward_batch(batch)
+    assert abs(loss - ref_loss) <= rel * abs(ref_loss)
+    got, want = np.array(dists), np.array(ref_dists)
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+    grads, ref_grads = model.backward(cache), ref.backward(ref_cache)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in ref_grads.items():
+        assert np.abs(grads[name] - g).max() <= rel * np.abs(g).max(), name
+
+
+class TestBatchedAttentionMatchesLoops:
+    """float64, mixed-length batches: the padded batch path against the
+    per-utterance loops it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(0, 10),
+                                     st.integers(0, 10)), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tiny_model(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        batch = [make_utt(rng, length, t, f, p) for length, t, f, p in shapes]
+        assert_matches_loops(ScoringModel(TINY_CONFIG, seed=seed % 1000), batch)
+
+    def test_full_size_model(self):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(31)
+        batch = [make_utt(rng, length, t, int(rng.integers(11)), int(rng.integers(11)), cfg=cfg)
+                 for length, t in ((2, 26), (9, 80), (4, 37), (12, 15))]
+        assert_matches_loops(ScoringModel(cfg, seed=16), batch)
 
 
 class TestCheckpoint:
@@ -417,8 +591,8 @@ class TestFloat32Scoring:
         rng = np.random.default_rng(23)
         batch = [make_utt(rng, length, t, cfg=cfg)
                  for length, t in ((2, 26), (9, 80), (40, 400), (4, 37))]
-        for utt in batch:  # contextual rows are stored as float32 (MTX1)
-            utt.ct = utt.ct.astype(np.float32).astype(np.float64)
+        for utt in batch:  # float32, as prepare_utterance reads them from MTX1
+            utt.ct = utt.ct.astype(np.float32)
         fresh = ScoringModel(cfg, seed=14)
         assert all(p.dtype == np.float64 for p in fresh.params.values())
         assert fresh.phonecue_forward(batch[0].fusion).dtype == np.float64
@@ -452,8 +626,8 @@ class TestMixedPrecisionGradients:
         rng = np.random.default_rng(29)
         batch = [make_utt(rng, length, t, int(rng.integers(11)), int(rng.integers(11)), cfg=cfg)
                  for length, t in shapes]
-        for utt in batch:  # contextual rows are stored as float32 (MTX1)
-            utt.ct = utt.ct.astype(np.float32).astype(np.float64)
+        for utt in batch:  # float32, as prepare_utterance reads them from MTX1
+            utt.ct = utt.ct.astype(np.float32)
         master = ScoringModel(cfg, seed=15)
         work = ScoringModel.from_params(
             cfg, {k: p.astype(np.float32) for k, p in master.params.items()})

@@ -105,6 +105,8 @@ class TestPipeline:
         for utt, entry in zip(dataset, entries):
             assert len(utt.fusion) == len(entry.phones)
             assert utt.ct.shape[1] == 1024
+            np.testing.assert_array_equal(utt.ct, read_matrix(entry.ct_path))
+            assert utt.ct.dtype == np.float32  # exact: MTX1 stores float32
             assert utt.u_nv.shape == (13,)
             assert utt.fluency == entry.fluency and utt.prosody == entry.prosody
 
