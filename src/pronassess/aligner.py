@@ -51,9 +51,9 @@ class Alignment:
 
 
 def validate_posteriors(mat: np.ndarray, check_normalized: bool = False) -> None:
-    """Check a log-posterior matrix: shape T x 41, finite rows, optionally
-    row logsumexp within 1e-3 of 0."""
-    mat = np.asarray(mat)
+    """Check a log-posterior matrix: shape T x INVENTORY_SIZE, finite rows,
+    optionally row logsumexp within 1e-3 of 0 (computed in float64)."""
+    mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != INVENTORY_SIZE:
         raise ValidationError(
             f"posterior matrix must be T x {INVENTORY_SIZE}, got shape {mat.shape}"

@@ -28,6 +28,7 @@ from .aligner import Alignment, Span
 from .durations import DurationModel, PhoneStats
 from .errors import FormatError, UnsupportedFormatError, ValidationError
 from .inventory import PHONE_TO_INDEX
+from .metrics import N_CLASSES
 
 SAMPLE_RATE = 16000
 
@@ -132,7 +133,8 @@ def write_matrix(path, mat: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read an MTX1 file into a float64 array (exact upcast of the stored f32)."""
+    """Read an MTX1 file into a native-endian float32 array, the stored
+    precision; callers that compute in float64 cast on use."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12:
@@ -149,8 +151,9 @@ def read_matrix(path) -> np.ndarray:
         )
     if got > expected:
         raise FormatError(f"trailing bytes after payload ({got - expected} extra)")
-    values = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=12)
-    mat = values.astype(np.float64).reshape(rows, cols)
+    # astype: a native-endian, writable copy
+    mat = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=12).astype(np.float32)
+    mat = mat.reshape(rows, cols)
     if not np.all(np.isfinite(mat)):
         raise FormatError("matrix payload contains non-finite values")
     return mat
@@ -283,16 +286,17 @@ def read_manifest(path) -> list[ManifestEntry]:
                 raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {p!r}")
         for key in ("fluency", "prosody"):
             v = obj[key]
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 10:
-                raise ValidationError(f"{path}:{ln}: {key} must be an integer in 0-10, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < N_CLASSES:
+                raise ValidationError(f"{path}:{ln}: {key} must be an integer in "
+                                      f"0-{N_CLASSES - 1}, got {v!r}")
         for key in ("wav_path", "ct_path", "posterior_path"):
             if not isinstance(obj[key], str):
                 raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
-        uid = str(obj["id"])
-        if not uid or any(c in uid for c in ",\r\n"):
+        uid = obj["id"]
+        if not isinstance(uid, str) or not uid or any(c in uid for c in ",\r\n"):
             # ids become the first field of a score CSV row
-            raise ValidationError(f"{path}:{ln}: id must be non-empty without ',', CR or LF, "
-                                  f"got {uid!r}")
+            raise ValidationError(f"{path}:{ln}: id must be a non-empty string without ',', CR "
+                                  f"or LF, got {uid!r}")
         if uid in seen_ids:
             raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
         seen_ids.add(uid)

@@ -6,15 +6,18 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Scores are the integers 0..10: the label range and the classes of each head.
+N_CLASSES = 11
+
 
 def predict_score(distribution: np.ndarray) -> float:
-    """Expected score of an 11-class distribution: sum_k k * p_k, in [0, 10].
-    A distribution with a non-finite entry is rejected."""
+    """Expected score of an N_CLASSES distribution: sum_k k * p_k, in
+    [0, N_CLASSES - 1]. A distribution with a non-finite entry is rejected."""
     dist = np.asarray(distribution, dtype=np.float64).reshape(-1)
-    if dist.size != 11 or not np.isfinite(dist).all() or abs(dist.sum() - 1.0) > 1e-6 \
+    if dist.size != N_CLASSES or not np.isfinite(dist).all() or abs(dist.sum() - 1.0) > 1e-6 \
             or np.any(dist < 0):
-        raise ValidationError("input is not a valid 11-class distribution")
-    return float(np.arange(11) @ dist)
+        raise ValidationError(f"input is not a valid {N_CLASSES}-class distribution")
+    return float(np.arange(N_CLASSES) @ dist)
 
 
 def pcc(predictions, references) -> float:

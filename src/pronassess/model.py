@@ -1,5 +1,10 @@
 """The trainable scoring head: phone-cue encoder, cross-attention fusion,
-and two 11-class projection heads for fluency and prosody.
+and two projection heads for fluency and prosody.
+
+`ModelConfig` holds the size knobs only. The other shapes are fixed by the
+inputs: `inventory.INVENTORY_SIZE` phone embeddings, one slot per
+`functionals.FUNCTIONAL_NAMES` entry, and `metrics.N_CLASSES` score classes
+(0..10) per head.
 
 Over a zero-padded batch of utterances the forward pass runs:
 
@@ -11,7 +16,7 @@ Over a zero-padded batch of utterances the forward pass runs:
 4. a fusion sequence [acoustic rows; attention rows; projected utterance
    functionals as one extra token] through a second bidirectional LSTM,
    mean-pooled, with the projected functionals added back as a residual;
-5. two affine softmax heads over score classes 0..10.
+5. two affine softmax heads over the score classes.
 
 Raw descriptor scales differ by orders of magnitude (dB, semitones,
 log-densities), which would saturate the recurrent gates at the pinned
@@ -38,12 +43,15 @@ import numpy as np
 
 from .assembly import FusionInput
 from .errors import FormatError, InventoryError, ValidationError
+from .functionals import FUNCTIONAL_NAMES
+from .inventory import INVENTORY_SIZE
 from .lstm import bilstm_backward, bilstm_forward
+from .metrics import N_CLASSES
 
 # Standardization of [gopd, loudness, alpha_db, f0_st, jitter] rows.
 NUMERIC_OFFSET = np.array([-5.0, 1.0, 0.0, 30.0, 0.0])
 NUMERIC_SCALE = np.array([1.5, 2.0, 8.0, 20.0, 0.02])
-# Standardization of the 13 utterance functionals.
+# Standardization of the utterance functionals, in FUNCTIONAL_NAMES order.
 U_OFFSET = np.array([30.0, 0.0, 30.0, 30.0, 30.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 U_SCALE = np.array([20.0, 0.3, 8.0, 8.0, 8.0, 100.0, 100.0, 100.0, 100.0, 0.15, 0.1, 0.05, 0.075])
 
@@ -52,12 +60,9 @@ CKPT_MAGIC = b"CKPT1\n"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int = 41
     embed_dim: int = 41
     ff_dim: int = 24
     hidden: int = 512  # per direction, both recurrent encoders
-    u_dim: int = 13
-    n_classes: int = 11
 
     @property
     def feature_dim(self) -> int:
@@ -70,7 +75,7 @@ class ModelConfig:
         return 5 + self.ff_dim
 
 
-TINY_CONFIG = ModelConfig(vocab_size=41, embed_dim=10, ff_dim=3, hidden=8, u_dim=13, n_classes=11)
+TINY_CONFIG = ModelConfig(embed_dim=10, ff_dim=3, hidden=8)
 
 
 @dataclass
@@ -79,7 +84,7 @@ class UtteranceFeatures:
 
     fusion: FusionInput
     ct: np.ndarray       # (T >= 1, feature_dim) contextual acoustic rows, float32 from MTX1
-    u_nv: np.ndarray     # (u_dim,) utterance functionals
+    u_nv: np.ndarray     # (len(FUNCTIONAL_NAMES),) utterance functionals
     fluency: int | None = None
     prosody: int | None = None
 
@@ -129,6 +134,7 @@ def _param_table(c: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     draws each tensor receives for a given seed.
     """
     d = c.feature_dim
+    n_u = len(FUNCTIONAL_NAMES)
 
     def encoder(prefix, d_in):
         h4 = 4 * c.hidden
@@ -139,17 +145,17 @@ def _param_table(c: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
         )]
 
     return [
-        ("embed", (c.vocab_size, c.embed_dim), c.embed_dim),
+        ("embed", (INVENTORY_SIZE, c.embed_dim), c.embed_dim),
         ("ff_w", (c.ff_dim, c.embed_dim), c.embed_dim),
         ("ff_b", (c.ff_dim,), c.embed_dim),
         *encoder("pc", c.fusion_in_dim),
-        ("u_w", (d, c.u_dim), c.u_dim),
-        ("u_b", (d,), c.u_dim),
+        ("u_w", (d, n_u), n_u),
+        ("u_b", (d,), n_u),
         *encoder("fu", d),
-        ("head_f_w", (c.n_classes, d), d),
-        ("head_f_b", (c.n_classes,), d),
-        ("head_p_w", (c.n_classes, d), d),
-        ("head_p_b", (c.n_classes,), d),
+        ("head_f_w", (N_CLASSES, d), d),
+        ("head_f_b", (N_CLASSES,), d),
+        ("head_p_w", (N_CLASSES, d), d),
+        ("head_p_b", (N_CLASSES,), d),
     ]
 
 
@@ -205,8 +211,8 @@ class ScoringModel:
         three hold the batch's phonemes concatenated in utterance order.
         """
         idx = np.concatenate([f.phone_indices for f in fusions])
-        if idx.size and (idx.min() < 0 or idx.max() >= self.config.vocab_size):
-            raise InventoryError(f"phone index out of range 0..{self.config.vocab_size - 1}")
+        if idx.size and (idx.min() < 0 or idx.max() >= INVENTORY_SIZE):
+            raise InventoryError(f"phone index out of range 0..{INVENTORY_SIZE - 1}")
         emb = self.params["embed"][idx]
         ptilde = np.tanh(emb @ self.params["ff_w"].T + self.params["ff_b"])
         numeric = np.concatenate([f.numeric_block() for f in fusions])
@@ -233,13 +239,12 @@ class ScoringModel:
     def forward_batch(self, batch: list[UtteranceFeatures], loss_weights=(0.5, 0.5)):
         """Forward over a batch. Returns (mean loss or None, per-utterance
         head distributions, cache for backward)."""
-        cfg = self.config
-        d = cfg.feature_dim
+        d = self.config.feature_dim
         for utt in batch:
             if utt.ct.ndim != 2 or utt.ct.shape[1] != d or len(utt.ct) == 0:
                 raise ValidationError(f"ct must be T x {d} with T >= 1, got {utt.ct.shape}")
-            if len(utt.u_nv) != cfg.u_dim:
-                raise ValidationError(f"u_nv must have {cfg.u_dim} entries")
+            if len(utt.u_nv) != len(FUNCTIONAL_NAMES):
+                raise ValidationError(f"u_nv must have {len(FUNCTIONAL_NAMES)} entries")
         p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
         t_lens = np.array([len(u.ct) for u in batch])
         u_std = ((np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE
@@ -334,10 +339,14 @@ class ScoringModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Single-file checkpoint: text index, then float32 blocks in index order."""
+        """Single-file checkpoint: text index, then float32 blocks in index order.
+        The index opens with the line `dims V E F H U K`: the vocabulary,
+        the three `ModelConfig` knobs, the functional count and the class
+        count, of which V, U and K are fixed and checked by `load`."""
         c = self.config
         header = [
-            f"dims {c.vocab_size} {c.embed_dim} {c.ff_dim} {c.hidden} {c.u_dim} {c.n_classes}",
+            f"dims {INVENTORY_SIZE} {c.embed_dim} {c.ff_dim} {c.hidden} "
+            f"{len(FUNCTIONAL_NAMES)} {N_CLASSES}",
             str(len(self.params)),
         ]
         blocks = []
@@ -356,7 +365,8 @@ class ScoringModel:
     def load(cls, path) -> "ScoringModel":
         """Read a checkpoint written by `save`. The model keeps the stored
         float32 precision, so its forward pass runs in float32; every tensor
-        must be finite."""
+        must be finite, and the dims line's fixed fields must match this
+        model's vocabulary, functional count and class count."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if not blob.startswith(CKPT_MAGIC):
@@ -370,12 +380,18 @@ class ScoringModel:
             dims = lines[0].split()
             if dims[0] != "dims" or len(dims) != 7:
                 raise FormatError("checkpoint dims line malformed")
-            cfg = ModelConfig(*[int(v) for v in dims[1:]])
+            vocab, *knobs, n_functionals, n_classes = (int(v) for v in dims[1:])
             n_tensors = int(lines[1])
             entries = [(name, int(rows), int(cols))
                        for name, rows, cols in (line.split() for line in lines[2:])]
         except (IndexError, ValueError) as exc:
             raise FormatError(f"checkpoint {path} has a malformed index: {exc}") from None
+        for field, value, fixed in (("vocabulary", vocab, INVENTORY_SIZE),
+                                    ("functional count", n_functionals, len(FUNCTIONAL_NAMES)),
+                                    ("class count", n_classes, N_CLASSES)):
+            if value != fixed:
+                raise FormatError(f"checkpoint {path} has {field} {value}, expected {fixed}")
+        cfg = ModelConfig(*knobs)
         if min(astuple(cfg)) < 1:
             raise FormatError(f"checkpoint {path} has non-positive dims {astuple(cfg)}")
         if len(entries) != n_tensors:
@@ -415,8 +431,7 @@ class ScoringModel:
 
 def loss_fn(dist_f, dist_p, fluency, prosody, loss_weights=(0.5, 0.5)) -> float:
     """Weighted cross-entropy over the two heads (natural log)."""
-    n_classes = len(dist_f)
-    if not (0 <= fluency < n_classes and 0 <= prosody < n_classes):
-        raise ValidationError(f"labels must lie in 0..{n_classes - 1}")
+    if not (0 <= fluency < N_CLASSES and 0 <= prosody < N_CLASSES):
+        raise ValidationError(f"labels must lie in 0..{N_CLASSES - 1}")
     wf, wp = loss_weights
     return float(-wf * np.log(dist_f[fluency]) - wp * np.log(dist_p[prosody]))

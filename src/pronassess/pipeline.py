@@ -35,7 +35,7 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
     alignment, _ = dtw_align(posteriors, entry.phones)
     fusion = compose_fusion(ff, alignment, duration_model)
 
-    ct = audio_io.read_matrix(entry.ct_path).astype("float32")  # exact: MTX1 stores float32
+    ct = audio_io.read_matrix(entry.ct_path)
     if ct.shape[0] != ff.num_frames:
         raise ValidationError(
             f"{entry.id}: contextual rows ({ct.shape[0]}) != feature frames ({ff.num_frames})"

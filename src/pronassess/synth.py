@@ -27,10 +27,11 @@ from .durations import DurationModel, PhoneStats
 from .errors import ValidationError
 from .inventory import PHONE_TO_INDEX, PHONEMES
 from .lld import HOP_SAMPLES, WINDOW_SAMPLES, extract_frame_features
+from .metrics import N_CLASSES
+from .model import ModelConfig
 
 SPEECH_PHONES = PHONEMES[:39]  # everything but SIL / UNK
 
-CT_DIM = 1024
 _CT_PROJECTION_SEED = 424243
 _ct_projections: dict[int, np.ndarray] = {}
 
@@ -44,9 +45,10 @@ _CT_OFFSET = np.array([1.0, 0.0, 30.0, 0.0, 0.5])
 _CT_SCALE = np.array([2.0, 8.0, 20.0, 0.05, 0.5])
 
 
-def pseudo_ct(frame_matrix: np.ndarray, dim: int = CT_DIM) -> np.ndarray:
+def pseudo_ct(frame_matrix: np.ndarray, dim: int = ModelConfig().feature_dim) -> np.ndarray:
     """Stand-in contextual rows: standardized descriptors through a fixed
-    seeded random projection (same projection for every corpus)."""
+    seeded random projection (same projection for every corpus), as wide
+    as the full-size model's encoders by default."""
     proj = _ct_projections.get(dim)
     if proj is None:
         rng = np.random.default_rng(_CT_PROJECTION_SEED)
@@ -79,13 +81,13 @@ def generator_duration_model() -> DurationModel:
 def fluency_label(mean_deficit: float) -> int:
     """clamp(round(10 + 2 * mean GoPD deficit), 0, 10); the deficit is
     GoPD minus its per-phone peak value, hence <= 0, and a zero-deviation
-    utterance maps to exactly 10."""
-    return int(np.clip(np.rint(10.0 + 2.0 * mean_deficit), 0, 10))
+    utterance maps to exactly 10, the top score."""
+    return int(np.clip(np.rint(N_CLASSES - 1 + 2.0 * mean_deficit), 0, N_CLASSES - 1))
 
 
 def prosody_label(depth_st: float) -> int:
     """Pitch-variance bins: flat speech scores 2, maximal modulation 8."""
-    return int(np.clip(np.rint(2.0 + 1.2 * depth_st), 0, 10))
+    return int(np.clip(np.rint(2.0 + 1.2 * depth_st), 0, N_CLASSES - 1))
 
 
 @dataclass

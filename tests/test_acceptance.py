@@ -2,9 +2,11 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 The end-to-end learnability run (criteria 7, 9, 10) trains the full-size
-network once on a seeded 64-utterance synthetic corpus.
+network once on a seeded 64-utterance synthetic corpus, and criterion 7's
+tests score it on one second seeded corpus, prepared once.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -41,6 +43,11 @@ def prepared_corpus(out, seed):
 def corpus64(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus64")
     return out, prepared_corpus(out, CORPUS_SEED)
+
+
+@pytest.fixture(scope="module")
+def heldout(tmp_path_factory):
+    return prepared_corpus(tmp_path_factory.mktemp("heldout"), HELDOUT_SEED)
 
 
 def score_pcc(model, utts):
@@ -205,7 +212,7 @@ def test_criterion_6_functionals_laws():
     ok(6, "pitch-shift equivariance and time-reversal slope swap on 20 seeds each")
 
 
-def test_criterion_7_end_to_end_learnability(trained, tmp_path):
+def test_criterion_7_end_to_end_learnability(trained, heldout):
     result, dataset, _, elapsed = trained
     assert elapsed < 600.0, f"training took {elapsed:.0f} s"
 
@@ -218,12 +225,43 @@ def test_criterion_7_end_to_end_learnability(trained, tmp_path):
     assert r_f >= 0.9, f"fluency train PCC {r_f:.3f}"
     assert r_p >= 0.9, f"prosody train PCC {r_p:.3f}"
     # A second seeded corpus the model never saw: the quality gate of training.
-    h_f, h_p = score_pcc(result.model, prepared_corpus(tmp_path, HELDOUT_SEED))
+    h_f, h_p = score_pcc(result.model, heldout)
     assert h_f >= 0.9, f"fluency held-out PCC {h_f:.3f}"
     assert h_p >= 0.9, f"prosody held-out PCC {h_p:.3f}"
     ok(7, f"loss ratio {ratio:.3f} <= 0.5, train PCC fluency {r_f:.3f} / "
           f"prosody {r_p:.3f} >= 0.9, held-out PCC fluency {h_f:.3f} / prosody {h_p:.3f} "
           f">= 0.9 in {len(result.history)} epochs ({elapsed:.0f} s)")
+
+
+def test_criterion_7_cue_ablations(trained, heldout):
+    """Inference-time ablations on the held-out corpus. The frame-level
+    contextual rows carry fluency and the utterance functionals carry
+    prosody: removing either costs its head at least 0.3 of PCC. GoPD and
+    the pooled descriptors are reported, not gated: they reach the heads
+    only through the attention queries, and today move neither PCC."""
+    model = trained[0].model
+
+    def fusion(utt, **change):
+        return dataclasses.replace(utt, fusion=dataclasses.replace(utt.fusion, **change))
+
+    gopd_mean = float(np.concatenate([u.fusion.gopd for u in heldout]).mean())
+    pooled_mean = np.concatenate([u.fusion.pooled for u in heldout]).mean(axis=0)
+    u_nv_mean = np.mean([u.u_nv for u in heldout], axis=0)
+    table = {
+        "full": heldout,
+        "GoPD constant": [fusion(u, gopd=np.full(len(u.fusion), gopd_mean)) for u in heldout],
+        "pooled at its mean": [fusion(u, pooled=np.tile(pooled_mean, (len(u.fusion), 1)))
+                               for u in heldout],
+        "ct zeroed": [dataclasses.replace(u, ct=np.zeros_like(u.ct)) for u in heldout],
+        "u_nv at its mean": [dataclasses.replace(u, u_nv=u_nv_mean) for u in heldout],
+    }
+    pccs = {name: score_pcc(model, utts) for name, utts in table.items()}
+    fluency_drop = pccs["full"][0] - pccs["ct zeroed"][0]
+    prosody_drop = pccs["full"][1] - pccs["u_nv at its mean"][1]
+    assert fluency_drop >= 0.3, f"ct zeroed lowers fluency PCC by only {fluency_drop:.3f}"
+    assert prosody_drop >= 0.3, f"u_nv at its mean lowers prosody PCC by only {prosody_drop:.3f}"
+    ok(7, "held-out PCC fluency / prosody: " + ", ".join(
+        f"{name} {f:.3f} / {p:.3f}" for name, (f, p) in pccs.items()))
 
 
 def test_criterion_7_float32_scores_within_gate(trained, tmp_path):

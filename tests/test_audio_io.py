@@ -118,7 +118,7 @@ class TestMatrix:
         mat = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         write_matrix(p, mat)
         back = read_matrix(p)
-        assert back.shape == (2, 3)
+        assert back.shape == (2, 3) and back.dtype == np.float32 and back.flags.writeable
         assert np.array_equal(back, mat)
 
     def test_round_trip_random(self, tmp_path):
@@ -301,8 +301,12 @@ class TestManifest:
         {"id": "a,b"},
         {"id": "a\rb"},
         {"id": "a\nb"},
+        {"id": None},
+        {"id": True},
+        {"id": 7},
     ], ids=["not-object", "nested-phone", "wav-path", "ct-path", "posterior-path",
-            "duplicate-id", "empty-id", "comma-id", "cr-id", "lf-id"])
+            "duplicate-id", "empty-id", "comma-id", "cr-id", "lf-id",
+            "null-id", "bool-id", "number-id"])
     def test_malformed_line_cites_line(self, tmp_path, bad_line):
         if isinstance(bad_line, dict):
             bad_line = self._line(**{"id": "u2", **bad_line})

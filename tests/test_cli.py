@@ -403,6 +403,25 @@ class TestScore:
         assert "'head_f_b' holds non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vocabulary_mismatch_checkpoint_exit_3(self, tmp_path, capsys):
+        # A full-size checkpoint forged for a 50-phone vocabulary, with an
+        # index and payload that agree: it must fail at load, not score.
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        ckpt = tmp_path / "v50.ckpt"
+        ScoringModel(seed=0).save(ckpt)
+        blob = ckpt.read_bytes().replace(b"dims 41 ", b"dims 50 ", 1)
+        blob = blob.replace(b"\nembed 41 41\n", b"\nembed 50 41\n", 1)
+        ckpt.write_bytes(blob + bytes(4 * 9 * 41))
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--checkpoint", str(ckpt),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert "vocabulary 50, expected 41" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_float32_overflow_exit_3_not_nan(self, tmp_path, capsys):
         # Finite contextual rows of +-3.3e38 overflow the float32 attention
         # scores to +-inf; the softmax turns that into NaN, which must fail

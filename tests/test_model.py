@@ -8,8 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from pronassess.assembly import FusionInput
 from pronassess.errors import FormatError, InventoryError, ValidationError
+from pronassess.functionals import FUNCTIONAL_NAMES
+from pronassess.inventory import INVENTORY_SIZE
 from pronassess.lstm import bilstm_forward
-from pronassess.metrics import predict_score
+from pronassess.metrics import N_CLASSES, predict_score
 from pronassess.model import (
     TINY_CONFIG,
     U_OFFSET,
@@ -27,22 +29,22 @@ from pronassess.model import (
 CFG = TINY_CONFIG
 
 
-def make_fusion(rng, length, vocab=CFG.vocab_size):
+def make_fusion(rng, length):
     return FusionInput(
         gopd=rng.normal(-4.0, 1.5, length),
         pooled=np.column_stack([
             rng.uniform(0, 2, length), rng.normal(0, 10, length),
             rng.uniform(25, 40, length), rng.uniform(0, 0.05, length),
         ]),
-        phone_indices=rng.integers(0, vocab, length),
+        phone_indices=rng.integers(0, INVENTORY_SIZE, length),
     )
 
 
 def make_utt(rng, length=3, t_frames=5, fluency=4, prosody=7, cfg=CFG):
     return UtteranceFeatures(
-        fusion=make_fusion(rng, length, cfg.vocab_size),
+        fusion=make_fusion(rng, length),
         ct=rng.normal(0, 1, (t_frames, cfg.feature_dim)),
-        u_nv=rng.normal(0, 1, cfg.u_dim),
+        u_nv=rng.normal(0, 1, len(FUNCTIONAL_NAMES)),
         fluency=fluency,
         prosody=prosody,
     )
@@ -77,7 +79,7 @@ class TestPhoneCue:
         rng = np.random.default_rng(3)
         model = ScoringModel(CFG, seed=1)
         fusion = make_fusion(rng, 2)
-        fusion.phone_indices[0] = CFG.vocab_size
+        fusion.phone_indices[0] = INVENTORY_SIZE
         with pytest.raises(InventoryError):
             model.phonecue_forward(fusion)
 
@@ -195,7 +197,7 @@ class TestProjectionAndLoss:
                 p_nv = model.phonecue_forward(utt.fusion)
                 assert p_nv.shape == (length, CFG.feature_dim)
                 dist_f, dist_p = model.score_utterance(utt)
-                assert dist_f.shape == dist_p.shape == (CFG.n_classes,)
+                assert dist_f.shape == dist_p.shape == (N_CLASSES,)
 
     @pytest.mark.parametrize("shape", [(0, CFG.feature_dim), (4, CFG.feature_dim - 1)],
                              ids=["no-rows", "wrong-width"])
@@ -468,6 +470,11 @@ def _edit_checkpoint(path, edit):
     path.write_bytes(b"CKPT1\n" + "\n".join(lines + ["END\n"]).encode("ascii") + payload)
 
 
+# A tiny checkpoint's index made consistent for a 50-phone vocabulary: the
+# payload then needs 9 more embedding rows of embed_dim float32 values.
+VOCAB_50 = ("dims 41 10 3 8 13 11\n21\nembed 41 10", "dims 50 10 3 8 13 11\n21\nembed 50 10")
+
+
 class TestCheckpointIndex:
     @pytest.fixture()
     def ckpt(self, tmp_path):
@@ -477,8 +484,8 @@ class TestCheckpointIndex:
 
     def test_missing_tensor(self, ckpt):
         def drop_last(lines, payload):
-            assert lines[-1] == f"head_p_b 1 {CFG.n_classes}"
-            return [lines[0], str(int(lines[1]) - 1)] + lines[2:-1], payload[: -4 * CFG.n_classes]
+            assert lines[-1] == f"head_p_b 1 {N_CLASSES}"
+            return [lines[0], str(int(lines[1]) - 1)] + lines[2:-1], payload[: -4 * N_CLASSES]
 
         _edit_checkpoint(ckpt, drop_last)
         with pytest.raises(FormatError, match="missing \\['head_p_b'\\]"):
@@ -496,15 +503,31 @@ class TestCheckpointIndex:
         ("\n21\n", "\ntwenty-one\n"),
         ("head_p_b 1 11", "head_p_b 1 eleven"),
         ("head_p_b 1 11", "head_p_b 11"),
+        pytest.param(*VOCAB_50, id="vocab-50"),
     ])
     def test_malformed_index_field(self, ckpt, old, new):
         def replace(lines, payload):
             text = "\n".join(lines)
             assert old in text
+            if (old, new) == VOCAB_50:
+                payload += bytes(4 * 9 * CFG.embed_dim)
             return text.replace(old, new).split("\n"), payload
 
         _edit_checkpoint(ckpt, replace)
         with pytest.raises(FormatError):
+            ScoringModel.load(ckpt)
+
+    @pytest.mark.parametrize("position,field", [
+        (1, "vocabulary"), (5, "functional count"), (6, "class count"),
+    ])
+    def test_fixed_dims_field_named(self, ckpt, position, field):
+        def bump(lines, payload):
+            dims = lines[0].split()
+            dims[position] = str(int(dims[position]) + 1)
+            return [" ".join(dims)] + lines[1:], payload
+
+        _edit_checkpoint(ckpt, bump)
+        with pytest.raises(FormatError, match=f"has {field} "):
             ScoringModel.load(ckpt)
 
     def test_empty_index(self, tmp_path):
@@ -646,10 +669,15 @@ class TestMixedPrecisionGradients:
 class TestFullSizeDefaults:
     def test_documented_dimensions(self):
         cfg = ModelConfig()
-        assert cfg.vocab_size == 41 and cfg.embed_dim == 41
+        assert INVENTORY_SIZE == 41 and cfg.embed_dim == 41
         assert cfg.ff_dim == 24 and cfg.fusion_in_dim == 29
         assert cfg.hidden == 512 and cfg.feature_dim == 1024
-        assert cfg.u_dim == 13 and cfg.n_classes == 11
+        assert len(FUNCTIONAL_NAMES) == 13 and N_CLASSES == 11
+
+    def test_checkpoint_dims_line(self, tmp_path):
+        ScoringModel(ModelConfig()).save(tmp_path / "full.ckpt")
+        head = (tmp_path / "full.ckpt").read_bytes()[:64].split(b"\n")
+        assert head[:2] == [b"CKPT1", b"dims 41 41 24 512 13 11"]
 
     def test_parameter_count_fixed_and_reported(self):
         model = ScoringModel(ModelConfig(), seed=0)
