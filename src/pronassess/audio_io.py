@@ -2,7 +2,9 @@
 
 Formats, all little-endian where binary:
 
-* WAV      -- RIFF/WAVE, PCM signed 16-bit, mono, 16 kHz only.
+* WAV      -- RIFF/WAVE, PCM signed 16-bit, mono, 16 kHz only, parsed here
+  in one chunk walk (no `wave` module): chunks tile the file, the RIFF
+  size matches it, and one `fmt ` chunk precedes one `data` chunk.
 * MTX1     -- magic "MTX1", u32 rows, u32 cols, rows*cols float32 row-major.
 * Alignment TSV      -- header ``phone\\tstart_frame\\tend_frame``, inclusive frames.
 * Duration-model TSV -- header ``phone\\tmean_ms\\tstd_ms\\tcount`` plus a
@@ -15,10 +17,9 @@ Loading never rescales, resamples or truncates; any deviation from the
 declared format is a hard error.
 """
 
-import io
 import json
+import os
 import struct
-import wave
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,17 +41,12 @@ GLOBAL_PHONE = "__GLOBAL__"
 
 @dataclass
 class AudioBuffer:
-    """Mono waveform in [-1, 1] at 16 kHz."""
+    """Mono waveform in [-1, 1]; its rate is always SAMPLE_RATE."""
 
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate_hz != SAMPLE_RATE:
-            raise ValidationError(
-                f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate_hz}"
-            )
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValidationError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.samples)):
@@ -64,58 +60,61 @@ def load_wav(path) -> AudioBuffer:
     """Read a PCM16 mono 16 kHz WAV file, scaling samples by 1/32768."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    try:
-        with wave.open(io.BytesIO(blob), "rb") as wf:
-            channels = wf.getnchannels()
-            width = wf.getsampwidth()
-            rate = wf.getframerate()
-            comp = wf.getcomptype()
-            n = wf.getnframes()
-            raw = wf.readframes(n)
-    except wave.Error as exc:
-        raise FormatError(f"not a valid RIFF/WAVE file: {exc}") from exc
-    except RuntimeError as exc:  # raised by wave for a seek outside a chunk
-        raise FormatError("not a valid RIFF/WAVE file: bad chunk size") from exc
-    except EOFError as exc:
-        raise FormatError("truncated WAV file") from exc
-    if comp != "NONE":
-        raise UnsupportedFormatError(f"compression type {comp!r} not supported, need PCM")
-    if channels != 1:
-        raise UnsupportedFormatError(f"channels = {channels}, only mono is supported")
-    if rate != SAMPLE_RATE:
-        raise UnsupportedFormatError(f"sample rate = {rate} Hz, only {SAMPLE_RATE} Hz is supported")
-    if width != 2:
-        raise UnsupportedFormatError(f"sample width = {width} bytes, only 16-bit PCM is supported")
-    if n == 0:
-        raise FormatError("WAV data chunk is empty")
-    if len(raw) != 2 * n:
-        raise FormatError(f"truncated WAV file: header declares {n} samples "
-                          f"({2 * n} bytes), data chunk holds {len(raw)} bytes")
-    # `wave` reads only as far as the data chunk's declared size, so a
-    # lowered size would silently drop samples. The chunks, each with a
-    # printable ASCII id and padded to even length, must tile the file;
-    # left-over sample bytes (silence too) rarely do.
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise FormatError("not a RIFF/WAVE file: it must start with RIFF and WAVE")
+    # One walk covers every chunk: each has a printable ASCII id and is
+    # padded to even length, and together they must tile the file, so no
+    # bytes are left over (a lowered data size would drop samples).
+    chunks = {}
     pos = 12
     while pos + 8 <= len(blob):
         cid, size = struct.unpack_from("<4sI", blob, pos)
         if not all(32 <= c < 127 for c in cid):
             break
+        chunks.setdefault(cid, []).append((pos + 8, size))
         pos += 8 + size + size % 2
     if pos != len(blob):
         raise FormatError(f"WAV chunks do not tile the file: they end at byte {pos} "
                           f"of {len(blob)}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioBuffer(samples, rate)
+    riff_size = struct.unpack_from("<I", blob, 4)[0]
+    if riff_size != len(blob) - 8:
+        raise FormatError(f"RIFF size {riff_size} does not match the file "
+                          f"({len(blob) - 8} bytes after the RIFF header)")
+    fmt, data = chunks.get(b"fmt ", []), chunks.get(b"data", [])
+    if len(fmt) != 1 or len(data) != 1 or fmt[0][0] > data[0][0]:
+        raise FormatError("WAV needs exactly one 'fmt ' chunk before exactly one 'data' chunk")
+    (fmt_at, fmt_size), (data_at, data_size) = fmt[0], data[0]
+    if fmt_size < 16:
+        raise FormatError(f"'fmt ' chunk holds {fmt_size} bytes, need at least 16")
+    tag, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", blob, fmt_at)
+    if tag != 1:
+        raise UnsupportedFormatError(f"format tag = {tag}, only PCM (1) is supported")
+    if channels != 1:
+        raise UnsupportedFormatError(f"channels = {channels}, only mono is supported")
+    if rate != SAMPLE_RATE:
+        raise UnsupportedFormatError(f"sample rate = {rate} Hz, only {SAMPLE_RATE} Hz is supported")
+    if bits != 16:
+        raise UnsupportedFormatError(f"bits per sample = {bits}, only 16-bit PCM is supported")
+    if byte_rate != 2 * SAMPLE_RATE:
+        raise FormatError(f"byte rate = {byte_rate}, mono 16-bit {SAMPLE_RATE} Hz "
+                          f"needs {2 * SAMPLE_RATE}")
+    if align != 2:
+        raise FormatError(f"block align = {align}, mono 16-bit needs 2")
+    if data_size == 0:
+        raise FormatError("WAV data chunk is empty")
+    if data_size % 2:
+        raise FormatError(f"WAV data chunk holds {data_size} bytes, not whole 16-bit samples")
+    return AudioBuffer(np.frombuffer(blob, "<i2", data_size // 2, data_at) / 32768.0)
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
     """Write PCM16 mono 16 kHz. Inverse of load_wav up to int16 rounding."""
-    pcm = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(buf.sample_rate_hz)
-        wf.writeframes(pcm.tobytes())
+    pcm = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(pcm), b"WAVE",
+                         b"fmt ", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16,
+                         b"data", len(pcm))
+    with open(path, "wb") as fh:
+        fh.write(header + pcm)
 
 
 def write_matrix(path, mat: np.ndarray) -> None:
@@ -136,24 +135,25 @@ def read_matrix(path) -> np.ndarray:
     """Read an MTX1 file into a native-endian float32 array, the stored
     precision; callers that compute in float64 cast on use."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise FormatError(f"truncated MTX1 header ({len(blob)} bytes)")
-    if blob[:4] != MTX1_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {MTX1_MAGIC!r}")
-    rows, cols = struct.unpack("<II", blob[4:12])
-    expected = rows * cols * 4
-    got = len(blob) - 12
+        head = fh.read(12)
+        if len(head) < 12:
+            raise FormatError(f"truncated MTX1 header ({len(head)} bytes)")
+        if head[:4] != MTX1_MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {MTX1_MAGIC!r}")
+        rows, cols = struct.unpack("<II", head[4:])
+        expected = rows * cols * 4
+        got = os.fstat(fh.fileno()).st_size - 12
+        if got > expected:
+            raise FormatError(f"trailing bytes after payload ({got - expected} extra)")
+        if got == expected:  # sized by the file, so a forged header cannot over-allocate
+            mat = np.empty((rows, cols), dtype="<f4")
+            got = fh.readinto(mat)  # short only if the file shrank since fstat
     if got < expected:
         raise FormatError(
             f"truncated payload: header says {rows}x{cols} "
             f"({expected} bytes), found {got}"
         )
-    if got > expected:
-        raise FormatError(f"trailing bytes after payload ({got - expected} extra)")
-    # astype: a native-endian, writable copy
-    mat = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=12).astype(np.float32)
-    mat = mat.reshape(rows, cols)
+    mat = mat.astype(np.float32, copy=False)  # a no-op on little-endian hosts
     if not np.all(np.isfinite(mat)):
         raise FormatError("matrix payload contains non-finite values")
     return mat

@@ -150,9 +150,24 @@ def _score_entries(model, entries, duration_model) -> list[tuple[float, float]]:
 
 
 def _cmd_score(args) -> int:
+    single = {"--wav": args.wav, "--posteriors": args.posteriors, "--ct": args.ct,
+              "--phones": args.phones}
+    if args.manifest is not None:
+        extra = [flag for flag, value in single.items() if value is not None]
+        if extra:
+            print(f"error: {' '.join(extra)} cannot be combined with --manifest", file=sys.stderr)
+            return 3
+    elif args.out is not None:
+        print("error: --out needs --manifest; one utterance's scores go to stdout",
+              file=sys.stderr)
+        return 3
+    elif not all(single.values()):
+        print("error: need either --manifest or all of --wav --posteriors --ct --phones",
+              file=sys.stderr)
+        return 3
     model = ScoringModel.load(args.checkpoint)
     duration_model = audio_io.read_duration_model(args.duration_model)
-    if args.manifest:
+    if args.manifest is not None:
         entries = audio_io.read_manifest(args.manifest)
         if not entries:
             print("error: manifest is empty", file=sys.stderr)
@@ -166,10 +181,6 @@ def _cmd_score(args) -> int:
         else:
             print(text, end="")
         return 0
-    if not (args.wav and args.posteriors and args.ct and args.phones):
-        print("error: need either --manifest or all of --wav --posteriors --ct --phones",
-              file=sys.stderr)
-        return 3
     entry = audio_io.ManifestEntry(
         id="cli", wav_path=Path(args.wav), ct_path=Path(args.ct),
         posterior_path=Path(args.posteriors), phones=args.phones.split(),
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--duration-model", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--out", help="write CSV here instead of stdout (manifest mode)")
+    p.add_argument("--out", help="write the CSV here instead of stdout (needs --manifest)")
     p.add_argument("--wav")
     p.add_argument("--posteriors")
     p.add_argument("--ct")

@@ -32,9 +32,6 @@ from .model import ModelConfig
 
 SPEECH_PHONES = PHONEMES[:39]  # everything but SIL / UNK
 
-_CT_PROJECTION_SEED = 424243
-_ct_projections: dict[int, np.ndarray] = {}
-
 DEVIATION_MAX = 3.0    # worst-case duration deviation, in generator stds
 DEPTH_MAX_ST = 5.0     # max pitch modulation depth
 POSTERIOR_LOGIT = 4.0  # log-odds boost of the aligned phone in each frame's posterior
@@ -43,19 +40,16 @@ POSTERIOR_NOISE = 0.3  # std of the Gaussian logit noise under that boost
 # Fixed standardization applied to the 5 descriptor columns before projecting.
 _CT_OFFSET = np.array([1.0, 0.0, 30.0, 0.0, 0.5])
 _CT_SCALE = np.array([2.0, 8.0, 20.0, 0.05, 0.5])
+_CT_PROJECTION = np.random.default_rng(424243).normal(
+    0.0, 1.0 / np.sqrt(5.0), size=(5, ModelConfig().feature_dim))
 
 
-def pseudo_ct(frame_matrix: np.ndarray, dim: int = ModelConfig().feature_dim) -> np.ndarray:
+def pseudo_ct(frame_matrix: np.ndarray) -> np.ndarray:
     """Stand-in contextual rows: standardized descriptors through a fixed
-    seeded random projection (same projection for every corpus), as wide
-    as the full-size model's encoders by default."""
-    proj = _ct_projections.get(dim)
-    if proj is None:
-        rng = np.random.default_rng(_CT_PROJECTION_SEED)
-        proj = rng.normal(0.0, 1.0 / np.sqrt(5.0), size=(5, dim))
-        _ct_projections[dim] = proj
+    seeded random projection, the same for every corpus, as wide as the
+    full-size model's encoders (`ModelConfig().feature_dim`)."""
     z = (np.asarray(frame_matrix, dtype=np.float64) - _CT_OFFSET) / _CT_SCALE
-    return z @ proj
+    return z @ _CT_PROJECTION
 
 
 def phone_duration_params(phone: str) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Serialization round trips and format-error behaviour."""
 
+import io
 import json
 import re
 import struct
@@ -7,6 +8,7 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from pronassess import (
     Alignment,
@@ -14,6 +16,8 @@ from pronassess import (
     DurationModel,
     PhoneStats,
     Span,
+    SyntheticSpec,
+    generate_corpus,
     load_wav,
     read_alignment,
     read_duration_model,
@@ -24,8 +28,11 @@ from pronassess import (
     write_matrix,
     write_wav,
 )
+from pronassess.audio_io import SAMPLE_RATE
 from pronassess.errors import FormatError, UnsupportedFormatError, ValidationError
 from pronassess.inventory import PHONEMES
+
+from test_fuzz_inputs import corrupt, edits
 
 
 def _write_pcm16(path, samples, rate=16000, channels=1):
@@ -36,6 +43,64 @@ def _write_pcm16(path, samples, rate=16000, channels=1):
         wf.writeframes(np.asarray(samples, dtype="<i2").tobytes())
 
 
+def _reference_load_wav(path) -> np.ndarray:
+    """The earlier `wave`-based reader, kept as the reference that
+    `load_wav` may tighten but never loosen; returns the samples."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        with wave.open(io.BytesIO(blob), "rb") as wf:
+            channels = wf.getnchannels()
+            width = wf.getsampwidth()
+            rate = wf.getframerate()
+            comp = wf.getcomptype()
+            n = wf.getnframes()
+            raw = wf.readframes(n)
+    except wave.Error as exc:
+        raise FormatError(f"not a valid RIFF/WAVE file: {exc}") from exc
+    except RuntimeError as exc:  # raised by wave for a seek outside a chunk
+        raise FormatError("not a valid RIFF/WAVE file: bad chunk size") from exc
+    except EOFError as exc:
+        raise FormatError("truncated WAV file") from exc
+    if comp != "NONE":
+        raise UnsupportedFormatError(f"compression type {comp!r} not supported, need PCM")
+    if channels != 1:
+        raise UnsupportedFormatError(f"channels = {channels}, only mono is supported")
+    if rate != SAMPLE_RATE:
+        raise UnsupportedFormatError(f"sample rate = {rate} Hz, only {SAMPLE_RATE} Hz is supported")
+    if width != 2:
+        raise UnsupportedFormatError(f"sample width = {width} bytes, only 16-bit PCM is supported")
+    if n == 0:
+        raise FormatError("WAV data chunk is empty")
+    if len(raw) != 2 * n:
+        raise FormatError(f"truncated WAV file: header declares {n} samples "
+                          f"({2 * n} bytes), data chunk holds {len(raw)} bytes")
+    # `wave` reads only as far as the data chunk's declared size, so a
+    # lowered size would silently drop samples. The chunks, each with a
+    # printable ASCII id and padded to even length, must tile the file;
+    # left-over sample bytes (silence too) rarely do.
+    pos = 12
+    while pos + 8 <= len(blob):
+        cid, size = struct.unpack_from("<4sI", blob, pos)
+        if not all(32 <= c < 127 for c in cid):
+            break
+        pos += 8 + size + size % 2
+    if pos != len(blob):
+        raise FormatError(f"WAV chunks do not tile the file: they end at byte {pos} "
+                          f"of {len(blob)}")
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    return samples
+
+
+@pytest.fixture(scope="module")
+def synth_wav(tmp_path_factory):
+    """A synthetic corpus WAV (3440 samples behind a 44-byte header) and a
+    path for edited copies of it."""
+    out = tmp_path_factory.mktemp("synth_wav")
+    manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), out)
+    return read_manifest(manifest)[0].wav_path.read_bytes(), out / "edited.wav"
+
+
 class TestWav:
     def test_zero_second_file(self, tmp_path):
         p = tmp_path / "z.wav"
@@ -43,7 +108,6 @@ class TestWav:
         buf = load_wav(p)
         assert buf.samples.size == 16000
         assert np.all(buf.samples == 0.0)
-        assert buf.sample_rate_hz == 16000
 
     def test_scaling_identity(self, tmp_path):
         p = tmp_path / "one.wav"
@@ -87,6 +151,9 @@ class TestWav:
         _write_pcm16(p, np.arange(5))
         with open(p, "ab") as fh:
             fh.write(b"LIST" + struct.pack("<I", 3) + b"abc\0")  # odd size, one pad byte
+        blob = bytearray(p.read_bytes())
+        blob[4:8] = struct.pack("<I", len(blob) - 8)  # the RIFF size covers the new chunk
+        p.write_bytes(bytes(blob))
         assert load_wav(p).samples.tolist() == [k / 32768 for k in range(5)]
         with open(p, "ab") as fh:
             fh.write(b"\0")
@@ -103,9 +170,36 @@ class TestWav:
         write_wav(q, buf)
         assert p.read_bytes() == q.read_bytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(edit=edits)
+    @example(edit=("flip", 8 * 4))  # raises the RIFF size by one
+    @example(edit=("flip", 8 * 28))  # byte rate 32001
+    @example(edit=("flip", 8 * 41 + 4))  # lowers the data size, leaving bytes over
+    @example(edit=("cut", 45))  # 44-byte header and one byte of a sample
+    @example(edit=("flip", 8 * 44))  # a sample's low bit: both load
+    def test_loads_no_more_than_reference(self, synth_wav, edit):
+        blob, path = synth_wav
+        path.write_bytes(corrupt(blob, edit))
+        try:
+            want = _reference_load_wav(path)
+        except FormatError:
+            with pytest.raises(FormatError):
+                load_wav(path)
+            return
+        try:
+            got = load_wav(path).samples
+        except FormatError:
+            return  # a rule the reference did not check (RIFF size, byte rate, block align)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bit", range(8 * 44))
+    def test_header_bit_flip_rejected(self, synth_wav, bit):
+        blob, path = synth_wav
+        path.write_bytes(corrupt(blob, ("flip", bit)))
+        with pytest.raises(FormatError):
+            load_wav(path)
+
     def test_buffer_validation(self):
-        with pytest.raises(ValidationError):
-            AudioBuffer(np.zeros(10), sample_rate_hz=8000)
         with pytest.raises(ValidationError):
             AudioBuffer(np.array([]))
         with pytest.raises(ValidationError):

@@ -330,7 +330,7 @@ class TestScore:
         # regenerate contextual rows at the tiny model's width
         ff = extract_frame_features(load_wav(entry.wav_path))
         ct16 = tmp_path / "ct16.mtx"
-        write_matrix(ct16, pseudo_ct(ff.to_matrix(), dim=TINY_CONFIG.feature_dim))
+        write_matrix(ct16, pseudo_ct(ff.to_matrix())[:, :TINY_CONFIG.feature_dim])
 
         rc = main(["score", "--checkpoint", str(ckpt),
                    "--duration-model", str(tmp_path / "c" / "durations.tsv"),
@@ -339,6 +339,21 @@ class TestScore:
         assert rc == 0
         f, p = [float(v) for v in capsys.readouterr().out.split()]
         assert 0.0 <= f <= 10.0 and 0.0 <= p <= 10.0
+
+    @pytest.mark.parametrize("mode_args, flag", [
+        (["--wav", "u.wav", "--posteriors", "u.post.mtx", "--ct", "u.ct.mtx",
+          "--phones", "AA", "--out", "single.csv"], "--out"),
+        (["--manifest", "m.jsonl", "--wav", "nonexistent.wav"], "--wav"),
+    ], ids=["out-without-manifest", "manifest-with-wav"])
+    def test_one_mode_exit_3(self, tmp_path, capsys, monkeypatch, mode_args, flag):
+        # checked before anything is read: the checkpoint does not exist
+        monkeypatch.chdir(tmp_path)
+        rc = main(["score", "--checkpoint", "missing.ckpt", "--duration-model", "d.tsv",
+                   *mode_args])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "single.csv").exists()
 
     def test_manifest_mode_matches_batch_of_one(self, tmp_path, monkeypatch):
         # 17 utterances of mixed length (17-93 fusion rows each) under a
