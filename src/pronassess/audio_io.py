@@ -11,6 +11,8 @@ Formats, all little-endian where binary:
   reserved ``__GLOBAL__`` row carrying the pooled fallback; each phone has
   at most one row, means are finite, standard deviations finite and
   positive, and counts non-negative.
+* Score CSV -- header ``id,fluency,prosody``; ids non-empty and unique,
+  scores finite. Written by `score` and by `synth` as ``gold.csv``.
 * Manifest -- one JSON object per line (see ManifestEntry).
 
 Loading never rescales, resamples or truncates; any deviation from the
@@ -36,6 +38,7 @@ SAMPLE_RATE = 16000
 MTX1_MAGIC = b"MTX1"
 ALIGNMENT_HEADER = "phone\tstart_frame\tend_frame"
 DURATION_HEADER = "phone\tmean_ms\tstd_ms\tcount"
+SCORE_HEADER = "id,fluency,prosody"
 GLOBAL_PHONE = "__GLOBAL__"
 
 
@@ -167,25 +170,38 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def write_alignment(path, alignment: Alignment) -> None:
-    lines = [ALIGNMENT_HEADER]
-    for sp in alignment.spans:
-        lines.append(f"{sp.phone}\t{sp.start_frame}\t{sp.end_frame}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def table_text(header: str, rows, sep: str) -> str:
+    """A header line, then one line of `sep`-joined str() fields per row,
+    each line ended by a newline. str() of a Python float is its repr, so
+    floats round-trip exactly."""
+    return "\n".join([header, *(sep.join(map(str, row)) for row in rows)]) + "\n"
 
 
-def read_alignment(path) -> Alignment:
+def _rows(path, header: str, sep: str, what: str):
+    """(line number, fields) of each non-blank line of a text table whose
+    first line must be `header`; every such line holds as many
+    `sep`-separated fields as the header."""
     lines = read_text(path).splitlines()
-    if not lines or lines[0] != ALIGNMENT_HEADER:
-        raise FormatError(f"bad alignment header in {path}")
-    spans = []
+    if not lines or lines[0] != header:
+        raise FormatError(f"bad {what} header in {path}")
+    width = header.count(sep) + 1
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{ln}: expected 3 tab-separated fields")
-        phone, s, e = parts
+        fields = line.split(sep)
+        if len(fields) != width:
+            raise FormatError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
+        yield ln, fields
+
+
+def write_alignment(path, alignment: Alignment) -> None:
+    rows = [(sp.phone, sp.start_frame, sp.end_frame) for sp in alignment.spans]
+    Path(path).write_text(table_text(ALIGNMENT_HEADER, rows, "\t"), encoding="utf-8")
+
+
+def read_alignment(path) -> Alignment:
+    spans = []
+    for ln, (phone, s, e) in _rows(path, ALIGNMENT_HEADER, "\t", "alignment"):
         if phone not in PHONE_TO_INDEX:
             raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {phone!r}")
         try:
@@ -198,29 +214,18 @@ def read_alignment(path) -> Alignment:
 
 
 def write_duration_model(path, model: DurationModel) -> None:
-    def row(phone: str, st: PhoneStats) -> str:
-        return f"{phone}\t{float(st.mean_ms)!r}\t{float(st.std_ms)!r}\t{int(st.count)}"
-
-    lines = [DURATION_HEADER, row(GLOBAL_PHONE, model.global_stats)]
-    for phone in sorted(model.phones):
-        lines.append(row(phone, model.phones[phone]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(phone, float(st.mean_ms), float(st.std_ms), int(st.count))
+            for phone, st in [(GLOBAL_PHONE, model.global_stats),
+                              *sorted(model.phones.items())]]
+    Path(path).write_text(table_text(DURATION_HEADER, rows, "\t"), encoding="utf-8")
 
 
 def read_duration_model(path) -> DurationModel:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != DURATION_HEADER:
-        raise FormatError(f"bad duration-model header in {path}")
     global_stats = None
     phones: dict[str, PhoneStats] = {}
     first_line: dict[str, int] = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
-        phone, mean_s, std_s, count_s = parts
+    for ln, (phone, mean_s, std_s, count_s) in _rows(path, DURATION_HEADER, "\t",
+                                                     "duration-model"):
         try:
             stats = PhoneStats(float(mean_s), float(std_s), int(count_s))
         except ValueError as exc:
@@ -243,6 +248,29 @@ def read_duration_model(path) -> DurationModel:
     if global_stats is None:
         raise ValidationError(f"{path}: missing {GLOBAL_PHONE} fallback row")
     return DurationModel(phones, global_stats)
+
+
+def score_text(rows) -> str:
+    """Score CSV text of (id, fluency, prosody) rows."""
+    return table_text(SCORE_HEADER, rows, ",")
+
+
+def read_scores(path) -> dict[str, tuple[float, float]]:
+    """Score CSV rows by id: ids non-empty and unique, scores finite."""
+    out = {}
+    for ln, (uid, f, p) in _rows(path, SCORE_HEADER, ",", "score CSV"):
+        if not uid:
+            raise FormatError(f"{path}:{ln}: empty id")
+        try:
+            scores = (float(f), float(p))
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: non-numeric score in {f!r}, {p!r}") from None
+        if not np.all(np.isfinite(scores)):
+            raise FormatError(f"{path}:{ln}: non-finite score in {f!r}, {p!r}")
+        if uid in out:
+            raise FormatError(f"{path}:{ln}: duplicate id {uid!r}")
+        out[uid] = scores
+    return out
 
 
 @dataclass

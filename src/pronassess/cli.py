@@ -20,7 +20,7 @@ import numpy as np
 from . import audio_io
 from .aligner import dtw_align, spans_to_durations
 from .durations import fit_durations, gopd_vector
-from .errors import FormatError, InfeasibleAlignmentError, PronAssessError, ValidationError
+from .errors import InfeasibleAlignmentError, PronAssessError, ValidationError
 from .functionals import compute_functionals
 from .lld import FrameFeatures, extract_frame_features
 from .metrics import pcc, predict_score
@@ -84,10 +84,8 @@ def _cmd_assemble(args) -> int:
     fusion = compose_fusion(ff, alignment, model)
     audio_io.write_matrix(args.out, fusion.numeric_block())
     sidecar = Path(str(args.out) + ".phones")
-    lines = ["phone\tindex"]
-    for p, i in zip(alignment.phones, fusion.phone_indices):
-        lines.append(f"{p}\t{i}")
-    sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(alignment.phones, fusion.phone_indices)
+    sidecar.write_text(audio_io.table_text("phone\tindex", rows, "\t"), encoding="utf-8")
     return 0
 
 
@@ -172,10 +170,8 @@ def _cmd_score(args) -> int:
         if not entries:
             print("error: manifest is empty", file=sys.stderr)
             return 5
-        lines = ["id,fluency,prosody"]
-        for entry, (f, p) in zip(entries, _score_entries(model, entries, duration_model)):
-            lines.append(f"{entry.id},{f!r},{p!r}")
-        text = "\n".join(lines) + "\n"
+        scores = _score_entries(model, entries, duration_model)
+        text = audio_io.score_text((e.id, f, p) for e, (f, p) in zip(entries, scores))
         if args.out:
             Path(args.out).write_text(text)
         else:
@@ -191,38 +187,17 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _read_score_csv(path) -> dict[str, tuple[float, float]]:
-    lines = audio_io.read_text(path).splitlines()
-    if not lines or lines[0] != "id,fluency,prosody":
-        raise FormatError(f"bad score CSV header in {path}")
-    out = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise FormatError(f"{path}:{ln}: expected 3 fields, got {len(fields)}")
-        uid, f, p = fields
-        try:
-            scores = (float(f), float(p))
-        except ValueError:
-            raise FormatError(f"{path}:{ln}: non-numeric score in {line!r}") from None
-        if not np.all(np.isfinite(scores)):
-            raise FormatError(f"{path}:{ln}: non-finite score in {line!r}")
-        if uid in out:
-            raise FormatError(f"{path}:{ln}: duplicate id {uid!r}")
-        out[uid] = scores
-    return out
-
-
 def _cmd_eval(args) -> int:
-    gold = _read_score_csv(args.gold)
+    gold = audio_io.read_scores(args.gold)
+    if not gold:
+        print(f"error: gold file {args.gold} has no scores", file=sys.stderr)
+        return 5
     ids = sorted(gold)
     ref_f = [gold[i][0] for i in ids]
     ref_p = [gold[i][1] for i in ids]
     all_f, all_p = [], []
     for k, pred_path in enumerate(args.pred, start=1):
-        pred = _read_score_csv(pred_path)
+        pred = audio_io.read_scores(pred_path)
         missing = set(ids) - set(pred)
         if missing:
             raise ValidationError(

@@ -193,13 +193,13 @@ class ScoringModel:
                      for dr in _DIRECTIONS)
 
     def _encoder_backward(self, prefix: str, d_out, cache, grads, dx_tail=None) -> np.ndarray:
-        """Backward through encoder `prefix`: adds its weight gradients to
+        """Backward through encoder `prefix`: stores its weight gradients in
         `grads` and returns the gradient of its padded input (only at the
         last dx_tail[b] steps of row b, if given)."""
         d_x, *dir_grads = bilstm_backward(d_out, cache, *self._encoder(prefix), dx_tail=dx_tail)
         for dr, gs in zip(_DIRECTIONS, dir_grads):
             for part, g in zip(_LSTM_PARTS, gs):
-                grads[f"{prefix}_{dr}_{part}"] += g
+                grads[f"{prefix}_{dr}_{part}"] = g
         return d_x
 
     def _encode_phones(self, fusions: list[FusionInput]):
@@ -291,7 +291,7 @@ class ScoringModel:
         wf, wp = cache["loss_weights"]
         l_lens, t_lens = cache["l_lens"], cache["t_lens"]
         s_lens = t_lens + l_lens + 1
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        grads = {"embed": np.zeros_like(self.params["embed"])}  # np.add.at accumulates into it
 
         dlf = cache["dist_f"].copy()
         dlf[rows, [utt.fluency for utt in batch]] -= 1.0
@@ -334,7 +334,7 @@ class ScoringModel:
         grads["ff_w"] = da.T @ cache["emb"]
         grads["ff_b"] = da.sum(axis=0)
         np.add.at(grads["embed"], cache["idx"], da @ self.params["ff_w"])
-        return grads
+        return {name: grads[name] for name in self.params}
 
     # -- persistence ----------------------------------------------------------
 

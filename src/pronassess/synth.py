@@ -254,8 +254,6 @@ def generate_corpus(spec: SyntheticSpec, out_dir, jobs: int = 1) -> Path:
     manifest_path = out_dir / "manifest.jsonl"
     audio_io.write_manifest(manifest_path, rows)
     audio_io.write_duration_model(out_dir / "durations.tsv", generator_duration_model())
-    gold = ["id,fluency,prosody"]
-    for r in rows:
-        gold.append(f"{r['id']},{r['fluency']},{r['prosody']}")
-    (out_dir / "gold.csv").write_text("\n".join(gold) + "\n")
+    gold = audio_io.score_text((r["id"], r["fluency"], r["prosody"]) for r in rows)
+    (out_dir / "gold.csv").write_text(gold)
     return manifest_path

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio_io import read_text
+from .audio_io import read_text, table_text
 from .errors import ValidationError
 from .model import ModelConfig, ScoringModel, UtteranceFeatures
 
@@ -122,10 +122,7 @@ class TrainResult:
 
 
 def history_csv(history) -> str:
-    lines = ["epoch,train_loss,val_loss"]
-    for epoch, tr, va in history:
-        lines.append(f"{epoch},{tr!r},{va!r}")
-    return "\n".join(lines) + "\n"
+    return table_text("epoch,train_loss,val_loss", history, ",")
 
 
 def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelConfig(),
@@ -170,7 +167,6 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
     history: list[tuple[int, float, float]] = []
     best_val = np.inf
     best_epoch = 0
-    best_params = {k: v.copy() for k, v in model.params.items()}
     bad_epochs = 0
 
     for epoch in range(1, config.epochs + 1):

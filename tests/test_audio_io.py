@@ -28,9 +28,9 @@ from pronassess import (
     write_matrix,
     write_wav,
 )
-from pronassess.audio_io import SAMPLE_RATE
+from pronassess.audio_io import GLOBAL_PHONE, SAMPLE_RATE, read_scores, read_text, score_text
 from pronassess.errors import FormatError, UnsupportedFormatError, ValidationError
-from pronassess.inventory import PHONEMES
+from pronassess.inventory import PHONE_TO_INDEX, PHONEMES
 
 from test_fuzz_inputs import corrupt, edits
 
@@ -408,3 +408,165 @@ class TestManifest:
         p.write_text(self._line() + "\n" + bad_line + "\n")
         with pytest.raises(ValidationError, match=":2"):
             read_manifest(p)
+
+
+class TestScoreCsv:
+    def test_round_trip(self, tmp_path):
+        rows = [("u1", 3, 4), ("u2", 0.1 + 0.2, 1e-300), ("u3", 10.0, 2.5)]
+        p = tmp_path / "s.csv"
+        p.write_text(score_text(rows))
+        assert p.read_text().splitlines()[0] == "id,fluency,prosody"
+        assert read_scores(p) == {uid: (f, pr) for uid, f, pr in rows}
+
+    def test_bad_header(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("id,fluency\nu1,3\n")
+        with pytest.raises(FormatError, match="bad score CSV header"):
+            read_scores(p)
+
+
+# The per-format readers as they were before the three formats shared one
+# row loop, kept verbatim as the reference the shared loop must match.
+
+def _reference_read_alignment(path) -> Alignment:
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != "phone\tstart_frame\tend_frame":
+        raise FormatError(f"bad alignment header in {path}")
+    spans = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{ln}: expected 3 tab-separated fields")
+        phone, s, e = parts
+        if phone not in PHONE_TO_INDEX:
+            raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {phone!r}")
+        try:
+            spans.append(Span(phone, int(s), int(e)))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: non-integer frame index") from exc
+    if not spans:
+        raise FormatError(f"{path}: alignment has no spans")
+    return Alignment(spans)
+
+
+def _reference_read_duration_model(path) -> DurationModel:
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != "phone\tmean_ms\tstd_ms\tcount":
+        raise FormatError(f"bad duration-model header in {path}")
+    global_stats = None
+    phones: dict[str, PhoneStats] = {}
+    first_line: dict[str, int] = {}
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+        phone, mean_s, std_s, count_s = parts
+        try:
+            stats = PhoneStats(float(mean_s), float(std_s), int(count_s))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: malformed numeric field") from exc
+        if not (np.isfinite(stats.mean_ms) and np.isfinite(stats.std_ms) and stats.std_ms > 0):
+            raise ValidationError(f"{path}:{ln}: mean_ms must be finite and std_ms finite and "
+                                  f"positive, got {mean_s!r} and {std_s!r}")
+        if stats.count < 0:
+            raise ValidationError(f"{path}:{ln}: count must be non-negative, got {count_s!r}")
+        if phone in first_line:
+            raise ValidationError(f"{path}:{ln}: second row for {phone!r} "
+                                  f"(first on line {first_line[phone]})")
+        first_line[phone] = ln
+        if phone == GLOBAL_PHONE:
+            global_stats = stats
+        elif phone in PHONE_TO_INDEX:
+            phones[phone] = stats
+        else:
+            raise ValidationError(f"{path}:{ln}: unknown phoneme symbol {phone!r}")
+    if global_stats is None:
+        raise ValidationError(f"{path}: missing {GLOBAL_PHONE} fallback row")
+    return DurationModel(phones, global_stats)
+
+
+def _reference_read_scores(path) -> dict[str, tuple[float, float]]:
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != "id,fluency,prosody":
+        raise FormatError(f"bad score CSV header in {path}")
+    out = {}
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{ln}: expected 3 fields, got {len(fields)}")
+        uid, f, p = fields
+        try:
+            scores = (float(f), float(p))
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: non-numeric score in {line!r}") from None
+        if not np.all(np.isfinite(scores)):
+            raise FormatError(f"{path}:{ln}: non-finite score in {line!r}")
+        if uid in out:
+            raise FormatError(f"{path}:{ln}: duplicate id {uid!r}")
+        out[uid] = scores
+    return out
+
+
+def _outcome(reader, path):
+    """("ok", value) or ("raised", exception class)."""
+    try:
+        return "ok", reader(path)
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+@pytest.fixture(scope="module")
+def text_tables(tmp_path_factory):
+    """Bytes of a synthetic corpus's alignment TSV, duration model and
+    gold CSV, and a path for edited copies."""
+    out = tmp_path_factory.mktemp("text_tables")
+    manifest = generate_corpus(SyntheticSpec(n_utterances=3, seed=6, max_phones=8), out)
+    uid = read_manifest(manifest)[0].id
+    sources = {"alignment": out / "alignments" / f"{uid}.tsv",
+               "duration model": out / "durations.tsv", "score CSV": out / "gold.csv"}
+    return {kind: p.read_bytes() for kind, p in sources.items()}, out / "edited.txt"
+
+
+_READERS = {
+    "alignment": (read_alignment, _reference_read_alignment),
+    "duration model": (read_duration_model, _reference_read_duration_model),
+    "score CSV": (read_scores, _reference_read_scores),
+}
+
+
+@pytest.mark.parametrize("kind", list(_READERS))
+@settings(max_examples=300, deadline=None)
+@given(edit=edits)
+@example(edit=("cut", 0))  # no header line
+@example(edit=("cut", 25))  # the header and part of the first row
+@example(edit=("flip", 8 * 3 + 2))  # a header byte
+@example(edit=("flip", 8 * 20))  # the first row's first byte
+def test_text_table_readers_match_reference(text_tables, kind, edit):
+    """On a cut or bit-flipped table, the shared row loop loads what the
+    reference loads, equal in value, or raises the reference's exception
+    class; its one new rule rejects a score CSV row with an empty id."""
+    blobs, path = text_tables
+    path.write_bytes(corrupt(blobs[kind], edit))
+    reader, reference = _READERS[kind]
+    got, want = _outcome(reader, path), _outcome(reference, path)
+    if kind == "score CSV" and want[0] == "ok" and "" in want[1]:
+        assert got == ("raised", FormatError)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", list(_READERS))
+def test_text_table_readers_skip_blank_lines(text_tables, tmp_path, kind):
+    blobs, _ = text_tables
+    lines = blobs[kind].decode().splitlines(keepends=True)
+    plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+    plain.write_bytes(blobs[kind])
+    padded.write_text("".join(lines[:2] + ["\n", " \t\r\n"] + lines[2:] + ["\n"]))
+    reader = _READERS[kind][0]
+    assert reader(padded) == reader(plain)

@@ -235,6 +235,18 @@ class TestEval:
         assert main(["eval", "--gold", str(gold), "--pred", str(gold)]) == 3
         assert "duplicate id 'u1'" in capsys.readouterr().err
 
+    def test_empty_gold_exit_5(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(gold)]) == 5
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_id_exit_3(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\n,3,4\nu2,5,6\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(gold)]) == 3
+        assert f"{gold}:2: empty id" in capsys.readouterr().err
+
     def test_prediction_not_in_gold(self, tmp_path, capsys):
         gold = tmp_path / "gold.csv"
         gold.write_text("id,fluency,prosody\nu1,3,4\nu2,7,2\n")

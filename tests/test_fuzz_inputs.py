@@ -4,7 +4,7 @@ Each reader is driven through `cli.main` on a corrupted copy of one file
 of a small synthetic corpus: cut to any shorter length, or with any one
 bit flipped. The command must exit 0 (the file still parses), 2 (a path
 it names is missing or a directory), 3 (malformed input) or, for a
-manifest left with no entry, 5; never 1 or a traceback.
+manifest or score CSV left with no entry, 5; never 1 or a traceback.
 """
 
 import pytest
@@ -99,6 +99,17 @@ def test_corrupted_manifest(corpus, edit):
                         "--duration-model", str(out / "durations.tsv"),
                         "--manifest", "{}", "--out", str(out / "s.csv")])
     assert rc in TYPED_EXITS | {5}
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit=edits)
+@example(edit=("cut", 19))  # the header line alone: no gold scores
+@example(edit=("flip", 7))
+def test_corrupted_score_csv(corpus, edit):
+    out, _, _ = corpus
+    rc = run_corrupted(out / "gold.csv", edit,
+                       ["eval", "--gold", "{}", "--pred", str(out / "gold.csv")])
+    assert rc in {0, 3, 5}
 
 
 @pytest.mark.parametrize("kind", ["alignment", "duration model", "manifest", "train config",
