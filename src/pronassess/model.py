@@ -37,6 +37,8 @@ central finite differences.
 """
 
 import math
+import os
+import zlib
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -55,7 +57,7 @@ NUMERIC_SCALE = np.array([1.5, 2.0, 8.0, 20.0, 0.02])
 U_OFFSET = np.array([30.0, 0.0, 30.0, 30.0, 30.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 U_SCALE = np.array([20.0, 0.3, 8.0, 8.0, 8.0, 100.0, 100.0, 100.0, 100.0, 0.15, 0.1, 0.05, 0.075])
 
-CKPT_MAGIC = b"CKPT1\n"
+CKPT_MAGIC = b"CKPT2\n"
 
 
 @dataclass(frozen=True)
@@ -339,94 +341,76 @@ class ScoringModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Single-file checkpoint: text index, then float32 blocks in index order.
-        The index opens with the line `dims V E F H U K`: the vocabulary,
-        the three `ModelConfig` knobs, the functional count and the class
-        count, of which V, U and K are fixed and checked by `load`."""
+        """Single-file checkpoint: the magic `CKPT2`, the line
+        `dims V E F H U K` (the vocabulary, the three `ModelConfig` knobs, the
+        functional count and the class count), every tensor as float32-LE in
+        `_param_table` order, and a u32-LE `zlib.crc32` of all bytes before it.
+        The table derives each tensor's name, shape and place from the dims
+        line, so the file stores no index."""
         c = self.config
-        header = [
-            f"dims {INVENTORY_SIZE} {c.embed_dim} {c.ff_dim} {c.hidden} "
-            f"{len(FUNCTIONAL_NAMES)} {N_CLASSES}",
-            str(len(self.params)),
-        ]
-        blocks = []
-        for name, p in self.params.items():
-            mat = p if p.ndim == 2 else p[None, :]
-            header.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
-            blocks.append(mat.astype("<f4").tobytes())
-        header.append("END\n")
+        header = CKPT_MAGIC + (f"dims {INVENTORY_SIZE} {c.embed_dim} {c.ff_dim} {c.hidden} "
+                               f"{len(FUNCTIONAL_NAMES)} {N_CLASSES}\n").encode("ascii")
+        crc = zlib.crc32(header)
         with open(path, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write("\n".join(header).encode("ascii"))
-            for b in blocks:
-                fh.write(b)
+            fh.write(header)
+            for name, _, _ in _param_table(c):
+                block = np.ascontiguousarray(self.params[name], dtype="<f4")  # row-major
+                fh.write(block)
+                crc = zlib.crc32(block, crc)
+            fh.write(crc.to_bytes(4, "little"))
 
     @classmethod
     def load(cls, path) -> "ScoringModel":
-        """Read a checkpoint written by `save`. The model keeps the stored
-        float32 precision, so its forward pass runs in float32; every tensor
-        must be finite, and the dims line's fixed fields must match this
-        model's vocabulary, functional count and class count."""
+        """Read a checkpoint written by `save`. The dims line's fixed fields
+        must match this model's vocabulary, functional count and class count;
+        the file size must be the one the dims line implies, checked before
+        anything is allocated; the CRC32 must match; and every tensor must be
+        finite. The model keeps the stored float32 precision, so its forward
+        pass runs in float32; its tensors are writable views of one buffer."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if not blob.startswith(CKPT_MAGIC):
-            raise FormatError(f"bad checkpoint magic in {path}")
-        try:
-            end = blob.index(b"END\n")
-        except ValueError:
-            raise FormatError(f"checkpoint {path} has no END marker") from None
-        try:
-            lines = blob[len(CKPT_MAGIC) : end].decode("ascii").strip().splitlines()
-            dims = lines[0].split()
-            if dims[0] != "dims" or len(dims) != 7:
-                raise FormatError("checkpoint dims line malformed")
-            vocab, *knobs, n_functionals, n_classes = (int(v) for v in dims[1:])
-            n_tensors = int(lines[1])
-            entries = [(name, int(rows), int(cols))
-                       for name, rows, cols in (line.split() for line in lines[2:])]
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"checkpoint {path} has a malformed index: {exc}") from None
-        for field, value, fixed in (("vocabulary", vocab, INVENTORY_SIZE),
-                                    ("functional count", n_functionals, len(FUNCTIONAL_NAMES)),
-                                    ("class count", n_classes, N_CLASSES)):
-            if value != fixed:
-                raise FormatError(f"checkpoint {path} has {field} {value}, expected {fixed}")
-        cfg = ModelConfig(*knobs)
-        if min(astuple(cfg)) < 1:
-            raise FormatError(f"checkpoint {path} has non-positive dims {astuple(cfg)}")
-        if len(entries) != n_tensors:
-            raise FormatError(f"checkpoint {path} declares {n_tensors} tensors, lists {len(entries)}")
-        table = _param_table(cfg)
-        expected = {name: shape if len(shape) == 2 else (1, shape[0]) for name, shape, _ in table}
-        names = [name for name, _, _ in entries]
-        if sorted(names) != sorted(expected):
-            raise FormatError(
-                f"checkpoint {path} must list each model tensor once: lists {len(names)} of "
-                f"{len(expected)}, missing {sorted(set(expected) - set(names))}, "
-                f"unknown {sorted(set(names) - set(expected))}"
-            )
-        for name, rows, cols in entries:
-            if (rows, cols) != expected[name]:
+            magic = fh.read(len(CKPT_MAGIC))
+            if magic != CKPT_MAGIC:
                 raise FormatError(
-                    f"tensor {name!r} has shape {(rows, cols)}, expected {expected[name]}"
-                )
-        # Checked before the model is built, so a forged index cannot make
-        # load allocate more than the file holds.
-        payload = len(blob) - (end + 4)
-        needed = 4 * sum(rows * cols for _, rows, cols in entries)
-        if payload != needed:
-            raise FormatError(f"checkpoint {path} holds {payload} tensor bytes, index needs {needed}")
-        blocks = {}
-        offset = end + 4
-        for name, rows, cols in entries:
-            # astype: a native-endian, writable float32 copy, the stored precision.
-            blocks[name] = np.frombuffer(blob, dtype="<f4", count=rows * cols,
-                                         offset=offset).astype(np.float32)
-            if not np.isfinite(blocks[name]).all():
+                    f"bad checkpoint magic {magic!r} in {path}, expected {CKPT_MAGIC!r}")
+            dims_line = fh.readline(256)  # bounded, so a non-checkpoint is not read whole
+            try:
+                dims = dims_line.decode("ascii").split()
+                if not dims_line.endswith(b"\n") or len(dims) != 7 or dims[0] != "dims":
+                    raise ValueError("expected 'dims V E F H U K'")
+                vocab, *knobs, n_functionals, n_classes = (int(v) for v in dims[1:])
+            except ValueError as exc:
+                raise FormatError(f"checkpoint {path} has a malformed dims line: {exc}") from None
+            for field, value, fixed in (("vocabulary", vocab, INVENTORY_SIZE),
+                                        ("functional count", n_functionals, len(FUNCTIONAL_NAMES)),
+                                        ("class count", n_classes, N_CLASSES)):
+                if value != fixed:
+                    raise FormatError(f"checkpoint {path} has {field} {value}, expected {fixed}")
+            cfg = ModelConfig(*knobs)
+            if min(astuple(cfg)) < 1:
+                raise FormatError(f"checkpoint {path} has non-positive dims {astuple(cfg)}")
+            table = _param_table(cfg)
+            header = magic + dims_line
+            n_floats = sum(math.prod(shape) for _, shape, _ in table)
+            size = len(header) + 4 * n_floats + 4
+            got = os.fstat(fh.fileno()).st_size
+            if got == size:  # sized by the file, so a forged dims line cannot over-allocate
+                body = np.empty(n_floats + 1, dtype="<f4")  # the payload, then the CRC word
+                got = len(header) + fh.readinto(body)  # short only if the file shrank since fstat
+        if got != size:
+            raise FormatError(f"checkpoint {path} holds {got} bytes, its dims line needs {size}")
+        stored, crc = int(body[-1:].view("<u4")[0]), zlib.crc32(body[:-1], zlib.crc32(header))
+        if crc != stored:
+            raise FormatError(f"checkpoint {path} fails its CRC32 check "
+                              f"(stored {stored:#010x}, computed {crc:#010x})")
+        payload = body[:-1].astype(np.float32, copy=False)  # a no-op on little-endian hosts
+        params, offset = {}, 0
+        for name, shape, _ in table:
+            n = math.prod(shape)
+            params[name] = payload[offset : offset + n].reshape(shape)
+            if not np.isfinite(params[name]).all():
                 raise FormatError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
-            offset += 4 * rows * cols
-        # Table order, whatever the file's order, so that save is byte-stable.
-        return cls.from_params(cfg, {name: blocks[name].reshape(shape) for name, shape, _ in table})
+            offset += n
+        return cls.from_params(cfg, params)
 
 
 def loss_fn(dist_f, dist_p, fluency, prosody, loss_weights=(0.5, 0.5)) -> float:

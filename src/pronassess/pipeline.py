@@ -1,6 +1,8 @@
 """End-to-end feature preparation: wav + posteriors + duration model ->
 scoring-network inputs."""
 
+import numpy as np
+
 from . import audio_io
 from .aligner import Alignment, dtw_align, validate_posteriors
 from .assembly import FusionInput, build_fusion_input, pool_to_phonemes
@@ -25,7 +27,9 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
     ff = extract_frame_features(buf)
     functionals = compute_functionals(ff)
 
-    posteriors = audio_io.read_matrix(entry.posterior_path)
+    # Cast once: validate_posteriors and dtw_align compute in float64, so
+    # their np.asarray calls then copy nothing.
+    posteriors = audio_io.read_matrix(entry.posterior_path).astype(np.float64)
     if posteriors.shape[0] != ff.num_frames:
         raise ValidationError(
             f"{entry.id}: posterior frames ({posteriors.shape[0]}) != "

@@ -15,6 +15,7 @@ observe, so a training run measures the model rather than label noise.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -238,14 +239,18 @@ def generate_corpus(spec: SyntheticSpec, out_dir, jobs: int = 1) -> Path:
     """Write a full synthetic corpus; returns the manifest path.
 
     Output is byte-identical for a fixed spec regardless of `jobs`: every
-    utterance derives its own rng stream from (seed, index).
+    utterance derives its own rng stream from (seed, index). At most
+    min(jobs, n_utterances, CPU count) worker processes are started.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "alignments").mkdir(exist_ok=True)
     tasks = [(spec, i, str(out_dir)) for i in range(spec.n_utterances)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_gen_one, tasks)
     else:
         rows = [_gen_one(t) for t in tasks]

@@ -25,6 +25,11 @@ from .audio_io import read_text, table_text
 from .errors import ValidationError
 from .model import ModelConfig, ScoringModel, UtteranceFeatures
 
+# Adam's fixed hyperparameters (Kingma & Ba 2015); only the step size is set.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -77,12 +82,8 @@ def parse_train_config(path) -> TrainConfig:
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -91,24 +92,24 @@ class Adam:
         """One update, in place. Bit-identical to m = b1*m + (1-b1)*g,
         v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps)."""
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         # Two scratch buffers as large as the largest gradient, freed on return
         # so that they do not add to the forward and backward passes' memory.
         scratch = np.empty((2, max((g.size for g in grads.values()), default=0)))
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
             a, b = (buf[: g.size].reshape(g.shape) for buf in scratch)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=a)
             v += np.multiply(a, g, out=a)
             np.divide(m, bc1, out=a)
             a *= self.lr
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             params[k] -= np.divide(a, b, out=a)
 
 

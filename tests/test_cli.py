@@ -24,7 +24,7 @@ from pronassess.inventory import PHONE_TO_INDEX
 from pronassess.model import TINY_CONFIG
 from pronassess.train import TrainConfig, train
 
-from test_model import make_utt, payload_offset
+from test_model import edit_checkpoint, make_utt, payload_offset
 
 
 @pytest.fixture()
@@ -265,6 +265,13 @@ class TestSynthCli:
 
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_3(self, tmp_path, capsys, jobs):
+        rc = main(["synth", "--n", "1", "--jobs", jobs, "--out", str(tmp_path / "c")])
+        assert rc == 3
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 def _score_corpus(tmp_path):
     """(manifest, duration model, full-size checkpoint) of 17 synthetic
@@ -419,9 +426,12 @@ class TestScore:
         model.params["head_f_b"][0] = 1.5
         ckpt = tmp_path / "nan.ckpt"
         model.save(ckpt)
-        blob = bytearray(ckpt.read_bytes())
-        blob[blob.index(b"END\n") + 4 + payload_offset("head_f_b", TINY_CONFIG) + 3] ^= 0x40
-        ckpt.write_bytes(bytes(blob))
+
+        def flip(dims, payload):
+            at = payload_offset("head_f_b", TINY_CONFIG) + 3
+            return dims, payload[:at] + bytes([payload[at] ^ 0x40]) + payload[at + 1 :]
+
+        edit_checkpoint(ckpt, flip)  # resealed, so the finiteness check is reached
         out = tmp_path / "s.csv"
         rc = main(["score", "--checkpoint", str(ckpt),
                    "--duration-model", str(tmp_path / "c" / "durations.tsv"),
@@ -431,22 +441,41 @@ class TestScore:
         assert not out.exists()
 
     def test_vocabulary_mismatch_checkpoint_exit_3(self, tmp_path, capsys):
-        # A full-size checkpoint forged for a 50-phone vocabulary, with an
-        # index and payload that agree: it must fail at load, not score.
+        # A full-size checkpoint forged for a 50-phone vocabulary, with a
+        # payload size and CRC that agree: it must fail at load, not score.
         from pronassess import ScoringModel, SyntheticSpec, generate_corpus
 
         manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
         ckpt = tmp_path / "v50.ckpt"
         ScoringModel(seed=0).save(ckpt)
-        blob = ckpt.read_bytes().replace(b"dims 41 ", b"dims 50 ", 1)
-        blob = blob.replace(b"\nembed 41 41\n", b"\nembed 50 41\n", 1)
-        ckpt.write_bytes(blob + bytes(4 * 9 * 41))
+        edit_checkpoint(ckpt, lambda dims, payload: (
+            dims.replace("dims 41 ", "dims 50 ", 1), payload + bytes(4 * 9 * 41)))
         out = tmp_path / "s.csv"
         rc = main(["score", "--checkpoint", str(ckpt),
                    "--duration-model", str(tmp_path / "c" / "durations.tsv"),
                    "--manifest", str(manifest), "--out", str(out)])
         assert rc == 3
         assert "vocabulary 50, expected 41" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ckpt1_checkpoint_exit_3(self, tmp_path, capsys):
+        # A checkpoint in the earlier CKPT1 layout (a per-tensor index, an
+        # END marker, then the float32 blocks) is not read: retrain.
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        params = ScoringModel(TINY_CONFIG, seed=0).params
+        index = ["dims 41 10 3 8 13 11", str(len(params)), *(
+            f"{name} {p.size // p.shape[-1]} {p.shape[-1]}" for name, p in params.items())]
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(b"CKPT1\n" + "\n".join(index + ["END\n"]).encode("ascii")
+                         + b"".join(p.astype("<f4").tobytes() for p in params.values()))
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--checkpoint", str(ckpt),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert "expected b'CKPT2\\n'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_float32_overflow_exit_3_not_nan(self, tmp_path, capsys):

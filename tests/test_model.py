@@ -1,5 +1,8 @@
 """Scoring-network forward/backward behaviour on the tiny configuration."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from pronassess.inventory import INVENTORY_SIZE
 from pronassess.lstm import bilstm_forward
 from pronassess.metrics import N_CLASSES, predict_score
 from pronassess.model import (
+    CKPT_MAGIC,
     TINY_CONFIG,
     U_OFFSET,
     U_SCALE,
@@ -431,6 +435,10 @@ class TestCheckpoint:
         np.testing.assert_allclose(after[0], before[0], atol=1e-5)
         loaded.save(tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        # The tensors are views of one read buffer, which must be writable.
+        loaded.params["u_b"] += 1.0
+        np.testing.assert_array_equal(loaded.params["u_b"],
+                                      model.params["u_b"].astype(np.float32) + np.float32(1.0))
 
     def test_save_is_deterministic(self, tmp_path):
         model = ScoringModel(CFG, seed=9)
@@ -461,101 +469,107 @@ def payload_offset(name, cfg=CFG):
     return 4 * sum(int(np.prod(shape)) for _, shape, _ in table[:end])
 
 
-def _edit_checkpoint(path, edit):
-    """Rewrite a saved checkpoint: edit(index lines, payload) -> (index lines, payload)."""
+def edit_checkpoint(path, edit):
+    """Rewrite a saved checkpoint: edit(dims line, payload) -> (dims line,
+    payload), then reseal the CRC32, so that load reaches its own checks."""
     blob = path.read_bytes()
-    end = blob.index(b"END\n")
-    lines = blob[len(b"CKPT1\n") : end].decode("ascii").splitlines()
-    lines, payload = edit(lines, blob[end + 4 :])
-    path.write_bytes(b"CKPT1\n" + "\n".join(lines + ["END\n"]).encode("ascii") + payload)
+    end = blob.index(b"\n", len(CKPT_MAGIC))
+    dims, payload = edit(blob[len(CKPT_MAGIC) : end].decode("ascii"), blob[end + 1 : -4])
+    body = CKPT_MAGIC + dims.encode("ascii") + b"\n" + payload
+    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
-# A tiny checkpoint's index made consistent for a 50-phone vocabulary: the
+# A tiny checkpoint's dims line changed to a 50-phone vocabulary: the
 # payload then needs 9 more embedding rows of embed_dim float32 values.
-VOCAB_50 = ("dims 41 10 3 8 13 11\n21\nembed 41 10", "dims 50 10 3 8 13 11\n21\nembed 50 10")
+VOCAB_50 = ("dims 41 10 3 8 13 11", "dims 50 10 3 8 13 11")
 
 
 class TestCheckpointIndex:
+    """The dims line and the payload size, CRC and values."""
+
     @pytest.fixture()
     def ckpt(self, tmp_path):
         path = tmp_path / "m.ckpt"
         ScoringModel(CFG, seed=17).save(path)
         return path
 
-    def test_missing_tensor(self, ckpt):
-        def drop_last(lines, payload):
-            assert lines[-1] == f"head_p_b 1 {N_CLASSES}"
-            return [lines[0], str(int(lines[1]) - 1)] + lines[2:-1], payload[: -4 * N_CLASSES]
-
-        _edit_checkpoint(ckpt, drop_last)
-        with pytest.raises(FormatError, match="missing \\['head_p_b'\\]"):
-            ScoringModel.load(ckpt)
-
-    def test_duplicate_tensor(self, ckpt):
-        _edit_checkpoint(ckpt, lambda lines, payload: (
-            lines[:-1] + [lines[-1].replace("head_p_b", "head_f_b")], payload))
-        with pytest.raises(FormatError, match="each model tensor once"):
-            ScoringModel.load(ckpt)
-
-    @pytest.mark.parametrize("old,new", [
-        ("dims 41 10 3 8 ", "dims 41 10 3 8.5 "),
-        ("dims 41 10 3 8 ", "dims 41 10 3 -8 "),
-        ("\n21\n", "\ntwenty-one\n"),
-        ("head_p_b 1 11", "head_p_b 1 eleven"),
-        ("head_p_b 1 11", "head_p_b 11"),
-        pytest.param(*VOCAB_50, id="vocab-50"),
-    ])
-    def test_malformed_index_field(self, ckpt, old, new):
-        def replace(lines, payload):
-            text = "\n".join(lines)
-            assert old in text
+    @pytest.mark.parametrize("old,new,message", [
+        ("dims 41 10 3 8 ", "dims 41 10 3 8.5 ", "malformed dims line"),
+        ("dims 41 10 3 8 ", "dims 41 10 3 -8 ", "non-positive dims"),
+        (*VOCAB_50, "has vocabulary 50, expected 41"),
+    ], ids=["dims 41 10 3 8 -dims 41 10 3 8.5 ", "dims 41 10 3 8 -dims 41 10 3 -8 ", "vocab-50"])
+    def test_malformed_index_field(self, ckpt, old, new, message):
+        def replace(dims, payload):
+            assert old in dims
             if (old, new) == VOCAB_50:
                 payload += bytes(4 * 9 * CFG.embed_dim)
-            return text.replace(old, new).split("\n"), payload
+            return dims.replace(old, new), payload
 
-        _edit_checkpoint(ckpt, replace)
-        with pytest.raises(FormatError):
+        edit_checkpoint(ckpt, replace)
+        with pytest.raises(FormatError, match=message):
             ScoringModel.load(ckpt)
 
     @pytest.mark.parametrize("position,field", [
         (1, "vocabulary"), (5, "functional count"), (6, "class count"),
     ])
     def test_fixed_dims_field_named(self, ckpt, position, field):
-        def bump(lines, payload):
-            dims = lines[0].split()
-            dims[position] = str(int(dims[position]) + 1)
-            return [" ".join(dims)] + lines[1:], payload
+        def bump(dims, payload):
+            fields = dims.split()
+            fields[position] = str(int(fields[position]) + 1)
+            return " ".join(fields), payload
 
-        _edit_checkpoint(ckpt, bump)
+        edit_checkpoint(ckpt, bump)
         with pytest.raises(FormatError, match=f"has {field} "):
             ScoringModel.load(ckpt)
 
     def test_empty_index(self, tmp_path):
         path = tmp_path / "empty.ckpt"
-        path.write_bytes(b"CKPT1\nEND\n")
-        with pytest.raises(FormatError):
+        path.write_bytes(CKPT_MAGIC)
+        with pytest.raises(FormatError, match="malformed dims line"):
             ScoringModel.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload[: -4 * N_CLASSES],
+        lambda payload: payload + b"\0",
+    ], ids=["one-tensor-short", "one-trailing-byte"])
+    def test_payload_size_checked(self, ckpt, edit):
+        edit_checkpoint(ckpt, lambda dims, payload: (dims, edit(payload)))
+        with pytest.raises(FormatError, match="its dims line needs"):
+            ScoringModel.load(ckpt)
+
+    def test_crc_mismatch(self, ckpt):
+        blob = bytearray(ckpt.read_bytes())
+        blob[-40] ^= 0x01  # a mantissa bit of a head bias: the value stays finite
+        ckpt.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="fails its CRC32 check"):
+            ScoringModel.load(ckpt)
+
+    def test_forged_size_is_not_allocated(self, ckpt):
+        edit_checkpoint(ckpt, lambda dims, payload: (dims.replace(" 8 ", " 1000000000 "), payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="its dims line needs"):
+                ScoringModel.load(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_named(self, ckpt, value):
-        def poison(lines, payload):
+        def poison(dims, payload):
             start = payload_offset("u_b")
-            return lines, payload[:start] + np.float32(value).tobytes() + payload[start + 4 :]
+            return dims, payload[:start] + np.float32(value).tobytes() + payload[start + 4 :]
 
-        _edit_checkpoint(ckpt, poison)
+        edit_checkpoint(ckpt, poison)
         with pytest.raises(FormatError, match="'u_b' holds non-finite"):
             ScoringModel.load(ckpt)
 
 
 @pytest.fixture(scope="module")
 def tiny_ckpt_bytes(tmp_path_factory):
-    # Every weight in ±[1, 2), so that flipping the top exponent bit of any
-    # weight makes it non-finite.
-    model = ScoringModel(CFG, seed=21)
-    for p in model.params.values():
-        p += np.sign(p)
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
-    model.save(path)
+    ScoringModel(CFG, seed=21).save(path)
     return path.read_bytes()
 
 
@@ -563,29 +577,22 @@ def tiny_ckpt_bytes(tmp_path_factory):
 @given(st.data())
 def test_truncated_or_bit_flipped_checkpoint_fails_loud_or_loads_finite(
         tiny_ckpt_bytes, tmp_path_factory, data):
-    """Any truncation or single-bit flip either raises FormatError or loads
-    a model whose tensors have the table's shapes and are finite."""
+    """Any truncation or single-bit flip raises FormatError: the size check
+    catches a truncation and the CRC32 any flip the dims line lets through."""
     blob = tiny_ckpt_bytes
-    payload_start = blob.index(b"END\n") + 4
-    kind = data.draw(st.sampled_from(["truncate", "flip index", "flip payload"]))
+    payload_start = blob.index(b"\n", len(CKPT_MAGIC)) + 1
+    kind = data.draw(st.sampled_from(["truncate", "flip header", "flip payload"]))
     if kind == "truncate":
         corrupt = blob[: data.draw(st.integers(0, len(blob) - 1))]
     else:
-        lo, hi = (0, payload_start) if kind == "flip index" else (payload_start, len(blob))
+        lo, hi = (0, payload_start) if kind == "flip header" else (payload_start, len(blob))
         corrupt = bytearray(blob)
         bit = data.draw(st.integers(8 * lo, 8 * hi - 1))
         corrupt[bit // 8] ^= 1 << (bit % 8)
     path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
     path.write_bytes(bytes(corrupt))
-    try:
-        model = ScoringModel.load(path)
-    except FormatError:
-        return
-    table = _param_table(model.config)
-    assert list(model.params) == [name for name, _, _ in table]
-    for name, shape, _ in table:
-        assert model.params[name].shape == shape, name
-        assert np.isfinite(model.params[name]).all(), name
+    with pytest.raises(FormatError):
+        ScoringModel.load(path)
 
 
 class TestSinglePath:
@@ -677,7 +684,7 @@ class TestFullSizeDefaults:
     def test_checkpoint_dims_line(self, tmp_path):
         ScoringModel(ModelConfig()).save(tmp_path / "full.ckpt")
         head = (tmp_path / "full.ckpt").read_bytes()[:64].split(b"\n")
-        assert head[:2] == [b"CKPT1", b"dims 41 41 24 512 13 11"]
+        assert head[:2] == [b"CKPT2", b"dims 41 41 24 512 13 11"]
 
     def test_parameter_count_fixed_and_reported(self):
         model = ScoringModel(ModelConfig(), seed=0)
