@@ -11,13 +11,30 @@ step's slice. No padded position is computed, cached or differentiated.
 
 The backward direction reads each sequence from its last valid step
 back: its packed row for (sequence, step s) holds input step
-lengths - 1 - s. So both directions share one layout, the reversal is a
-permutation of packed rows (`PackPlan.rev`, its own inverse), and one
-step loop runs both directions over stacked arrays: gates (2, N, 4H),
-cell states and outputs (2, N, H), N being the number of valid
-positions. A step is one `np.matmul` with the recurrent weights of both
-directions, laid out once per call (`_recurrent`), and one
-elementwise pass; the sigmoid gates use 0.5 * (1 + tanh(x / 2)).
+lengths - 1 - s. So both directions share one layout and the reversal is
+a permutation of packed rows (`PackPlan.rev`, its own inverse). Gates
+(2, N, 4H), cell states and outputs (2, N, H) are stacked per direction,
+N being the number of valid positions. A step is one `np.matmul` with
+the direction's recurrent weights, laid out once per call (`_recurrent`),
+and one elementwise pass; the sigmoid gates use 0.5 * (1 + tanh(x / 2)).
+
+The two directions share nothing from the input projection to the
+output, so each one's time loop runs as one function `run(d)`: direction
+0 on a worker thread and direction 1 on the calling thread, joined before
+the pass goes on (`_each_direction`; Appleyard et al. 2016,
+arXiv:1604.01946). numpy releases the interpreter lock inside its calls,
+so the loops overlap on a second core. The big GEMMs stay on the calling
+thread, before the loops or after the join: the input projections, and
+d_wx, d_wh, d_b and d_x. A multi-threaded BLAS gives them every core;
+running them in the two threads instead, two BLAS calls at once each
+asking for both cores of a 2-vCPU host, slowed the acceptance tests'
+full-size training run at the default BLAS thread count from a median of
+26.0 s to 28.8 s. The caller also allocates every array larger than one
+step's rows, so that the worker allocates nothing large in its own malloc
+arena (which raised `mixed` peak RSS by 2-3 % when it did). Every
+product and elementwise operation is the one a single thread would run,
+on the same operands, so the result does not depend on the split: it is
+bit-identical to running the directions one after the other.
 
 `bilstm_backward` first turns the cached gates into each gate's local
 derivative coefficient over all packed rows at once, so a step only
@@ -39,6 +56,8 @@ float32 and a float64 one (the gradient checks) in float64.
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,18 +105,51 @@ def _activate(z, hid):
         s += 0.5
 
 
-def _recurrent(ws, n_rows):
-    """a -> a @ w per direction for a: (2, n <= n_rows, K), given the two
-    directions' (K, N) weights ws, laid out once as (2, N / b, K, b) blocks.
+def _recurrent(w, n_rows):
+    """a -> a @ w for a: (n <= n_rows, K), given (K, N) weights w laid out
+    once as (N / b, K, b) blocks. The product is written into one buffer
+    that every call reuses, and the (n, N) result is a view of it, valid
+    until the next call.
 
     A GEMM call repacks the whole weight matrix, which dominates a step of
     a few rows. OpenBLAS runs products of at most 1e6 multiply-adds through
     a small-matrix kernel without packing, so b is 32 or 16 if an
     (n_rows, K) @ (K, b) product stays within that bound, else N."""
-    k, n = ws[0].shape
+    k, n = w.shape
     b = next((b for b in (32, 16) if n % b == 0 and n_rows * k * b <= 1e6), n)
-    blocks = np.ascontiguousarray([w.reshape(k, n // b, b).transpose(1, 0, 2) for w in ws])
-    return lambda a: np.matmul(a[:, None], blocks).transpose(0, 2, 1, 3).reshape(a.shape[:2] + (-1,))
+    blocks = np.ascontiguousarray(w.reshape(k, n // b, b).transpose(1, 0, 2))
+    buf = np.empty((n_rows, n // b, b), dtype=blocks.dtype)
+
+    def product(a):
+        out = buf[: len(a)]
+        np.matmul(a, blocks, out=out.transpose(1, 0, 2))
+        return out.reshape(len(a), n)
+
+    return product
+
+
+def _each_direction(run):
+    """run(0) on a worker thread and run(1) on the calling thread.
+
+    The worker runs in a copy of the caller's context, so numpy's error
+    state (`np.errstate`) holds in both directions. It is joined before
+    this returns or raises, and an error raised in it is raised here."""
+    errors = []
+
+    def worker():
+        try:
+            run(0)
+        except BaseException as exc:  # re-raised on the caller after the join
+            errors.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
+    thread.start()
+    try:
+        run(1)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _prev_rows(offsets):
@@ -130,21 +182,26 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
     np.matmul(x_p, fwd_params[0].T, out=gates[0])
     np.matmul(x_p[plan.rev], bwd_params[0].T, out=gates[1])
     gates += np.stack([fwd_params[2], bwd_params[2]])[:, None]
-    recurrent = _recurrent([fwd_params[1].T, bwd_params[1].T], len(lengths))
     cs = np.empty((2, len(x_p), hid), dtype=x.dtype)
     hs = np.empty_like(cs)
-    for now, prev in _prev_rows(plan.offsets):
-        z = gates[:, now]
-        if prev:
-            z += recurrent(hs[:, prev])
-        _activate(z, hid)
-        c = cs[:, now]
-        np.multiply(z[..., : hid], z[..., 2 * hid : 3 * hid], out=c)
-        if prev:
-            c += z[..., hid : 2 * hid] * cs[:, prev]
-        h = hs[:, now]
-        np.tanh(c, out=h)
-        h *= z[..., 3 * hid :]
+    recurrent = [_recurrent(p[1].T, len(lengths)) for p in (fwd_params, bwd_params)]
+    step_rows = _prev_rows(plan.offsets)
+
+    def run(d):
+        for now, prev in step_rows:
+            z = gates[d, now]
+            if prev:
+                z += recurrent[d](hs[d, prev])
+            _activate(z, hid)
+            c = cs[d, now]
+            np.multiply(z[:, :hid], z[:, 2 * hid : 3 * hid], out=c)
+            if prev:
+                c += z[:, hid : 2 * hid] * cs[d, prev]
+            h = hs[d, now]
+            np.tanh(c, out=h)
+            h *= z[:, 3 * hid :]
+
+    _each_direction(run)
     out = np.zeros(x.shape[:2] + (2 * hid,), dtype=x.dtype)
     out[plan.rows, plan.steps, :hid] = hs[0]
     out[plan.rows, plan.steps, hid:] = hs[1, plan.rev]
@@ -163,45 +220,53 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     n_rows, hid = cache.c.shape[1:]
     dtype = cache.gates.dtype
     first = plan.offsets[1] if len(plan.offsets) > 1 else 0  # step 0 rows: h, c_{t-1} = 0
-    i, f, g, o = (cache.gates.reshape(2, n_rows, 4, hid)[:, :, k] for k in range(4))
-    # dz = coefficient * dc for i, f, g and * dh for o (f still lacking its
-    # factor c_{t-1}); dc = coef_c * dh plus the carry from step t + 1.
     dz_all = np.empty((2, n_rows, 4 * hid), dtype=dtype)
-    dz = dz_all.reshape(2, n_rows, 4, hid)
-    for k, s in ((0, i), (1, f)):
-        np.subtract(1.0, s, out=dz[:, :, k])
-        dz[:, :, k] *= s
-    dz[:, :, 0] *= g
-    dz[:, :first, 1] = 0.0
-    np.square(g, out=dz[:, :, 2])
-    np.subtract(1.0, dz[:, :, 2], out=dz[:, :, 2])
-    dz[:, :, 2] *= i
-    np.subtract(1.0, o, out=dz[:, :, 3])
-    dz[:, :, 3] *= cache.hs  # h = o * tanh(c)
-    coef_c = np.tanh(cache.c)
-    np.square(coef_c, out=coef_c)
-    np.subtract(1.0, coef_c, out=coef_c)
-    coef_c *= o
-
+    coef_c = np.empty((2, n_rows, hid), dtype=dtype)
+    recurrent = [_recurrent(p[1], len(cache.lengths)) for p in (fwd_params, bwd_params)]
     # Upstream gradient of (direction, packed row): the backward direction's
     # row r sits at input position (rows, steps)[rev[r]].
     at = ((plan.rows, plan.steps, slice(None, hid)),
           (plan.rows[plan.rev], plan.steps[plan.rev], slice(hid, None)))
-    recurrent = _recurrent([fwd_params[1], bwd_params[1]], len(cache.lengths))
-    # carries into the sequences still running
-    dh_next = dc_next = np.zeros((2, 0, hid), dtype=dtype)
-    for now, prev in reversed(_prev_rows(plan.offsets)):
-        dh = np.stack([d_out[rows[now], steps[now], cols] for rows, steps, cols in at], dtype=dtype)
-        dh[:, : dh_next.shape[1]] += dh_next
-        dz[:, now, 3] *= dh
-        dc = coef_c[:, now]
-        dc *= dh
-        dc[:, : dc_next.shape[1]] += dc_next
-        dz[:, now, :3] *= dc[:, :, None]
-        if prev:
-            dz[:, now, 1] *= cache.c[:, prev]
-            dc_next = dc * f[:, now]
-            dh_next = recurrent(dz_all[:, now])
+    step_rows = _prev_rows(plan.offsets)
+
+    def run(d):
+        i, f, g, o = (cache.gates[d].reshape(n_rows, 4, hid)[:, k] for k in range(4))
+        # dz = coefficient * dc for i, f, g and * dh for o (f still lacking its
+        # factor c_{t-1}); dc = coef_c * dh plus the carry from step t + 1.
+        dz = dz_all[d].reshape(n_rows, 4, hid)
+        for k, s in ((0, i), (1, f)):
+            np.subtract(1.0, s, out=dz[:, k])
+            dz[:, k] *= s
+        dz[:, 0] *= g
+        dz[:first, 1] = 0.0
+        np.square(g, out=dz[:, 2])
+        np.subtract(1.0, dz[:, 2], out=dz[:, 2])
+        dz[:, 2] *= i
+        np.subtract(1.0, o, out=dz[:, 3])
+        dz[:, 3] *= cache.hs[d]  # h = o * tanh(c)
+        coef = coef_c[d]
+        np.tanh(cache.c[d], out=coef)
+        np.square(coef, out=coef)
+        np.subtract(1.0, coef, out=coef)
+        coef *= o
+
+        rows, steps, cols = at[d]
+        # carries into the sequences still running
+        dh_next = dc_next = np.zeros((0, hid), dtype=dtype)
+        for now, prev in reversed(step_rows):
+            dh = d_out[rows[now], steps[now], cols].astype(dtype, copy=False)
+            dh[: len(dh_next)] += dh_next
+            dz[now, 3] *= dh
+            dc = coef[now]
+            dc *= dh
+            dc[: len(dc_next)] += dc_next
+            dz[now, :3] *= dc[:, None]
+            if prev:
+                dz[now, 1] *= cache.c[d, prev]
+                dc_next = dc * f[now]
+                dh_next = recurrent[d](dz_all[d, now])
+
+    _each_direction(run)
     del coef_c, recurrent
 
     # h_{t-1} of every later row: packed row r at step t follows row r - n_{t-1}

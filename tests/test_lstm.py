@@ -1,9 +1,13 @@
 """Packed BiLSTM against each sequence run alone, without padding."""
 
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pronassess import lstm
 from pronassess.lstm import _activate, _recurrent, bilstm_backward, bilstm_forward
 
 TOL = 1e-12
@@ -201,9 +205,97 @@ def test_blocked_recurrent_product_matches_plain_matmul(shape, n_rows, seed):
     # (512, 2048) and (2048, 512) are the full-size forward and backward
     # products; n_rows spans blocks of 32, of 16 and no blocking.
     rng = np.random.default_rng(seed)
-    ws = [rng.uniform(-1.0, 1.0, shape) for _ in range(2)]
-    a = rng.normal(size=(2, int(rng.integers(1, n_rows + 1)), shape[0]))
-    got = _recurrent(ws, n_rows)(a)
-    ref = np.matmul(a, np.stack(ws))
-    assert got.shape == ref.shape
-    np.testing.assert_allclose(got, ref, rtol=0, atol=TOL * np.abs(ref).max())
+    w = rng.uniform(-1.0, 1.0, shape)
+    recurrent = _recurrent(w, n_rows)
+    for _ in range(2):  # every call writes into the same buffer
+        a = rng.normal(size=(int(rng.integers(1, n_rows + 1)), shape[0]))
+        got = recurrent(a)
+        ref = a @ w
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=TOL * np.abs(ref).max())
+    assert np.shares_memory(got, recurrent(a[:1]))
+
+
+class _InlineThread:
+    """Stand-in for threading.Thread whose start runs the target at once."""
+
+    def __init__(self, target, args=()):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self, timeout=None):
+        pass
+
+
+def _full_size_float32(seed=4):
+    rng = np.random.default_rng(seed)
+    hid, d_in, lengths = 512, 1024, np.array([23, 5, 40, 17])
+
+    def direction():
+        return tuple(rng.uniform(-0.1, 0.1, s).astype(np.float32)
+                     for s in ((4 * hid, d_in), (4 * hid, hid), (4 * hid,)))
+
+    x = np.zeros((len(lengths), lengths.max(), d_in), dtype=np.float32)
+    for b, n in enumerate(lengths):
+        x[b, :n] = rng.normal(size=(n, d_in))
+    d_out = rng.normal(size=(len(lengths), lengths.max(), 2 * hid)).astype(np.float32)
+    return x, lengths, d_out, direction(), direction()
+
+
+def _forward_and_gradients(x, lengths, d_out, fwd, bwd):
+    out, cache = bilstm_forward(x, lengths, fwd, bwd)
+    dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
+    return [out, dx, *g_fwd, *g_bwd]
+
+
+def test_worker_thread_changes_no_bit(monkeypatch):
+    """The direction run on the worker thread gives the same bits as the
+    same call with both directions run one after the other on the caller."""
+    case = _full_size_float32()
+    threaded = _forward_and_gradients(*case)
+    monkeypatch.setattr(lstm.threading, "Thread", _InlineThread)
+    inline = _forward_and_gradients(*case)
+    for got, ref in zip(threaded, inline):
+        assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+
+def test_worker_error_reaches_the_caller_and_the_thread_is_joined(monkeypatch):
+    caller = threading.get_ident()
+
+    def on_worker_raise(fn):
+        def wrapped(*args):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("worker direction failed")
+            return fn(*args)
+        return wrapped
+
+    lengths = np.array([6, 2, 4])
+    x, d_out, fwd, bwd = _setup(3, 6, 4, 2, lengths, 9)
+    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    threads = threading.active_count()
+    monkeypatch.setattr(lstm, "_activate", on_worker_raise(_activate))
+    with pytest.raises(FloatingPointError, match="worker direction failed"):
+        bilstm_forward(x, lengths, fwd, bwd)
+    assert threading.active_count() == threads
+    # backward runs no _activate; its worker fails in the recurrent product
+    monkeypatch.setattr(lstm, "_recurrent", lambda w, n: on_worker_raise(_recurrent(w, n)))
+    with pytest.raises(FloatingPointError, match="worker direction failed"):
+        bilstm_backward(d_out, cache, fwd, bwd)
+    assert threading.active_count() == threads
+
+
+def test_both_directions_see_the_callers_error_state(monkeypatch):
+    seen = []
+
+    def recording(z, hid):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        _activate(z, hid)
+
+    x, _, fwd, bwd = _setup(2, 5, 3, 2, np.array([5, 3]), 1)
+    monkeypatch.setattr(lstm, "_activate", recording)
+    with np.errstate(over="ignore"):
+        bilstm_forward(x, [5, 3], fwd, bwd)
+    assert len({ident for ident, _ in seen}) == 2
+    assert {over for _, over in seen} == {"ignore"}

@@ -1,5 +1,7 @@
 """Training loop behaviour and the evaluation metrics."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from pronassess.model import TINY_CONFIG, ScoringModel
 from pronassess.train import Adam, TrainConfig, history_csv, parse_train_config, train
 
 from test_model import make_utt
+
+# the module: `pronassess.train` is the function the package re-exports
+train_module = importlib.import_module("pronassess.train")
 
 
 def tiny_dataset(n=8, seed=20):
@@ -107,6 +112,29 @@ class TestAdam:
             assert np.array_equal(params[k], ref[k])
             assert np.array_equal(opt.m[k], ref_m[k])
             assert np.array_equal(opt.v[k], ref_v[k])
+
+    def test_chunks_change_no_bit(self, monkeypatch):
+        """Tensors spanning several chunks, one row wider than a chunk and a
+        transposed (non-contiguous) parameter update as one whole-tensor pass."""
+        rng = np.random.default_rng(8)
+        shapes = {"rows": (70, 1000), "wide": (3, 20_000), "col": (40_000,), "t": (300, 200)}
+        start = {k: rng.normal(size=s) for k, s in shapes.items()}
+        start["t"] = start["t"].T
+        grads = [{k: rng.normal(size=p.shape).astype(np.float32) for k, p in start.items()}
+                 for _ in range(3)]
+        results = []
+        for chunk in (train_module.ADAM_CHUNK, 70_000):  # the latter holds every tensor
+            monkeypatch.setattr(train_module, "ADAM_CHUNK", chunk)
+            params = {k: p.copy(order="K") for k, p in start.items()}
+            opt = Adam(params, 0.01)
+            for g in grads:
+                opt.step(params, g)
+            results.append((params, opt.m, opt.v))
+        assert not results[0][0]["t"].flags.c_contiguous
+        for chunked, whole in zip(*results):
+            for k in chunked:
+                assert np.array_equal(chunked[k], whole[k])
+        assert not np.array_equal(results[0][0]["t"], start["t"])
 
 
 class TestConfigFile:
