@@ -19,22 +19,38 @@ the direction's recurrent weights, laid out once per call (`_recurrent`),
 and one elementwise pass; the sigmoid gates use 0.5 * (1 + tanh(x / 2)).
 
 The two directions share nothing from the input projection to the
-output, so each one's time loop runs as one function `run(d)`: direction
-0 on a worker thread and direction 1 on the calling thread, joined before
-the pass goes on (`_each_direction`; Appleyard et al. 2016,
-arXiv:1604.01946). numpy releases the interpreter lock inside its calls,
-so the loops overlap on a second core. The big GEMMs stay on the calling
-thread, before the loops or after the join: the input projections, and
-d_wx, d_wh, d_b and d_x. A multi-threaded BLAS gives them every core;
-running them in the two threads instead, two BLAS calls at once each
-asking for both cores of a 2-vCPU host, slowed the acceptance tests'
-full-size training run at the default BLAS thread count from a median of
-26.0 s to 28.8 s. The caller also allocates every array larger than one
-step's rows, so that the worker allocates nothing large in its own malloc
-arena (which raised `mixed` peak RSS by 2-3 % when it did). Every
-product and elementwise operation is the one a single thread would run,
-on the same operands, so the result does not depend on the split: it is
-bit-identical to running the directions one after the other.
+output, so each one's time loop runs as one function: direction 0 on a
+worker thread and direction 1 on the calling thread, joined before the
+pass goes on (`_each_direction`; Appleyard et al. 2016, arXiv:1604.01946).
+numpy releases the interpreter lock inside its calls, so the loops overlap
+on a second core.
+
+Each direction's big GEMMs are one function too: the input projection and
+its bias before the loop, and d_wx, d_wh, d_b and its term of d_x after
+it; the caller adds the two d_x terms. Where they run depends on the BLAS
+thread count, read at each call from the OpenBLAS numpy loaded
+(`_blas_threads`):
+- one BLAS thread: on the direction's own thread, around its loop, so
+  the second core is not idle while the caller runs them. On a 2-vCPU
+  host with BLAS pinned to one thread this made the session benchmark's
+  `mixed` training 1.15x faster (median of 10 alternating pairs, each one
+  faster).
+- any other count, or one that cannot be read: on the calling thread,
+  before the loops and after the join, where a multi-threaded BLAS gives
+  each GEMM every core. Two BLAS calls at once, each asking for both cores
+  of a 2-vCPU host, slowed the acceptance tests' full-size training run
+  at the default BLAS thread count from a median of 26.0 s to 28.8 s.
+A direction gathers its operands (x and h_{t-1} in its row order) inside
+its GEMM function and frees its loop scratch before it, so no thread
+holds both directions' gathers for the whole pass. The caller allocates
+the arrays that the loops fill and that the GEMMs write (d_wx, d_wh and
+the d_x terms), so that the worker allocates little in its own malloc
+arena: with the backward's outputs allocated on the worker, peak RSS over
+`mixed` training rose 5.3 % above the caller placement's, instead of
+2.6 %. Every product and elementwise operation is the one a single
+thread would run, on the same operands, so the result depends neither on
+the placement nor on the split: it is bit-identical to running the
+directions one after the other.
 
 `bilstm_backward` first turns the cached gates into each gate's local
 derivative coefficient over all packed rows at once, so a step only
@@ -57,8 +73,11 @@ Gate order in the stacked weight matrices is input, forget, cell, output.
 """
 
 import contextvars
+import ctypes
+import functools
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -128,7 +147,38 @@ def _recurrent(w, n_rows):
     return product
 
 
-def _each_direction(run):
+@functools.cache
+def _blas_thread_probe():
+    """The get-num-threads function of the OpenBLAS that numpy loaded, or
+    None where none is found (another BLAS, or another numpy layout)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                probe = getattr(handle, symbol)
+                probe.argtypes, probe.restype = [], ctypes.c_int
+                return probe
+    return None
+
+
+def _blas_threads():
+    """Threads numpy's BLAS runs a GEMM on, read at each call; None if unknown."""
+    probe = _blas_thread_probe()
+    return None if probe is None else probe()
+
+
+def _gemms_on_workers():
+    """Whether each direction's GEMMs run on that direction's own thread:
+    only when BLAS runs one thread, so two GEMMs at once take one core each."""
+    return _blas_threads() == 1
+
+
+def _on_two_threads(run):
     """run(0) on a worker thread and run(1) on the calling thread.
 
     The worker runs in a copy of the caller's context, so numpy's error
@@ -150,6 +200,31 @@ def _each_direction(run):
         thread.join()
     if errors:
         raise errors[0]
+
+
+def _each_direction(loop, before=None, after=None):
+    """loop(d) for both directions on two threads (`_on_two_threads`), with
+    direction d's GEMMs before(d) ahead of its loop and after(d) behind it.
+
+    Where `_gemms_on_workers()`, each direction runs before(d), loop(d) and
+    after(d) on its own thread. Otherwise the caller runs before(0) and
+    before(1) ahead of the threads, and after(0) and after(1) after the
+    join."""
+    if _gemms_on_workers():
+        def run(d):
+            for stage in (before, loop, after):
+                if stage is not None:
+                    stage(d)
+
+        _on_two_threads(run)
+        return
+    for d in range(2):
+        if before is not None:
+            before(d)
+    _on_two_threads(loop)
+    for d in range(2):
+        if after is not None:
+            after(d)
 
 
 def _prev_rows(offsets):
@@ -177,17 +252,20 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
     lengths = np.asarray(lengths)
     plan = pack_plan(lengths)
     x_p = x[plan.rows, plan.steps]
+    params = (fwd_params, bwd_params)
     hid = fwd_params[1].shape[1]
     gates = np.empty((2, len(x_p), 4 * hid), dtype=x.dtype)
-    np.matmul(x_p, fwd_params[0].T, out=gates[0])
-    np.matmul(x_p[plan.rev], bwd_params[0].T, out=gates[1])
-    gates += np.stack([fwd_params[2], bwd_params[2]])[:, None]
     cs = np.empty((2, len(x_p), hid), dtype=x.dtype)
     hs = np.empty_like(cs)
-    recurrent = [_recurrent(p[1].T, len(lengths)) for p in (fwd_params, bwd_params)]
+    recurrent = [_recurrent(p[1].T, len(lengths)) for p in params]
     step_rows = _prev_rows(plan.offsets)
 
-    def run(d):
+    def project(d):
+        # the backward direction's input, gathered only while its GEMM runs
+        np.matmul(x_p[plan.rev] if d else x_p, params[d][0].T, out=gates[d])
+        gates[d] += params[d][2]
+
+    def loop(d):
         for now, prev in step_rows:
             z = gates[d, now]
             if prev:
@@ -201,7 +279,7 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
             np.tanh(c, out=h)
             h *= z[:, 3 * hid :]
 
-    _each_direction(run)
+    _each_direction(loop, before=project)
     out = np.zeros(x.shape[:2] + (2 * hid,), dtype=x.dtype)
     out[plan.rows, plan.steps, :hid] = hs[0]
     out[plan.rows, plan.steps, hid:] = hs[1, plan.rev]
@@ -221,15 +299,21 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     dtype = cache.gates.dtype
     first = plan.offsets[1] if len(plan.offsets) > 1 else 0  # step 0 rows: h, c_{t-1} = 0
     dz_all = np.empty((2, n_rows, 4 * hid), dtype=dtype)
-    coef_c = np.empty((2, n_rows, hid), dtype=dtype)
-    recurrent = [_recurrent(p[1], len(cache.lengths)) for p in (fwd_params, bwd_params)]
+    coef_c = [np.empty((n_rows, hid), dtype=dtype) for _ in range(2)]
+    params = (fwd_params, bwd_params)
+    recurrent = [_recurrent(p[1], len(cache.lengths)) for p in params]
     # Upstream gradient of (direction, packed row): the backward direction's
     # row r sits at input position (rows, steps)[rev[r]].
     at = ((plan.rows, plan.steps, slice(None, hid)),
           (plan.rows[plan.rev], plan.steps[plan.rev], slice(hid, None)))
     step_rows = _prev_rows(plan.offsets)
+    # h_{t-1} of every later row: packed row r at step t follows row r - n_{t-1}
+    h_rows = np.arange(first, n_rows) - np.diff(plan.offsets)[plan.steps[first:] - 1]
+    sel = np.arange(n_rows)
+    if dx_tail is not None:
+        sel = np.flatnonzero(plan.steps >= (cache.lengths - np.asarray(dx_tail))[plan.rows])
 
-    def run(d):
+    def loop(d):
         i, f, g, o = (cache.gates[d].reshape(n_rows, 4, hid)[:, k] for k in range(4))
         # dz = coefficient * dc for i, f, g and * dh for o (f still lacking its
         # factor c_{t-1}); dc = coef_c * dh plus the carry from step t + 1.
@@ -265,20 +349,27 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
                 dz[now, 1] *= cache.c[d, prev]
                 dc_next = dc * f[now]
                 dh_next = recurrent[d](dz_all[d, now])
+        coef_c[d] = recurrent[d] = None  # freed before the GEMMs
 
-    _each_direction(run)
-    del coef_c, recurrent
+    # d_wx, d_wh and the direction's term of d_x, allocated here and not on
+    # the worker: each direction's d_b is its only new array that outlives it.
+    d_in = cache.x.shape[1]
+    outs = [(np.empty((4 * hid, d_in), dtype=dtype), np.empty((4 * hid, hid), dtype=dtype),
+             np.empty((len(sel), d_in), dtype=dtype)) for _ in range(2)]
+    d_b = [None, None]
 
-    # h_{t-1} of every later row: packed row r at step t follows row r - n_{t-1}
-    h_rows = np.arange(first, n_rows) - np.diff(plan.offsets)[plan.steps[first:] - 1]
-    d_wx = (dz_all[0].T @ cache.x, dz_all[1].T @ cache.x[plan.rev])
-    grads = [(d_wx[d], dz_all[d, first:].T @ cache.hs[d, h_rows], dz_all[d].sum(axis=0))
-             for d in range(2)]
+    def gemms(d):
+        # the backward direction's gathers live only while their GEMM runs
+        dz = dz_all[d]
+        d_wx, d_wh, dx_term = outs[d]
+        np.matmul(dz.T, cache.x[plan.rev] if d else cache.x, out=d_wx)
+        np.matmul(dz[first:].T, cache.hs[d, h_rows], out=d_wh)
+        d_b[d] = dz.sum(axis=0)
+        np.matmul(dz[plan.rev[sel] if d else sel], params[d][0], out=dx_term)
 
-    sel = np.arange(n_rows)
-    if dx_tail is not None:
-        sel = np.flatnonzero(plan.steps >= (cache.lengths - np.asarray(dx_tail))[plan.rows])
-    d_x = np.zeros(d_out.shape[:2] + (cache.x.shape[1],), dtype=dtype)
-    d_x[plan.rows[sel], plan.steps[sel]] = (dz_all[0, sel] @ fwd_params[0]
-                                             + dz_all[1, plan.rev[sel]] @ bwd_params[0])
+    _each_direction(loop, after=gemms)
+
+    d_x = np.zeros(d_out.shape[:2] + (d_in,), dtype=dtype)
+    d_x[plan.rows[sel], plan.steps[sel]] = outs[0][2] + outs[1][2]
+    grads = [(d_wx, d_wh, b) for (d_wx, d_wh, _), b in zip(outs, d_b)]
     return d_x, *grads

@@ -3,11 +3,12 @@
 Training is mixed precision (Micikevicius et al. 2018, arXiv:1710.03740):
 the model's master parameters and Adam's moments are float64, and every
 forward and backward pass runs on a float32 working copy of the master
-parameters, refreshed in place after each update. The float32 gradients
-update the float64 master. No loss scaling is needed: float32 has the
-exponent range of these gradients. The validation forward runs on the
-working copy too, which is bit for bit what `ScoringModel.save` writes,
-so the validation loss measures the model that `score` runs.
+parameters, which `Adam.step` refreshes chunk by chunk as it updates the
+master. The float32 gradients update the float64 master. No loss
+scaling is needed: float32 has the exponent range of these gradients.
+The validation forward runs on the working copy too, which is bit for
+bit what `ScoringModel.save` writes, so the validation loss measures the
+model that `score` runs.
 
 Determinism contract: a fixed seed fixes the parameter init, the
 validation split and the per-epoch shuffling stream, so two runs with the
@@ -91,9 +92,13 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             work: dict[str, np.ndarray] | None = None) -> None:
         """One update, in place. Bit-identical to m = b1*m + (1-b1)*g,
-        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps)."""
+        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps).
+
+        Given `work`, a lower-precision copy of `params`, each updated chunk
+        is also cast into it while the chunk is still in cache."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
@@ -116,6 +121,8 @@ class Adam:
                 np.sqrt(b, out=b)
                 b += ADAM_EPS
                 p -= np.divide(a, b, out=a)
+                if work is not None:
+                    np.copyto(work[k][rows], p)
 
 
 @dataclass
@@ -185,10 +192,8 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
                 raise ValidationError(
                     f"non-finite training loss at epoch {epoch}; aborting"
                 )
-            opt.step(model.params, work.backward(cache))
+            opt.step(model.params, work.backward(cache), work.params)
             del cache  # freed before the next forward builds its own
-            for k, p in model.params.items():
-                np.copyto(work.params[k], p)
             epoch_losses.append((loss, len(batch)))
 
         for name, p in model.params.items():
@@ -215,7 +220,9 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            # nothing updates the parameters after the last epoch: no copy
+            best_params = (model.params if epoch == config.epochs
+                           else {k: v.copy() for k, v in model.params.items()})
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -1,6 +1,12 @@
 """Packed BiLSTM against each sequence run alone, without padding."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from pronassess import lstm
 from pronassess.lstm import _activate, _recurrent, bilstm_backward, bilstm_forward
 
 TOL = 1e-12
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @st.composite
@@ -229,36 +236,146 @@ class _InlineThread:
         pass
 
 
-def _full_size_float32(seed=4):
+def _full_size(dtype=np.float32, seed=4):
     rng = np.random.default_rng(seed)
     hid, d_in, lengths = 512, 1024, np.array([23, 5, 40, 17])
 
     def direction():
-        return tuple(rng.uniform(-0.1, 0.1, s).astype(np.float32)
+        return tuple(rng.uniform(-0.1, 0.1, s).astype(dtype)
                      for s in ((4 * hid, d_in), (4 * hid, hid), (4 * hid,)))
 
-    x = np.zeros((len(lengths), lengths.max(), d_in), dtype=np.float32)
+    x = np.zeros((len(lengths), lengths.max(), d_in), dtype=dtype)
     for b, n in enumerate(lengths):
         x[b, :n] = rng.normal(size=(n, d_in))
-    d_out = rng.normal(size=(len(lengths), lengths.max(), 2 * hid)).astype(np.float32)
+    d_out = rng.normal(size=(len(lengths), lengths.max(), 2 * hid)).astype(dtype)
     return x, lengths, d_out, direction(), direction()
 
 
-def _forward_and_gradients(x, lengths, d_out, fwd, bwd):
+def _forward_and_gradients(x, lengths, d_out, fwd, bwd, dx_tail=None):
     out, cache = bilstm_forward(x, lengths, fwd, bwd)
-    dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
+    dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd, dx_tail=dx_tail)
     return [out, dx, *g_fwd, *g_bwd]
+
+
+def _place_gemms(monkeypatch, blas_threads):
+    """Make `_gemms_on_workers` see this BLAS thread count."""
+    monkeypatch.setattr(lstm, "_blas_threads", lambda: blas_threads)
 
 
 def test_worker_thread_changes_no_bit(monkeypatch):
     """The direction run on the worker thread gives the same bits as the
     same call with both directions run one after the other on the caller."""
-    case = _full_size_float32()
+    case = _full_size()
     threaded = _forward_and_gradients(*case)
     monkeypatch.setattr(lstm.threading, "Thread", _InlineThread)
     inline = _forward_and_gradients(*case)
     for got, ref in zip(threaded, inline):
         assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tail", [None, np.array([3, 1, 40, 2])])
+def test_gemm_placement_changes_no_bit(monkeypatch, dtype, tail):
+    """The full-size forward and every gradient are the same bits with the
+    GEMMs on the direction threads, on the caller, and with no thread."""
+    case = _full_size(dtype)
+    runs = []
+    for blas_threads in (1, 2):
+        _place_gemms(monkeypatch, blas_threads)
+        assert lstm._gemms_on_workers() == (blas_threads == 1)
+        runs.append(_forward_and_gradients(*case, dx_tail=tail))
+    monkeypatch.setattr(lstm.threading, "Thread", _InlineThread)
+    runs.append(_forward_and_gradients(*case, dx_tail=tail))
+    for on_workers, on_caller, inline in zip(*runs):
+        assert on_workers.dtype == dtype
+        assert np.array_equal(on_workers, on_caller) and np.array_equal(on_workers, inline)
+
+
+@pytest.mark.parametrize("blas_threads, on_workers", [(1, True), (2, False), (None, False)])
+def test_gemms_leave_the_caller_only_with_one_blas_thread(monkeypatch, blas_threads, on_workers):
+    """With one BLAS thread each direction's GEMMs run on its own thread;
+    with more BLAS threads or an unknown count (None) they all run on the
+    caller. The time loops always take both threads."""
+    _place_gemms(monkeypatch, blas_threads)
+    caller = threading.get_ident()
+    calls = []  # per _each_direction call: (kind, direction, thread) of each stage run
+    each_direction = lstm._each_direction
+
+    def spy(loop, before=None, after=None):
+        seen = []
+        calls.append(seen)
+
+        def record(kind, stage):
+            def wrapped(d):
+                seen.append((kind, d, threading.get_ident()))
+                stage(d)
+            return wrapped if stage is not None else None
+
+        each_direction(record("loop", loop), before=record("gemm", before),
+                       after=record("gemm", after))
+
+    monkeypatch.setattr(lstm, "_each_direction", spy)
+    x, d_out, fwd, bwd = _setup(3, 6, 4, 2, np.array([6, 2, 4]), 9)
+    _, cache = bilstm_forward(x, [6, 2, 4], fwd, bwd)
+    bilstm_backward(d_out, cache, fwd, bwd)
+
+    assert len(calls) == 2  # the forward's GEMMs come before, the backward's after
+    for seen in calls:
+        loop_thread = {d: ident for kind, d, ident in seen if kind == "loop"}
+        assert loop_thread[0] != caller and loop_thread[1] == caller
+        gemms = [(d, ident) for kind, d, ident in seen if kind == "gemm"]
+        assert sorted(d for d, _ in gemms) == [0, 1]
+        for d, ident in gemms:
+            assert ident == (loop_thread[d] if on_workers else caller)
+
+
+def test_gemm_error_on_the_worker_reaches_the_caller(monkeypatch):
+    """A GEMM that fails on the worker (direction 0's input weights have a
+    row too many) raises on the caller, and the worker is joined."""
+    _place_gemms(monkeypatch, 1)
+    lengths = np.array([6, 2, 4])
+    x, d_out, fwd, bwd = _setup(3, 6, 4, 2, lengths, 9)
+    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    bad = (np.zeros((fwd[0].shape[0] + 1, fwd[0].shape[1])), *fwd[1:])
+    threads = threading.active_count()
+    for call in (lambda: bilstm_forward(x, lengths, bad, bwd),
+                 lambda: bilstm_backward(d_out, cache, bad, bwd)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert "worker" in [frame.name for frame in traceback.extract_tb(info.tb)]
+        assert threading.active_count() == threads
+
+
+def test_blas_probe_reads_one_thread_in_a_one_thread_process(tmp_path):
+    """Under a real one-thread OpenBLAS the probe reads 1 and the GEMMs run
+    on the direction threads. Two full-size passes there (float32 and
+    float64, with and without dx_tail) match the caller placement bit for
+    bit, so no two threads race on a shared buffer."""
+    script = textwrap.dedent("""
+        import numpy as np
+        from pronassess import lstm
+        from test_lstm import _forward_and_gradients, _full_size
+
+        assert lstm._blas_threads() == 1, lstm._blas_threads()
+        assert lstm._gemms_on_workers()
+        on_workers = lstm._gemms_on_workers
+        for dtype in (np.float32, np.float64):
+            case = _full_size(dtype)
+            for tail in (None, np.array([3, 1, 40, 2])):
+                runs = [_forward_and_gradients(*case, dx_tail=tail) for _ in range(2)]
+                lstm._gemms_on_workers = lambda: False
+                runs.append(_forward_and_gradients(*case, dx_tail=tail))
+                lstm._gemms_on_workers = on_workers
+                for first, second, on_caller in zip(*runs):
+                    assert np.array_equal(first, second) and np.array_equal(first, on_caller)
+        print("placements agree")
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "placements agree" in proc.stdout
 
 
 def test_worker_error_reaches_the_caller_and_the_thread_is_joined(monkeypatch):

@@ -58,6 +58,27 @@ class TestTrainLoop:
         assert result.history[-1][0] == 3
         assert result.best_epoch == 1
 
+    @pytest.mark.parametrize("cfg, stopped_early", [
+        (TrainConfig(lr=3e-3, epochs=4, patience=4, seed=2, batch=4), False),
+        (TrainConfig(lr=0.05, epochs=30, patience=2, seed=2, batch=4), True)])
+    def test_returns_the_best_epochs_parameters(self, cfg, stopped_early):
+        """The returned parameters are the best epoch's, both when it is the
+        last epoch (returned without a copy) and when patience stops later."""
+        snapshots = {}
+
+        def snapshot(epoch, model):
+            snapshots[epoch] = {k: p.copy() for k, p in model.params.items()}
+
+        result = train(tiny_dataset(12), TINY_CONFIG, cfg, epoch_callback=snapshot)
+        last = result.history[-1][0]
+        assert (last < cfg.epochs) == stopped_early
+        assert (result.best_epoch < last) == stopped_early
+        best = snapshots[result.best_epoch]
+        for name, p in result.model.params.items():
+            assert np.array_equal(p, best[name])
+        if stopped_early:  # the last epoch moved the parameters away from the best
+            assert any(not np.array_equal(p, snapshots[last][k]) for k, p in best.items())
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
             train([], TINY_CONFIG, TrainConfig())
@@ -135,6 +156,27 @@ class TestAdam:
             for k in chunked:
                 assert np.array_equal(chunked[k], whole[k])
         assert not np.array_equal(results[0][0]["t"], start["t"])
+
+    def test_step_casts_each_updated_chunk_into_the_work_copy(self):
+        """Given a float32 work copy, every step leaves it equal to the float32
+        cast of the master, for tensors spanning several chunks, one row wider
+        than a chunk and a transposed one, and updates the master as without it."""
+        rng = np.random.default_rng(9)
+        shapes = {"rows": (70, 1000), "wide": (3, 20_000), "col": (40_000,), "t": (300, 200)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        params["t"] = params["t"].T
+        plain = {k: p.copy(order="K") for k, p in params.items()}
+        work = {k: p.astype(np.float32) for k, p in params.items()}
+        opt, opt_plain = Adam(params, 0.01), Adam(plain, 0.01)
+        for _ in range(3):
+            grads = {k: rng.normal(size=p.shape).astype(np.float32) for k, p in params.items()}
+            opt.step(params, grads, work)
+            opt_plain.step(plain, grads)
+            for k, p in params.items():
+                assert np.array_equal(p, plain[k])
+                assert work[k].dtype == np.float32
+                assert np.array_equal(work[k], p.astype(np.float32))
+        assert not work["t"].flags.c_contiguous
 
 
 class TestConfigFile:
