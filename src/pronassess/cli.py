@@ -5,7 +5,7 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 
   0  success
   1  unexpected failure
-  2  missing input file
+  2  missing input file, or a file where a directory is expected
   3  malformed or unsupported input (format, schema, range, inventory)
   4  infeasible alignment (more phones than frames)
   5  empty input set
@@ -48,7 +48,11 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_fit_durations(args) -> int:
-    files = sorted(Path(args.alignments).glob(args.pattern))
+    root = Path(args.alignments)
+    if not root.is_dir():
+        print(f"error: no such directory: {root}", file=sys.stderr)
+        return 2
+    files = sorted(root.glob(args.pattern))
     if not files:
         print(f"error: no alignment files matching {args.pattern!r} in {args.alignments}",
               file=sys.stderr)
@@ -306,11 +310,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as exc:
-        print(f"error: is a directory, not a file: {exc.filename}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # FileExistsError: `mkdir(exist_ok=True)` on a path that is a file
+        reason = {FileNotFoundError: "no such file",
+                  IsADirectoryError: "is a directory, not a file"}.get(
+                      type(exc), "a file where a directory is expected")
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return 2
     except InfeasibleAlignmentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,8 +66,8 @@ are allocated in it, and `_recurrent` lays the recurrent weights out in
 theirs, so float32 inputs and weights run float32 end to end. The
 backward pass computes in the cache's dtype: its gate coefficients,
 carries and input gradient are allocated in it, so a float32 forward
-(scoring, and training's float32 working copy) is differentiated in
-float32 and a float64 one (the gradient checks) in float64.
+(scoring and training) is differentiated in float32 and a float64 one
+(the gradient checks) in float64.
 
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """

@@ -25,8 +25,8 @@ fixed constants below before anything learnable sees them.
 
 The forward and backward passes compute in the dtype of the parameters:
 float64 for a model built here (the gradient checks) and float32 for a
-model read by `ScoringModel.load` (the stored precision) or for training's
-float32 working copy of its float64 master weights (`train`). Inputs are
+model read by `ScoringModel.load` (the stored precision) or trained by
+`train`, which casts its seeded float64 init to float32 once. Inputs are
 cast to that dtype once on entry; the head logits, softmax, loss and head
 gradients run in float64 whatever the encoders ran in, so each
 distribution sums to 1 within ~1e-16. A float32 forward scores within

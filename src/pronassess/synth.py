@@ -95,6 +95,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_utterances < 1:
             raise ValidationError("n_utterances must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed!r}")
         if not 1 <= self.min_phones <= self.max_phones:
             raise ValidationError("bad phones-per-utterance range")
 

@@ -1,14 +1,11 @@
 """Training loop: Adam, early stopping on validation loss, loss history.
 
-Training is mixed precision (Micikevicius et al. 2018, arXiv:1710.03740):
-the model's master parameters and Adam's moments are float64, and every
-forward and backward pass runs on a float32 working copy of the master
-parameters, which `Adam.step` refreshes chunk by chunk as it updates the
-master. The float32 gradients update the float64 master. No loss
-scaling is needed: float32 has the exponent range of these gradients.
-The validation forward runs on the working copy too, which is bit for
-bit what `ScoringModel.save` writes, so the validation loss measures the
-model that `score` runs.
+Training holds one parameter set: float32 arrays, bit for bit what
+`ScoringModel.save` writes and `score` runs, so the validation loss
+measures that model. The seeded init is drawn in float64 and cast once;
+forward, backward, validation and Adam, whose moments take the
+parameters' dtype, all run on those arrays. No loss scaling is needed:
+float32 has the exponent range of these gradients.
 
 Determinism contract: a fixed seed fixes the parameter init, the
 validation split and the per-epoch shuffling stream, so two runs with the
@@ -92,18 +89,16 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             work: dict[str, np.ndarray] | None = None) -> None:
-        """One update, in place. Bit-identical to m = b1*m + (1-b1)*g,
-        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps).
-
-        Given `work`, a lower-precision copy of `params`, each updated chunk
-        is also cast into it while the chunk is still in cache."""
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One update, in place, in the parameters' dtype. Bit-identical to
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p -= lr*m_hat / (sqrt(v_hat) + eps)."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
         # Chunks of whole rows, ADAM_CHUNK elements where the row width allows.
-        scratch = np.empty((2, max([ADAM_CHUNK, *(g[:1].size for g in grads.values())])))
+        scratch = np.empty((2, max([ADAM_CHUNK, *(g[:1].size for g in grads.values())])),
+                           dtype=np.result_type(*params.values()))
         for k, grad in grads.items():
             n_rows = max(1, ADAM_CHUNK // (grad[:1].size or 1))
             for lo in range(0, len(grad), n_rows):
@@ -121,8 +116,6 @@ class Adam:
                 np.sqrt(b, out=b)
                 b += ADAM_EPS
                 p -= np.divide(a, b, out=a)
-                if work is not None:
-                    np.copyto(work[k][rows], p)
 
 
 @dataclass
@@ -157,9 +150,8 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
 
     rng = np.random.default_rng(config.seed)
     model = ScoringModel(model_config, seed=config.seed)
-    # The float32 working copy that every forward and backward pass runs on.
-    work = ScoringModel.from_params(
-        model_config, {k: p.astype(np.float32) for k, p in model.params.items()})
+    # The seeded float64 draws, cast once: the one parameter set training holds.
+    model.params = {k: p.astype(np.float32) for k, p in model.params.items()}
     weights = (config.loss_weight_fluency, config.loss_weight_prosody)
 
     order = rng.permutation(len(dataset))
@@ -187,12 +179,12 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
         epoch_losses = []
         for lo in range(0, len(train_set), config.batch):
             batch = [train_set[int(i)] for i in perm[lo : lo + config.batch]]
-            loss, _, cache = work.forward_batch(batch, weights)
+            loss, _, cache = model.forward_batch(batch, weights)
             if not np.isfinite(loss):
                 raise ValidationError(
                     f"non-finite training loss at epoch {epoch}; aborting"
                 )
-            opt.step(model.params, work.backward(cache), work.params)
+            opt.step(model.params, model.backward(cache))
             del cache  # freed before the next forward builds its own
             epoch_losses.append((loss, len(batch)))
 
@@ -206,7 +198,7 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
             sum(l * n for l, n in epoch_losses) / sum(n for _, n in epoch_losses)
         )
         if val_set:
-            val_loss, _, _ = work.forward_batch(val_set, weights)
+            val_loss, _, _ = model.forward_batch(val_set, weights)
             val_loss = float(val_loss)
         else:
             val_loss = train_loss

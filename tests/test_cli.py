@@ -82,6 +82,14 @@ class TestAlign:
         rc = main(["align", "--posteriors", str(post), "--phones", "AA B", "--out", "x.tsv"])
         assert rc == 4
 
+    def test_posteriors_path_through_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        path = tmp_path / "f" / "p.mtx"
+        rc = main(["align", "--posteriors", str(path), "--phones", "AA", "--out", "x.tsv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestFitDurations:
     def test_floored_std(self, tmp_path, capsys):
@@ -104,6 +112,17 @@ class TestFitDurations:
         adir.mkdir()
         rc = main(["fit-durations", "--alignments", str(adir), "--out", "m.tsv"])
         assert rc == 5
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_alignments_not_a_directory_exit_2(self, tmp_path, capsys, kind):
+        adir = tmp_path / "aligns"
+        if kind == "file":
+            adir.write_text("")
+        rc = main(["fit-durations", "--alignments", str(adir), "--out", str(tmp_path / "m.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(adir) in err
+        assert not (tmp_path / "m.tsv").exists()
 
 
 class TestGopdAndAssemble:
@@ -200,6 +219,20 @@ class TestTrainCli:
         assert rc == 3
         assert line.partition("=")[0] in capsys.readouterr().err
 
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        from pronassess import SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=8), tmp_path / "c")
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        out = tmp_path / "run"
+        out.write_text("")
+        rc = main(["train", "--manifest", str(manifest), "--config", str(config),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
 
 class TestEval:
     def test_identical_pred_gold(self, tmp_path, capsys):
@@ -270,6 +303,19 @@ class TestSynthCli:
         rc = main(["synth", "--n", "1", "--jobs", jobs, "--out", str(tmp_path / "c")])
         assert rc == 3
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        out.write_text("")
+        assert main(["synth", "--n", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_negative_seed_exit_3(self, tmp_path, capsys):
+        rc = main(["synth", "--n", "1", "--seed", "-1", "--out", str(tmp_path / "c")])
+        assert rc == 3
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
 

@@ -641,8 +641,8 @@ class TestFloat32Scoring:
 
 
 class TestMixedPrecisionGradients:
-    """Training differentiates a float32 working copy of its float64 master
-    weights. On the same weights and a mixed-length batch, every float32
+    """Training differentiates float32 parameters, its seeded float64 init
+    cast once. On the same weights and a mixed-length batch, every float32
     gradient lies within GRAD_TOL of float64, relative to the tensor's
     largest float64 entry."""
 
@@ -658,14 +658,14 @@ class TestMixedPrecisionGradients:
                  for length, t in shapes]
         for utt in batch:  # float32, as prepare_utterance reads them from MTX1
             utt.ct = utt.ct.astype(np.float32)
-        master = ScoringModel(cfg, seed=15)
+        init = ScoringModel(cfg, seed=15)
         work = ScoringModel.from_params(
-            cfg, {k: p.astype(np.float32) for k, p in master.params.items()})
+            cfg, {k: p.astype(np.float32) for k, p in init.params.items()})
         ref = ScoringModel.from_params(
             cfg, {k: p.astype(np.float64) for k, p in work.params.items()})
         grads32 = work.backward(work.forward_batch(batch)[2])
         grads64 = ref.backward(ref.forward_batch(batch)[2])
-        assert all(p.dtype == np.float64 for p in master.params.values())
+        assert all(p.dtype == np.float64 for p in init.params.values())
         assert grads32["fu_fwd_wh"].dtype == grads32["embed"].dtype == np.float32
         for name, g in grads64.items():
             assert g.dtype == np.float64 and grads32[name].shape == g.shape

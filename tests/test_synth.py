@@ -126,6 +126,10 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             SyntheticSpec(n_utterances=1, min_phones=5, max_phones=2)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            SyntheticSpec(n_utterances=1, seed=-1)
+
 
 class TestPipeline:
     def test_prepare_dataset_shapes(self, corpus):
