@@ -13,6 +13,7 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,13 @@ from .functionals import compute_functionals
 from .lld import FrameFeatures, extract_frame_features
 from .metrics import pcc, predict_score
 from .model import ScoringModel
-from .pipeline import compose_fusion, prepare_dataset, prepare_utterance
+from .pipeline import (
+    compose_fusion,
+    frame_features,
+    load_signal,
+    prepare_dataset,
+    prepare_utterance,
+)
 from .synth import SyntheticSpec, generate_corpus
 from .train import history_csv, parse_train_config, train
 
@@ -100,10 +107,10 @@ def _cmd_train(args) -> int:
         return 5
     config = parse_train_config(args.config)
     duration_model = audio_io.read_duration_model(args.duration_model)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run, not after
     dataset = prepare_dataset(entries, duration_model)
     result = train(dataset, config=config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result.model.save(out / "checkpoint.ckpt")
     (out / "history.csv").write_text(history_csv(result.history))
     last = result.history[-1][0]
@@ -118,35 +125,58 @@ def _cmd_train(args) -> int:
 # peaks at ~42 KiB per padded row if all are valid, so a pass stays within
 # ~168 MiB (159 MiB traced for 10 utterances of 374 rows), below the 222 MiB
 # traced peak of a full-size float32 training step on 16 mixed-length
-# utterances. Each chunk is prepared just before its pass, so memory stays
-# bounded by one chunk whatever the manifest size.
+# utterances. An entry's rows come from its WAV's frame count and its
+# phone count, so a chunk's membership is known before it is featurized;
+# each chunk is prepared just before its pass, so memory stays bounded by
+# one chunk whatever the manifest size.
 SCORE_ROWS = 4096
+
+
+def _prepare(group, duration_model):
+    """prepare_utterance of each (entry, buffer) pair, in order, with one
+    front-end pass over their signals."""
+    ffs = frame_features([buf for _, buf in group])
+    return [prepare_utterance(entry, duration_model, ff) for (entry, _), ff in zip(group, ffs)]
 
 
 def _chunks(entries, duration_model):
     """Prepared entries in order, grouped so that each group's padded fusion
-    rows stay within SCORE_ROWS; an entry over it alone is its own group."""
-    chunk, longest = [], 0
+    rows stay within SCORE_ROWS; an entry over it alone is its own group.
+
+    Each chunk is featurized in one front-end pass together with the entry
+    that closes it, the next chunk's first. So every entry is prepared, and
+    its error raised, at the same point relative to the forward passes as
+    when entries were prepared one at a time."""
+    chunk, group, longest = [], [], 0
     for entry in entries:
-        utt = prepare_utterance(entry, duration_model)
-        rows = len(utt.ct) + len(utt.fusion) + 1
-        if chunk and (len(chunk) + 1) * max(longest, rows) > SCORE_ROWS:
-            yield chunk
-            chunk, longest = [], 0
-        chunk.append(utt)
-        longest = max(longest, rows)
+        try:
+            buf, frames = load_signal(entry)
+        except (OSError, PronAssessError):
+            _prepare(group, duration_model)  # an earlier entry's error comes first
+            raise
+        rows = frames + len(entry.phones) + 1  # len(ct) + len(fusion) + 1 once prepared
+        size = len(chunk) + len(group)
+        group.append((entry, buf))
+        if size and (size + 1) * max(longest, rows) > SCORE_ROWS:
+            *done, first = _prepare(group, duration_model)
+            yield chunk + done
+            chunk, group, longest = [first], [], rows
+        else:
+            longest = max(longest, rows)
+    chunk += _prepare(group, duration_model)
     if chunk:
         yield chunk
 
 
-def _score_entries(model, entries, duration_model) -> list[tuple[float, float]]:
+def _score_entries(get_model, entries, duration_model) -> list[tuple[float, float]]:
     """(fluency, prosody) of each entry, in order: one `forward_batch` per
-    chunk. A forward that overflows gives a non-finite distribution, which
-    `predict_score` rejects, so numpy's overflow warnings are not shown."""
+    chunk, of the model that `get_model()` returns. A forward that overflows
+    gives a non-finite distribution, which `predict_score` rejects, so
+    numpy's overflow warnings are not shown."""
     scores = []
     for batch in _chunks(entries, duration_model):
         with np.errstate(over="ignore", invalid="ignore"):
-            dists = model.forward_batch(batch)[1]
+            dists = get_model().forward_batch(batch)[1]
         scores.extend((predict_score(f), predict_score(p)) for f, p in dists)
     return scores
 
@@ -167,14 +197,29 @@ def _cmd_score(args) -> int:
         print("error: need either --manifest or all of --wav --posteriors --ct --phones",
               file=sys.stderr)
         return 3
-    model = ScoringModel.load(args.checkpoint)
+    # The checkpoint loads on a worker thread while this one reads the
+    # duration model and the manifest and featurizes the first chunk. It is
+    # joined before the first forward pass, and on every early return or
+    # error, so a checkpoint error still wins over any later one.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        loading = pool.submit(ScoringModel.load, args.checkpoint)
+        try:
+            return _score(args, loading.result)
+        except BaseException:
+            loading.result()
+            raise
+
+
+def _score(args, get_model) -> int:
+    """`score` once its mode is checked; `get_model()` returns the checkpoint."""
     duration_model = audio_io.read_duration_model(args.duration_model)
     if args.manifest is not None:
         entries = audio_io.read_manifest(args.manifest)
         if not entries:
+            get_model()
             print("error: manifest is empty", file=sys.stderr)
             return 5
-        scores = _score_entries(model, entries, duration_model)
+        scores = _score_entries(get_model, entries, duration_model)
         text = audio_io.score_text((e.id, f, p) for e, (f, p) in zip(entries, scores))
         if args.out:
             Path(args.out).write_text(text)
@@ -186,7 +231,7 @@ def _cmd_score(args) -> int:
         posterior_path=Path(args.posteriors), phones=args.phones.split(),
         fluency=0, prosody=0,
     )
-    [(f, p)] = _score_entries(model, [entry], duration_model)
+    [(f, p)] = _score_entries(get_model, [entry], duration_model)
     print(f"{f!r} {p!r}")
     return 0
 

@@ -233,6 +233,24 @@ class TestTrainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    def test_out_checked_before_featurizing(self, tmp_path, capsys, monkeypatch):
+        from pronassess import SyntheticSpec, cli, generate_corpus
+
+        def never(*args, **kwargs):
+            pytest.fail("featurized or trained before --out was checked")
+
+        monkeypatch.setattr(cli, "prepare_dataset", never)
+        monkeypatch.setattr(cli, "train", never)
+        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=8), tmp_path / "c")
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        out = tmp_path / "run"
+        out.write_text("")
+        rc = main(["train", "--manifest", str(manifest), "--config", str(config),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: a file where a directory is expected: {out}\n"
+
 
 class TestEval:
     def test_identical_pred_gold(self, tmp_path, capsys):
@@ -565,3 +583,93 @@ class TestScore:
         assert rc == 2
         err = capsys.readouterr().err
         assert "is a directory" in err and str(tmp_path / "c") in err
+
+
+class TestScoreErrorOrder:
+    """`score` featurizes a chunk's entries in one front-end pass while the
+    checkpoint loads on a worker thread; the error reported must still be
+    the one that preparing entries one at a time, after the load, gives."""
+
+    def _corpus(self, tmp_path, n=6):
+        from pronassess import SyntheticSpec, generate_corpus, read_manifest
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=n, seed=6), tmp_path / "c")
+        return manifest, tmp_path / "c" / "durations.tsv", read_manifest(manifest)
+
+    def _score(self, ckpt, dm, manifest, tmp_path):
+        return main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")])
+
+    def _rewrite(self, manifest, **changes):
+        """Set field to value in manifest row i, for each e<i>=(field, value)."""
+        import json
+
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for k, (field, value) in changes.items():
+            rows[int(k[1:])][field] = str(value)
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+    @pytest.mark.parametrize("ckpt_kind", ["missing", "corrupt"])
+    @pytest.mark.parametrize("manifest_kind", ["empty", "bad-entry"])
+    def test_checkpoint_error_wins(self, tmp_path, capsys, ckpt_kind, manifest_kind):
+        manifest, dm, entries = self._corpus(tmp_path, n=2)
+        if manifest_kind == "empty":
+            manifest.write_text("")
+        else:
+            self._rewrite(manifest, e0=("wav_path", tmp_path / "nope.wav"))
+        ckpt = tmp_path / "model.ckpt"
+        if ckpt_kind == "corrupt":
+            ckpt.write_bytes(b"not a checkpoint\n")
+        rc = self._score(ckpt, dm, manifest, tmp_path)
+        err = capsys.readouterr().err
+        if ckpt_kind == "missing":
+            assert (rc, err) == (2, f"error: no such file: {ckpt}\n")
+        else:
+            assert rc == 3 and err.startswith("error: bad checkpoint magic") and str(ckpt) in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("later", ["missing-wav", "too-short-wav"])
+    def test_first_bad_entry_of_a_chunk_wins(self, tmp_path, capsys, later):
+        # entry 2 (index 1) has one contextual row too few; entry 5's WAV is
+        # missing or under one window, which is found first, when its frame
+        # count is read to decide the chunk
+        from pronassess import AudioBuffer, ScoringModel
+
+        manifest, dm, entries = self._corpus(tmp_path)
+        short_ct = tmp_path / "short.ct.mtx"
+        write_matrix(short_ct, read_matrix(entries[1].ct_path)[:-1])
+        tiny = tmp_path / "tiny.wav"
+        write_wav(tiny, AudioBuffer(np.zeros(399)))
+        self._rewrite(manifest, e1=("ct_path", short_ct),
+                      e4=("wav_path", tmp_path / "nope.wav" if later == "missing-wav" else tiny))
+        ckpt = tmp_path / "tiny.ckpt"
+        ScoringModel(TINY_CONFIG, seed=0).save(ckpt)
+        rc = self._score(ckpt, dm, manifest, tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {entries[1].id}: contextual rows")
+
+    def test_next_chunks_first_entry_is_prepared_before_the_forward(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # Entry 1 overflows the float32 forward, and entry 2's posteriors have
+        # a row too few. With a budget that puts them in separate chunks, entry
+        # 2 is prepared before entry 1's chunk is scored, as one at a time.
+        from pronassess import ScoringModel, cli
+
+        manifest, dm, entries = self._corpus(tmp_path, n=2)
+        ct = read_matrix(entries[0].ct_path)
+        ct[0], ct[1] = 3.3e38, -3.3e38
+        write_matrix(entries[0].ct_path, ct)
+        short_post = tmp_path / "short.post.mtx"
+        write_matrix(short_post, read_matrix(entries[1].posterior_path)[:-1])
+        self._rewrite(manifest, e1=("posterior_path", short_post))
+        ckpt = tmp_path / "full.ckpt"
+        ScoringModel(seed=0).save(ckpt)
+        monkeypatch.setattr(cli, "SCORE_ROWS", 1)
+        rc = self._score(ckpt, dm, manifest, tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {entries[1].id}: posterior frames")
+        # with entry 2 repaired, entry 1's overflow is what fails
+        self._rewrite(manifest, e1=("posterior_path", entries[1].posterior_path))
+        rc = self._score(ckpt, dm, manifest, tmp_path)
+        assert rc == 3
+        assert "not a valid 11-class distribution" in capsys.readouterr().err

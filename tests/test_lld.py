@@ -48,6 +48,23 @@ class TestFrameGrid:
         with pytest.raises(TooShortError):
             FrameGrid.for_signal(399)
 
+    def test_signals_laid_end_to_end(self):
+        grid = FrameGrid.for_signals([400, 1000, 16000])
+        assert grid.bounds.tolist() == [0, 400, 1400, 17400]
+        assert grid.frame_ranges() == [(0, 1), (1, 5), (5, 103)]
+        assert grid.start[:6].tolist() == [0, 400, 560, 720, 880, 1400]
+        assert grid.signal[[0, 1, 4, 5, 102]].tolist() == [0, 1, 1, 2, 2]
+
+    def test_no_signal_or_a_short_one(self):
+        with pytest.raises(ValidationError):
+            FrameGrid.for_signals([])
+        with pytest.raises(TooShortError):
+            FrameGrid.for_signals([16000, 399])
+
+    def test_grid_must_cover_the_buffer(self):
+        with pytest.raises(ValidationError, match="covers 800 samples"):
+            extract_frame_features(AudioBuffer(np.zeros(801)), FrameGrid.for_signals([400, 400]))
+
 
 class TestLoudness:
     def test_zero_signal(self):
@@ -365,3 +382,43 @@ def test_jitter_matches_reference_on_long_utterances(tmp_path):
         assert voiced.sum() >= 200
         jitter = compute_jitter(buf, grid, f0, voiced)
         assert jitter.tobytes() == reference_compute_jitter(buf, grid, f0, voiced).tobytes()
+
+
+@st.composite
+def front_end_signals(draw):
+    """One window up to ~1 s of silence, noise, a tone above F0_MAX_HZ or
+    below F0_MIN_HZ, or a harmonic mix, on 16-bit steps half the time."""
+    n = draw(st.integers(WINDOW_SAMPLES, 16400))
+    kind = draw(st.sampled_from(["silence", "noise", "high", "low", "harmonic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) / SR
+    if kind == "silence":
+        x = np.zeros(n)
+    elif kind == "noise":
+        x = rng.uniform(-0.5, 0.5, n)
+    elif kind == "harmonic":
+        x = draw(harmonic_mixes()).samples
+        x = np.resize(x, n)
+    else:
+        f = draw(st.floats(520.0, 4000.0) if kind == "high" else st.floats(30.0, 54.0))
+        x = 0.8 * np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
+    if draw(st.booleans()):
+        x = np.rint(x * 32768.0) / 32768.0
+    return AudioBuffer(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(front_end_signals(), min_size=1, max_size=6))
+@example([tone(200, seconds=WINDOW_SAMPLES / SR), tone(480, seconds=0.3),
+          AudioBuffer(np.zeros(WINDOW_SAMPLES))])
+@example([_integer_pulses([31, 33], [0.9, 0.9, 0.27], start=20), _first_sample_peak(),
+          _integer_pulses([273, 275], [0.9, 0.9, 0.27], start=27)])
+def test_signals_laid_end_to_end_match_each_alone(bufs):
+    grid = FrameGrid.for_signals([len(b.samples) for b in bufs])
+    joined = AudioBuffer(np.concatenate([b.samples for b in bufs]))
+    together = extract_frame_features(joined, grid)
+    assert together.num_frames == grid.num_frames
+    for buf, ff in zip(bufs, together.split(grid), strict=True):
+        alone = extract_frame_features(buf)
+        for name in ("loudness", "alpha_ratio_db", "f0_semitones", "jitter_local", "voiced"):
+            assert getattr(ff, name).tobytes() == getattr(alone, name).tobytes(), name

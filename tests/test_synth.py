@@ -171,3 +171,57 @@ class TestPipeline:
         entry.posterior_path = bad
         with pytest.raises(ValidationError, match="normalized"):
             prepare_utterance(entry, model)
+
+
+def _utterance_bytes(utt) -> tuple:
+    f = utt.fusion
+    return (f.gopd.tobytes(), f.pooled.tobytes(), f.phone_indices.tobytes(), utt.ct.tobytes(),
+            utt.u_nv.tobytes(), utt.fluency, utt.prosody)
+
+
+class TestGroupedPipeline:
+    """prepare_dataset runs the front end once per group of entries; its
+    output and its errors must be those of one entry at a time."""
+
+    @pytest.mark.parametrize("group_frames", [4096, 60], ids=["one-group", "many-groups"])
+    def test_matches_one_entry_at_a_time(self, corpus, monkeypatch, group_frames):
+        from pronassess import pipeline
+
+        out, manifest = corpus
+        entries = read_manifest(manifest)
+        model = read_duration_model(out / "durations.tsv")
+        groups = []
+        prepare_group = pipeline._prepare_group
+
+        def recording(group, duration_model):
+            groups.append(len(group))
+            return prepare_group(group, duration_model)
+
+        monkeypatch.setattr(pipeline, "GROUP_FRAMES", group_frames)
+        monkeypatch.setattr(pipeline, "_prepare_group", recording)
+        dataset = prepare_dataset(entries, model)
+        assert sum(groups) == len(entries)
+        assert (max(groups) == len(entries)) == (group_frames == 4096)
+        assert [_utterance_bytes(u) for u in dataset] == \
+            [_utterance_bytes(prepare_utterance(e, model)) for e in entries]
+
+    def _bad_entries(self, corpus, tmp_path):
+        from pronassess import AudioBuffer, write_matrix, write_wav
+
+        out, manifest = corpus
+        entries = read_manifest(manifest)
+        short_ct = tmp_path / "short.ct.mtx"
+        write_matrix(short_ct, read_matrix(entries[1].ct_path)[:-1])
+        entries[1].ct_path = short_ct
+        too_short = tmp_path / "tiny.wav"
+        write_wav(too_short, AudioBuffer(np.zeros(399)))
+        return entries, read_duration_model(out / "durations.tsv"), too_short
+
+    @pytest.mark.parametrize("later", ["missing", "too-short"])
+    def test_first_bad_entry_wins(self, corpus, tmp_path, later):
+        # entry 1's contextual rows are one short; entry 4's WAV is missing
+        # or under one window, which is found before entry 1 is featurized
+        entries, model, too_short = self._bad_entries(corpus, tmp_path)
+        entries[4].wav_path = tmp_path / "nope.wav" if later == "missing" else too_short
+        with pytest.raises(ValidationError, match=f"{entries[1].id}: contextual rows"):
+            prepare_dataset(entries, model)
