@@ -119,17 +119,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
-# Padded fusion rows per forward pass in `score`: utterances times the
-# longest fusion sequence (frames + phones + 1), the size of
-# `forward_batch`'s padded arrays. A float32 forward of the full-size model
-# peaks at ~42 KiB per padded row if all are valid, so a pass stays within
-# ~168 MiB (159 MiB traced for 10 utterances of 374 rows), below the 222 MiB
-# traced peak of a full-size float32 training step on 16 mixed-length
-# utterances. An entry's rows come from its WAV's frame count and its
-# phone count, so a chunk's membership is known before it is featurized;
-# each chunk is prepared just before its pass, so memory stays bounded by
-# one chunk whatever the manifest size.
+# Memory of a forward pass in `score`. A fusion sequence has frames +
+# phones + 1 valid rows, and `forward_batch` pads a chunk to utterances
+# times the longest. A full-size float32 pass peaks at about VALID_ROW_KIB
+# per valid row (the fusion LSTM's packed input, gates, cell states and
+# outputs, and the gather of its backward direction's input: ~32 KiB) plus
+# PADDED_ROW_KIB per padded row (the padded fusion input, 4 KiB, and the
+# padded phone-cue queries and attention). A tracemalloc fit over 24
+# chunks gave 33.2 and 5.0 KiB plus 10.3 MiB fixed; the constants round it
+# up so that the estimate bounds every chunk traced near the budget. A
+# chunk's estimate stays within that of SCORE_ROWS all-valid rows, 172 MiB.
+# Valid rows cost the most per KiB of estimate, so the worst pass is an
+# all-valid one: traced at 155-166 MiB, against 171 MiB for the worst pass
+# when chunks were sized by padded rows alone and the fusion encoder's
+# padded output was built. That is below the 222 MiB traced peak of a
+# full-size float32 training step on 16 mixed-length utterances. An entry's
+# rows come from its WAV's frame count and its phone count, so a chunk's
+# membership is known before it is featurized; each chunk is prepared just
+# before its pass, so memory stays bounded by one chunk whatever the
+# manifest size.
+VALID_ROW_KIB = 37
+PADDED_ROW_KIB = 6
 SCORE_ROWS = 4096
+
+
+def _pass_kib(rows) -> int:
+    """Estimated peak KiB of a full-size float32 forward pass over fusion
+    sequences of these lengths."""
+    return VALID_ROW_KIB * sum(rows) + PADDED_ROW_KIB * len(rows) * max(rows)
 
 
 def _prepare(group, duration_model):
@@ -140,14 +157,15 @@ def _prepare(group, duration_model):
 
 
 def _chunks(entries, duration_model):
-    """Prepared entries in order, grouped so that each group's padded fusion
-    rows stay within SCORE_ROWS; an entry over it alone is its own group.
+    """Prepared entries in order, grouped so that each group's estimated
+    pass memory (`_pass_kib`) stays within that of SCORE_ROWS all-valid
+    rows; an entry over it alone is its own group.
 
     Each chunk is featurized in one front-end pass together with the entry
     that closes it, the next chunk's first. So every entry is prepared, and
     its error raised, at the same point relative to the forward passes as
     when entries were prepared one at a time."""
-    chunk, group, longest = [], [], 0
+    chunk, group, lengths = [], [], []  # lengths: fusion rows of chunk + group
     for entry in entries:
         try:
             buf, frames = load_signal(entry)
@@ -155,14 +173,13 @@ def _chunks(entries, duration_model):
             _prepare(group, duration_model)  # an earlier entry's error comes first
             raise
         rows = frames + len(entry.phones) + 1  # len(ct) + len(fusion) + 1 once prepared
-        size = len(chunk) + len(group)
         group.append((entry, buf))
-        if size and (size + 1) * max(longest, rows) > SCORE_ROWS:
+        if lengths and _pass_kib(lengths + [rows]) > _pass_kib([SCORE_ROWS]):
             *done, first = _prepare(group, duration_model)
             yield chunk + done
-            chunk, group, longest = [first], [], rows
+            chunk, group, lengths = [first], [], [rows]
         else:
-            longest = max(longest, rows)
+            lengths.append(rows)
     chunk += _prepare(group, duration_model)
     if chunk:
         yield chunk

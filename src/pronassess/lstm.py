@@ -57,9 +57,14 @@ derivative coefficient over all packed rows at once, so a step only
 multiplies its rows of those coefficients by its dc or dh. d_wx, d_wh
 and d_b are single GEMMs over packed rows. The input gradient is
 computed only where the caller reads it: at every valid step, or, given
-`dx_tail`, at the last few steps of each sequence. Outputs and input
-gradients are scattered back to padded (B, T, ·) arrays that are zero
-everywhere else.
+`dx_tail`, at the last few steps of each sequence. The input gradient is
+scattered back to a padded (B, T, D) array that is zero everywhere else.
+
+The outputs stay packed in the cache that `bilstm_forward` returns, and a
+caller reads what it uses: `padded_output` scatters them to a zero-padded
+(B, T, 2H) array, and `output_sums` adds them over each sequence's valid
+steps in float64, bit for bit the sum over the padded array's time axis,
+without building it.
 
 The forward pass computes in x's dtype: gates, cell states and outputs
 are allocated in it, and `_recurrent` lays the recurrent weights out in
@@ -88,6 +93,7 @@ class PackPlan:
     steps: np.ndarray      # (N,) time step of each packed row
     offsets: np.ndarray    # (T+1,) step t occupies packed rows offsets[t] : offsets[t+1]
     rev: np.ndarray        # (N,) packed row of the same sequence at the mirrored step
+    order: np.ndarray      # (B,) batch rows longest first: slot s of every step is order[s]
 
 
 def pack_plan(lengths) -> PackPlan:
@@ -99,7 +105,7 @@ def pack_plan(lengths) -> PackPlan:
     steps, slots = np.nonzero(active)  # row-major: time-major, slots 0..n_t-1 per step
     offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))])
     rev = offsets[sorted_lens[slots] - 1 - steps] + slots
-    return PackPlan(order[slots], steps, offsets, rev)
+    return PackPlan(order[slots], steps, offsets, rev, order)
 
 
 @dataclass
@@ -247,8 +253,8 @@ def reverse_padded(x, lengths):
 
 def bilstm_forward(x, lengths, fwd_params, bwd_params):
     """Bidirectional pass over a zero-padded batch x: (B, T, D) whose row b
-    holds lengths[b] valid steps. Returns the (B, T, 2H) output, forward
-    features first and zero at padded positions, and the backward cache."""
+    holds lengths[b] valid steps. Returns the backward cache, which holds
+    the outputs packed: `padded_output` and `output_sums` read them."""
     lengths = np.asarray(lengths)
     plan = pack_plan(lengths)
     x_p = x[plan.rows, plan.steps]
@@ -280,10 +286,36 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
             h *= z[:, 3 * hid :]
 
     _each_direction(loop, before=project)
-    out = np.zeros(x.shape[:2] + (2 * hid,), dtype=x.dtype)
-    out[plan.rows, plan.steps, :hid] = hs[0]
-    out[plan.rows, plan.steps, hid:] = hs[1, plan.rev]
-    return out, BiLSTMCache(plan, lengths, x_p, gates, cs, hs)
+    return BiLSTMCache(plan, lengths, x_p, gates, cs, hs)
+
+
+def padded_output(cache, steps):
+    """The (B, steps, 2H) output of `bilstm_forward`, forward features
+    first and zero at padded positions; steps >= the longest length."""
+    plan, hid = cache.plan, cache.hs.shape[2]
+    out = np.zeros((len(cache.lengths), steps, 2 * hid), dtype=cache.hs.dtype)
+    out[plan.rows, plan.steps, :hid] = cache.hs[0]
+    out[plan.rows, plan.steps, hid:] = cache.hs[1, plan.rev]
+    return out
+
+
+def output_sums(cache):
+    """(B, 2H) float64 sum of each sequence's outputs over its valid steps.
+
+    The sums start at zero and add one step at a time in time order, which
+    is the order of numpy's `padded_output(cache, T).sum(axis=1,
+    dtype=np.float64)`; its padded zeros change no sum, so the two are the
+    same bits. Step t adds the first n_t rows, kept longest first as
+    packed, and the sums are put back in batch order at the end."""
+    plan, hid = cache.plan, cache.hs.shape[2]
+    sums = np.zeros((len(cache.lengths), 2 * hid))
+    for now, _ in _prev_rows(plan.offsets):
+        n = now.stop - now.start
+        sums[:n, :hid] += cache.hs[0, now]
+        sums[:n, hid:] += cache.hs[1, plan.rev[now]]
+    out = np.empty_like(sums)
+    out[plan.order] = sums
+    return out
 
 
 def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):

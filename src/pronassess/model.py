@@ -47,7 +47,7 @@ from .assembly import FusionInput
 from .errors import FormatError, InventoryError, ValidationError
 from .functionals import FUNCTIONAL_NAMES
 from .inventory import INVENTORY_SIZE
-from .lstm import bilstm_backward, bilstm_forward
+from .lstm import bilstm_backward, bilstm_forward, output_sums, padded_output
 from .metrics import N_CLASSES
 
 # Standardization of [gopd, loudness, alpha_db, f0_st, jitter] rows.
@@ -220,9 +220,9 @@ class ScoringModel:
         numeric = np.concatenate([f.numeric_block() for f in fusions])
         numeric = ((numeric - NUMERIC_OFFSET) / NUMERIC_SCALE).astype(self.dtype, copy=False)
         lengths = np.array([len(f) for f in fusions])
-        p_all, pc_cache = bilstm_forward(_pad(np.hstack([numeric, ptilde]), lengths), lengths,
-                                         *self._encoder("pc"))
-        return p_all, lengths, pc_cache, idx, emb, ptilde
+        pc_cache = bilstm_forward(_pad(np.hstack([numeric, ptilde]), lengths), lengths,
+                                  *self._encoder("pc"))
+        return padded_output(pc_cache, lengths.max()), lengths, pc_cache, idx, emb, ptilde
 
     # -- spec-level single-utterance operations ------------------------------
 
@@ -263,11 +263,11 @@ class ScoringModel:
         b, j = np.nonzero(_valid(l_lens))
         f_pad[b, t_lens[b] + j] = attended[b, j]
         f_pad[np.arange(len(batch)), t_lens + l_lens] = u
-        hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
+        fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
 
-        # Padded positions of hs_all are zero, so the sum is over valid steps.
-        # From here on float64, whatever dtype the encoders ran in.
-        fvec = hs_all.sum(axis=1, dtype=np.float64) / s_lens[:, None] + u
+        # Mean pooling over valid steps, read from the packed outputs. From
+        # here on float64, whatever dtype the encoders ran in.
+        fvec = output_sums(fu_cache) / s_lens[:, None] + u
         w_f, b_f, w_p, b_p = (self.params[f"head_{h}_{part}"].astype(np.float64, copy=False)
                               for h in ("f", "p") for part in ("w", "b"))
         dist_f = softmax(fvec @ w_f.T + b_f)

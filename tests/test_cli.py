@@ -1,5 +1,6 @@
 """Subcommand behaviour, exit codes, and stdout payloads."""
 
+import json
 import os
 import subprocess
 import sys
@@ -351,10 +352,12 @@ def _score_corpus(tmp_path):
 
 
 def _score_in_chunks(monkeypatch, budget, ckpt, dm_path, manifest, out):
-    """Run `score --manifest` with a padded-row budget of `budget`; returns
-    each forward chunk as its utterances' fusion lengths, after checking
-    that every chunk keeps to the budget (or is one utterance) and closed
-    only when the next utterance would have broken it."""
+    """Run `score --manifest` with a budget of `budget` all-valid fusion
+    rows; returns each forward chunk as its utterances' fusion lengths,
+    after checking that every chunk's estimated memory (VALID_ROW_KIB per
+    valid row plus PADDED_ROW_KIB per padded row) keeps to the budget's (or
+    the chunk is one utterance), and that a chunk closed only when the next
+    utterance would have broken it."""
     from pronassess import cli
 
     monkeypatch.setattr(cli, "SCORE_ROWS", budget)
@@ -370,11 +373,25 @@ def _score_in_chunks(monkeypatch, budget, ckpt, dm_path, manifest, out):
     rc = main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm_path),
                "--manifest", str(manifest), "--out", str(out)])
     assert rc == 0
+
+    def kib(rows):
+        return cli.VALID_ROW_KIB * sum(rows) + cli.PADDED_ROW_KIB * len(rows) * max(rows)
+
+    limit = (cli.VALID_ROW_KIB + cli.PADDED_ROW_KIB) * budget
     for chunk, following in zip(chunks, chunks[1:] + [None]):
-        assert len(chunk) == 1 or len(chunk) * max(chunk) <= budget
+        assert len(chunk) == 1 or kib(chunk) <= limit
         if following:
-            assert (len(chunk) + 1) * max(chunk + following[:1]) > budget
+            assert kib(chunk + following[:1]) > limit
     return chunks
+
+
+def _assert_same_scores(a, b):
+    """Score CSVs a and b list the same ids in order, with scores within 1e-6."""
+    rows = [[line.split(",") for line in out.read_text().splitlines()] for out in (a, b)]
+    assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]]
+    for row_a, row_b in zip(rows[0][1:], rows[1][1:]):
+        assert abs(float(row_a[1]) - float(row_b[1])) <= 1e-6
+        assert abs(float(row_a[2]) - float(row_b[2])) <= 1e-6
 
 
 def _overflow_score_args(tmp_path):
@@ -440,7 +457,7 @@ class TestScore:
 
     def test_manifest_mode_matches_batch_of_one(self, tmp_path, monkeypatch):
         # 17 utterances of mixed length (17-93 fusion rows each) under a
-        # 400-row budget span four forward chunks
+        # budget of 400 all-valid rows span three forward chunks
         from pronassess import ScoringModel, predict_score, prepare_utterance, read_manifest
 
         manifest, dm_path, ckpt = _score_corpus(tmp_path)
@@ -474,12 +491,38 @@ class TestScore:
         longest = max(max(c) for c in chunks)
         assert longest > 80 and [longest] in chunks  # over the budget alone
         assert any(len(c) > 1 for c in chunks)
-        rows = [[line.split(",") for line in out.read_text().splitlines()]
-                for out in (whole, split)]
-        assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]]
-        for a, b in zip(rows[0][1:], rows[1][1:]):
-            assert abs(float(a[1]) - float(b[1])) <= 1e-6
-            assert abs(float(a[2]) - float(b[2])) <= 1e-6
+        _assert_same_scores(whole, split)
+
+    def test_long_and_short_utterances_share_one_pass(self, tmp_path, monkeypatch):
+        # One 40-phone utterance and twelve of 2-4 phones. Utterances times
+        # the longest is over SCORE_ROWS, so sizing passes by padded rows
+        # split them; their estimated memory is within the budget, so one
+        # pass scores them all.
+        from pronassess import ScoringModel, SyntheticSpec, cli, generate_corpus
+        from pronassess.audio_io import write_manifest
+
+        rows = []
+        for sub, spec in (("long", SyntheticSpec(n_utterances=1, seed=3, min_phones=40,
+                                                 max_phones=40)),
+                          ("short", SyntheticSpec(n_utterances=12, seed=4))):
+            for line in generate_corpus(spec, tmp_path / sub).read_text().splitlines():
+                row = json.loads(line)
+                row["id"] = f"{sub}-{row['id']}"
+                for key in ("wav_path", "ct_path", "posterior_path"):
+                    row[key] = f"{sub}/{row[key]}"
+                rows.append(row)
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, rows)
+        dm_path = tmp_path / "long" / "durations.tsv"
+        ckpt = tmp_path / "full.ckpt"
+        ScoringModel(seed=2).save(ckpt)
+
+        whole = tmp_path / "whole.csv"
+        [chunk] = _score_in_chunks(monkeypatch, cli.SCORE_ROWS, ckpt, dm_path, manifest, whole)
+        assert len(chunk) == 13 and len(chunk) * max(chunk) > cli.SCORE_ROWS
+        split = tmp_path / "split.csv"
+        assert len(_score_in_chunks(monkeypatch, max(chunk), ckpt, dm_path, manifest, split)) >= 2
+        _assert_same_scores(whole, split)
 
     def test_non_finite_checkpoint_tensor_exit_3(self, tmp_path, capsys):
         # one bit flip turns head_f_b[0] = 1.5 (0x3FC00000) into NaN
@@ -583,6 +626,41 @@ class TestScore:
         assert rc == 2
         err = capsys.readouterr().err
         assert "is a directory" in err and str(tmp_path / "c") in err
+
+
+@pytest.mark.parametrize("short", [None, (26, 2)], ids=["all-valid", "long-plus-short"])
+def test_score_pass_memory_stays_within_its_estimate(short):
+    """The tracemalloc peak of a full-size float32 forward over a chunk at
+    the budget is within `_pass_kib`'s estimate for it: a chunk of equal
+    372-row utterances, all rows valid, and one 372-row utterance followed
+    by 29-row ones, mostly padding. Each chunk is as large as the budget
+    allows."""
+    import tracemalloc
+
+    from pronassess import ScoringModel, cli
+    from pronassess.model import ModelConfig
+
+    long = (341, 30)  # 372 fusion rows
+    more = short or long
+    shapes = [long]
+    while cli._pass_kib([sum(s) + 1 for s in shapes + [more]]) <= cli._pass_kib([cli.SCORE_ROWS]):
+        shapes.append(more)
+    rows = [sum(s) + 1 for s in shapes]
+    assert len(shapes) > 1 and (short is None or len(rows) * max(rows) > cli.SCORE_ROWS)
+
+    model = ScoringModel(seed=0)
+    model.params = {k: p.astype(np.float32) for k, p in model.params.items()}
+    rng = np.random.default_rng(0)
+    batch = [make_utt(rng, phones, frames, cfg=ModelConfig()) for frames, phones in shapes]
+    for utt in batch:
+        utt.ct = utt.ct.astype(np.float32)  # as MTX1 files give them
+    tracemalloc.start()
+    try:
+        model.forward_batch(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli._pass_kib(rows) * 1024
 
 
 class TestScoreErrorOrder:

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pronassess import lstm
-from pronassess.lstm import _activate, _recurrent, bilstm_backward, bilstm_forward
+from pronassess.lstm import (_activate, _recurrent, bilstm_backward, bilstm_forward, output_sums,
+                             padded_output)
 
 TOL = 1e-12
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +45,12 @@ def _setup(bsz, t_max, d_in, hid, lengths, seed):
     return x, d_out, direction(), direction()
 
 
+def _forward(x, lengths, fwd, bwd):
+    """(padded output, cache) of `bilstm_forward`, padded to x's length."""
+    cache = bilstm_forward(x, lengths, fwd, bwd)
+    return padded_output(cache, x.shape[1]), cache
+
+
 def _valid(t_max, lengths):
     return np.arange(t_max)[None, :] < np.asarray(lengths)[:, None]
 
@@ -53,7 +60,7 @@ def _valid(t_max, lengths):
 def test_padded_batch_matches_each_sequence_alone(case):
     bsz, t_max, d_in, hid, lengths, seed = case
     x, d_out, fwd, bwd = _setup(*case)
-    out, cache = bilstm_forward(x, lengths, fwd, bwd)
+    out, cache = _forward(x, lengths, fwd, bwd)
     dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
 
     assert out.shape == (bsz, t_max, 2 * hid) and dx.shape == x.shape
@@ -63,7 +70,7 @@ def test_padded_batch_matches_each_sequence_alone(case):
     ref_fwd = [np.zeros_like(p) for p in fwd]
     ref_bwd = [np.zeros_like(p) for p in bwd]
     for b, n in enumerate(lengths):
-        out_b, cache_b = bilstm_forward(x[b : b + 1, :n], np.array([n]), fwd, bwd)
+        out_b, cache_b = _forward(x[b : b + 1, :n], np.array([n]), fwd, bwd)
         dx_b, gf, gb = bilstm_backward(d_out[b : b + 1, :n], cache_b, fwd, bwd)
         np.testing.assert_allclose(out[b, :n], out_b[0], rtol=0, atol=TOL)
         np.testing.assert_allclose(dx[b, :n], dx_b[0], rtol=0, atol=TOL)
@@ -81,11 +88,30 @@ def test_float32_forward_stays_float32_near_float64(case):
     the float64 pass."""
     x, _, fwd, bwd = _setup(*case)
     lengths = case[4]
-    out, _ = bilstm_forward(x, lengths, fwd, bwd)
-    out32, cache = bilstm_forward(x.astype(np.float32), lengths,
-                                  *(tuple(p.astype(np.float32) for p in ps) for ps in (fwd, bwd)))
+    out, _ = _forward(x, lengths, fwd, bwd)
+    out32, cache = _forward(x.astype(np.float32), lengths,
+                            *(tuple(p.astype(np.float32) for p in ps) for ps in (fwd, bwd)))
     assert all(a.dtype == np.float32 for a in (out32, cache.x, cache.gates, cache.c, cache.hs))
     np.testing.assert_allclose(out32, out, rtol=0, atol=1e-5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=6), st.integers(1, 4),
+       st.integers(1, 4), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+@example([1], 1, 1, np.float32, 0)
+@example([3, 60, 1, 60, 7], 2, 3, np.float32, 1)
+def test_output_sums_are_the_padded_sums_bit_for_bit(lengths, d_in, hid, dtype, seed):
+    """`output_sums` gives the bits of numpy's float64 sum over the time
+    axis of the padded output, the pooling `forward_batch` used to run."""
+    lengths = np.array(lengths)
+    x, _, fwd, bwd = _setup(len(lengths), lengths.max(), d_in, hid, lengths, seed)
+    x = x.astype(dtype)
+    fwd, bwd = (tuple(p.astype(dtype) for p in ps) for ps in (fwd, bwd))
+    out, cache = _forward(x, lengths, fwd, bwd)
+    sums = output_sums(cache)
+    ref = out.sum(axis=1, dtype=np.float64)
+    assert out.dtype == dtype and sums.dtype == np.float64
+    assert sums.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,10 +122,10 @@ def test_backward_computes_in_the_cache_dtype(case):
     within float32 rounding (1e-4 of the largest entry) of float64."""
     x, d_out, fwd, bwd = _setup(*case)
     lengths = case[4]
-    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    cache = bilstm_forward(x, lengths, fwd, bwd)
     dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
     fwd32, bwd32 = (tuple(p.astype(np.float32) for p in ps) for ps in (fwd, bwd))
-    _, cache32 = bilstm_forward(x.astype(np.float32), lengths, fwd32, bwd32)
+    cache32 = bilstm_forward(x.astype(np.float32), lengths, fwd32, bwd32)
     dx32, g_fwd32, g_bwd32 = bilstm_backward(d_out, cache32, fwd32, bwd32)
     for g, g32 in zip([dx, *g_fwd, *g_bwd], [dx32, *g_fwd32, *g_bwd32]):
         assert g.dtype == np.float64 and g32.dtype == np.float32
@@ -112,9 +138,9 @@ def test_permuting_the_batch_permutes_the_outputs(case, rnd):
     bsz, t_max, d_in, hid, lengths, seed = case
     x, d_out, fwd, bwd = _setup(*case)
     perm = np.array(rnd.sample(range(bsz), bsz))
-    out, cache = bilstm_forward(x, lengths, fwd, bwd)
+    out, cache = _forward(x, lengths, fwd, bwd)
     dx, *grads = bilstm_backward(d_out, cache, fwd, bwd)
-    out_p, cache_p = bilstm_forward(x[perm], lengths[perm], fwd, bwd)
+    out_p, cache_p = _forward(x[perm], lengths[perm], fwd, bwd)
     dx_p, *grads_p = bilstm_backward(d_out[perm], cache_p, fwd, bwd)
     np.testing.assert_allclose(out_p, out[perm], rtol=0, atol=TOL)
     np.testing.assert_allclose(dx_p, dx[perm], rtol=0, atol=TOL)
@@ -136,10 +162,10 @@ def test_gradients_match_central_differences(case):
 
     def loss(step):
         moved = [p + step * v for p, v in zip(point, direction)]
-        out, _ = bilstm_forward(moved[0], lengths, tuple(moved[1:4]), tuple(moved[4:]))
+        out, _ = _forward(moved[0], lengths, tuple(moved[1:4]), tuple(moved[4:]))
         return float(np.sum(d_out * out))
 
-    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    cache = bilstm_forward(x, lengths, fwd, bwd)
     dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
     analytic = sum(float(np.sum(g * v)) for g, v in zip([dx, *g_fwd, *g_bwd], direction))
     eps = 1e-6
@@ -193,7 +219,7 @@ def test_input_gradient_at_selected_tail_matches_full_path(case_tail):
     case, tail = case_tail
     bsz, t_max, d_in, hid, lengths, seed = case
     x, d_out, fwd, bwd = _setup(*case)
-    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    cache = bilstm_forward(x, lengths, fwd, bwd)
     dx_full, *grads_full = bilstm_backward(d_out, cache, fwd, bwd)
     dx_tail, *grads_tail = bilstm_backward(d_out, cache, fwd, bwd, dx_tail=tail)
 
@@ -252,7 +278,7 @@ def _full_size(dtype=np.float32, seed=4):
 
 
 def _forward_and_gradients(x, lengths, d_out, fwd, bwd, dx_tail=None):
-    out, cache = bilstm_forward(x, lengths, fwd, bwd)
+    out, cache = _forward(x, lengths, fwd, bwd)
     dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd, dx_tail=dx_tail)
     return [out, dx, *g_fwd, *g_bwd]
 
@@ -316,7 +342,7 @@ def test_gemms_leave_the_caller_only_with_one_blas_thread(monkeypatch, blas_thre
 
     monkeypatch.setattr(lstm, "_each_direction", spy)
     x, d_out, fwd, bwd = _setup(3, 6, 4, 2, np.array([6, 2, 4]), 9)
-    _, cache = bilstm_forward(x, [6, 2, 4], fwd, bwd)
+    cache = bilstm_forward(x, [6, 2, 4], fwd, bwd)
     bilstm_backward(d_out, cache, fwd, bwd)
 
     assert len(calls) == 2  # the forward's GEMMs come before, the backward's after
@@ -335,7 +361,7 @@ def test_gemm_error_on_the_worker_reaches_the_caller(monkeypatch):
     _place_gemms(monkeypatch, 1)
     lengths = np.array([6, 2, 4])
     x, d_out, fwd, bwd = _setup(3, 6, 4, 2, lengths, 9)
-    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    cache = bilstm_forward(x, lengths, fwd, bwd)
     bad = (np.zeros((fwd[0].shape[0] + 1, fwd[0].shape[1])), *fwd[1:])
     threads = threading.active_count()
     for call in (lambda: bilstm_forward(x, lengths, bad, bwd),
@@ -390,7 +416,7 @@ def test_worker_error_reaches_the_caller_and_the_thread_is_joined(monkeypatch):
 
     lengths = np.array([6, 2, 4])
     x, d_out, fwd, bwd = _setup(3, 6, 4, 2, lengths, 9)
-    _, cache = bilstm_forward(x, lengths, fwd, bwd)
+    cache = bilstm_forward(x, lengths, fwd, bwd)
     threads = threading.active_count()
     monkeypatch.setattr(lstm, "_activate", on_worker_raise(_activate))
     with pytest.raises(FloatingPointError, match="worker direction failed"):

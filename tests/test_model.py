@@ -13,7 +13,7 @@ from pronassess.assembly import FusionInput
 from pronassess.errors import FormatError, InventoryError, ValidationError
 from pronassess.functionals import FUNCTIONAL_NAMES
 from pronassess.inventory import INVENTORY_SIZE
-from pronassess.lstm import bilstm_forward
+from pronassess.lstm import bilstm_forward, padded_output
 from pronassess.metrics import N_CLASSES, predict_score
 from pronassess.model import (
     CKPT_MAGIC,
@@ -328,7 +328,8 @@ class LoopAttentionModel(ScoringModel):
             f_pad[i, t : t + n_ph], weights = loop_cross_attention(p_all[i, :n_ph], f_pad[i, :t])
             attns.append(weights)
         f_pad[np.arange(len(batch)), t_lens + l_lens] = u
-        hs_all, fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
+        fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
+        hs_all = padded_output(fu_cache, s_lens.max())
         fvec = hs_all.sum(axis=1, dtype=np.float64) / s_lens[:, None] + u
         dist_f = softmax(fvec @ self.params["head_f_w"].T + self.params["head_f_b"])
         dist_p = softmax(fvec @ self.params["head_p_w"].T + self.params["head_p_b"])
