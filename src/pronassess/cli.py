@@ -13,6 +13,7 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 
 import argparse
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -26,13 +27,8 @@ from .functionals import compute_functionals
 from .lld import FrameFeatures, extract_frame_features
 from .metrics import pcc, predict_score
 from .model import ScoringModel
-from .pipeline import (
-    compose_fusion,
-    frame_features,
-    load_signal,
-    prepare_dataset,
-    prepare_utterance,
-)
+from .pipeline import compose_fusion, prepare_dataset, prepared_chunks
+from .pipeline import prepare_utterance  # noqa: F401 - benchmarks/layers.py wraps it
 from .synth import SyntheticSpec, generate_corpus
 from .train import history_csv, parse_train_config, train
 
@@ -119,79 +115,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-# Memory of a forward pass in `score`. A fusion sequence has frames +
-# phones + 1 valid rows, and `forward_batch` pads a chunk to utterances
-# times the longest. A full-size float32 pass peaks at about VALID_ROW_KIB
-# per valid row (the fusion LSTM's packed input, gates, cell states and
-# outputs, and the gather of its backward direction's input: ~32 KiB) plus
-# PADDED_ROW_KIB per padded row (the padded fusion input, 4 KiB, and the
-# padded phone-cue queries and attention). A tracemalloc fit over 24
-# chunks gave 33.2 and 5.0 KiB plus 10.3 MiB fixed; the constants round it
-# up so that the estimate bounds every chunk traced near the budget. A
-# chunk's estimate stays within that of SCORE_ROWS all-valid rows, 172 MiB.
-# Valid rows cost the most per KiB of estimate, so the worst pass is an
-# all-valid one: traced at 155-166 MiB, against 171 MiB for the worst pass
-# when chunks were sized by padded rows alone and the fusion encoder's
-# padded output was built. That is below the 222 MiB traced peak of a
-# full-size float32 training step on 16 mixed-length utterances. An entry's
-# rows come from its WAV's frame count and its phone count, so a chunk's
-# membership is known before it is featurized; each chunk is prepared just
-# before its pass, so memory stays bounded by one chunk whatever the
-# manifest size.
-VALID_ROW_KIB = 37
-PADDED_ROW_KIB = 6
-SCORE_ROWS = 4096
-
-
-def _pass_kib(rows) -> int:
-    """Estimated peak KiB of a full-size float32 forward pass over fusion
-    sequences of these lengths."""
-    return VALID_ROW_KIB * sum(rows) + PADDED_ROW_KIB * len(rows) * max(rows)
-
-
-def _prepare(group, duration_model):
-    """prepare_utterance of each (entry, buffer) pair, in order, with one
-    front-end pass over their signals."""
-    ffs = frame_features([buf for _, buf in group])
-    return [prepare_utterance(entry, duration_model, ff) for (entry, _), ff in zip(group, ffs)]
-
-
-def _chunks(entries, duration_model):
-    """Prepared entries in order, grouped so that each group's estimated
-    pass memory (`_pass_kib`) stays within that of SCORE_ROWS all-valid
-    rows; an entry over it alone is its own group.
-
-    Each chunk is featurized in one front-end pass together with the entry
-    that closes it, the next chunk's first. So every entry is prepared, and
-    its error raised, at the same point relative to the forward passes as
-    when entries were prepared one at a time."""
-    chunk, group, lengths = [], [], []  # lengths: fusion rows of chunk + group
-    for entry in entries:
-        try:
-            buf, frames = load_signal(entry)
-        except (OSError, PronAssessError):
-            _prepare(group, duration_model)  # an earlier entry's error comes first
-            raise
-        rows = frames + len(entry.phones) + 1  # len(ct) + len(fusion) + 1 once prepared
-        group.append((entry, buf))
-        if lengths and _pass_kib(lengths + [rows]) > _pass_kib([SCORE_ROWS]):
-            *done, first = _prepare(group, duration_model)
-            yield chunk + done
-            chunk, group, lengths = [first], [], [rows]
-        else:
-            lengths.append(rows)
-    chunk += _prepare(group, duration_model)
-    if chunk:
-        yield chunk
-
-
 def _score_entries(get_model, entries, duration_model) -> list[tuple[float, float]]:
     """(fluency, prosody) of each entry, in order: one `forward_batch` per
-    chunk, of the model that `get_model()` returns. A forward that overflows
-    gives a non-finite distribution, which `predict_score` rejects, so
-    numpy's overflow warnings are not shown."""
+    chunk of `prepared_chunks`, of the model that `get_model()` returns. A
+    forward that overflows gives a non-finite distribution, which
+    `predict_score` rejects, so numpy's overflow warnings are not shown."""
     scores = []
-    for batch in _chunks(entries, duration_model):
+    for batch in prepared_chunks(entries, duration_model):
         with np.errstate(over="ignore", invalid="ignore"):
             dists = get_model().forward_batch(batch)[1]
         scores.extend((predict_score(f), predict_score(p)) for f, p in dists)
@@ -253,6 +183,28 @@ def _score(args, get_model) -> int:
     return 0
 
 
+def _some_ids(ids) -> str:
+    """'N ids [first three]' for a message, with '...' when ids are left out."""
+    ids = sorted(ids)
+    shown = [repr(i) for i in ids[:3]] + ["..."] * (len(ids) > 3)
+    return f"{len(ids)} id{'s' * (len(ids) > 1)} [{', '.join(shown)}]"
+
+
+def _pcc(run: str, head: str, predictions, references) -> float:
+    """pcc, with its warning on a constant side as one `warning:` line;
+    any other warning passes through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        r = pcc(predictions, references)
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            print(f"warning: {run}: {head} scores are constant; PCC reported as 0",
+                  file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return r
+
+
 def _cmd_eval(args) -> int:
     gold = audio_io.read_scores(args.gold)
     if not gold:
@@ -266,14 +218,12 @@ def _cmd_eval(args) -> int:
         pred = audio_io.read_scores(pred_path)
         missing = set(ids) - set(pred)
         if missing:
-            raise ValidationError(
-                f"{pred_path}: missing predictions for {sorted(missing)[:3]}..."
-            )
+            raise ValidationError(f"{pred_path}: missing predictions for {_some_ids(missing)}")
         unknown = set(pred) - set(ids)
         if unknown:
-            raise ValidationError(f"{pred_path}: ids not in gold: {sorted(unknown)[:3]}...")
-        r_f = pcc([pred[i][0] for i in ids], ref_f)
-        r_p = pcc([pred[i][1] for i in ids], ref_p)
+            raise ValidationError(f"{pred_path}: {_some_ids(unknown)} not in gold")
+        r_f = _pcc(f"run{k}", "fluency", [pred[i][0] for i in ids], ref_f)
+        r_p = _pcc(f"run{k}", "prosody", [pred[i][1] for i in ids], ref_p)
         all_f.append(r_f)
         all_p.append(r_p)
         print(f"run{k} fluency_pcc={r_f:.6f} prosody_pcc={r_p:.6f}")

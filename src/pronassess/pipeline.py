@@ -1,17 +1,41 @@
 """End-to-end feature preparation: wav + posteriors + duration model ->
 scoring-network inputs.
 
-Entries are prepared in groups. Their WAVs are read in order, and a
-group's signals pass the frame front end in one `extract_frame_features`
+Entries are prepared in order, in chunks (`prepared_chunks`): `score`
+runs one forward pass per chunk, and `prepare_dataset` joins them. A
+chunk's signals pass the frame front end in one `extract_frame_features`
 call over a grid that lays them end to end (`frame_features`), which gives
 the same features bit for bit at a fraction of numpy's per-call cost (the
-36 utterances of 2-4 phones of the benchmark's `short` corpus: 22 ms in one
-call, 38 ms in one call each). Functionals, posterior checks, DTW
-alignment, GoPD and assembly stay per entry (`prepare_utterance`), in
-order. A WAV that cannot be read, or holds less than one window, is
-reported only after the entries before it are prepared. So the error
-raised is always the first bad entry's, as when entries are prepared one
-at a time. A group of one entry runs the same code.
+36 utterances of 2-4 phones of the benchmark's `short` corpus: 22.2 ms in
+one call, 43.1 ms in one call each). Functionals, posterior checks, DTW
+alignment, GoPD and assembly stay per entry (`prepare_utterance`).
+
+A chunk is sized by the memory of a full-size float32 forward pass over
+it. An utterance's fusion sequence has frames + phones + 1 valid rows,
+known from its WAV's frame count before it is featurized, and
+`forward_batch` pads a chunk to utterances times the longest. A pass peaks
+at about VALID_ROW_KIB per valid row (the fusion LSTM's packed input,
+gates, cell states and outputs, and the gather of its backward direction's
+input: ~32 KiB) plus PADDED_ROW_KIB per padded row (the padded fusion
+input, 4 KiB, and the padded phone-cue queries and attention). A
+tracemalloc fit over 24 chunks gave 33.2 and 5.0 KiB plus 10.3 MiB fixed;
+the constants round it up so that the estimate bounds every chunk traced
+near the budget. A chunk's estimate (`_pass_kib`) stays within that of
+SCORE_ROWS all-valid rows, 172 MiB, and an entry over it is a chunk of its
+own. Valid rows cost the most per KiB of estimate, so the worst pass is an
+all-valid one, traced at 155-166 MiB: below the 222 MiB traced peak of a
+full-size float32 training step on 16 mixed-length utterances. Chunks are
+prepared one at a time, so memory stays bounded by one chunk whatever the
+manifest size.
+
+Each chunk is featurized together with the entry that closes it, the next
+chunk's first. So a front-end pass covers fewer than SCORE_ROWS frames
+plus the closing entry's (at 8.4 KiB of numpy arrays per frame), and an
+entry's preparation errors come before the forward pass of the chunk
+ahead of it. A WAV that cannot be read, or holds less than one window, is
+reported only after the entries before it are prepared. So
+`prepare_dataset` raises the first bad entry's error, as when entries are
+prepared one at a time.
 """
 
 import numpy as np
@@ -24,13 +48,6 @@ from .errors import PronAssessError, ValidationError
 from .functionals import compute_functionals
 from .lld import FrameFeatures, FrameGrid, extract_frame_features, frame_count
 from .model import UtteranceFeatures
-
-# Frames per front-end group in prepare_dataset. One front-end call over
-# the 3135 frames of the benchmark's `mixed` corpus peaks at 26 MiB of
-# numpy arrays (8.4 KiB per frame), so a group stays near 35 MiB; both
-# benchmark corpora are one group each.
-GROUP_FRAMES = 4096
-
 
 def compose_fusion(ff: FrameFeatures, alignment: Alignment, duration_model: DurationModel) -> FusionInput:
     """Per-phoneme fusion input: GoPD of each aligned span, its pooled frame
@@ -92,25 +109,47 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
     )
 
 
-def _prepare_group(group, duration_model: DurationModel) -> list[UtteranceFeatures]:
-    """prepare_utterance of each (entry, buffer) pair, in order, with one
-    front-end pass over their signals."""
-    ffs = frame_features([buf for _, buf in group])
-    return [prepare_utterance(entry, duration_model, ff) for (entry, _), ff in zip(group, ffs)]
+# A score pass's memory per valid and per padded fusion row, and the budget
+# in all-valid rows (see the module docstring).
+VALID_ROW_KIB = 37
+PADDED_ROW_KIB = 6
+SCORE_ROWS = 4096
+
+
+def _pass_kib(rows) -> int:
+    """Estimated peak KiB of a full-size float32 forward pass over fusion
+    sequences of these lengths."""
+    return VALID_ROW_KIB * sum(rows) + PADDED_ROW_KIB * len(rows) * max(rows)
+
+
+def prepared_chunks(entries, duration_model: DurationModel):
+    """prepare_utterance of each entry, in order, yielded in chunks whose
+    estimated pass memory stays within that of SCORE_ROWS all-valid rows."""
+
+    def prepare(group):  # one front-end pass over the group's signals
+        ffs = frame_features([buf for _, buf in group])
+        return [prepare_utterance(e, duration_model, ff) for (e, _), ff in zip(group, ffs)]
+
+    chunk, group, lengths = [], [], []  # lengths: fusion rows of chunk + group
+    for entry in entries:
+        try:
+            buf, frames = load_signal(entry)
+        except (OSError, PronAssessError):
+            prepare(group)  # an earlier entry's error comes first
+            raise
+        rows = frames + len(entry.phones) + 1  # len(ct) + len(fusion) + 1 once prepared
+        group.append((entry, buf))
+        if lengths and _pass_kib(lengths + [rows]) > _pass_kib([SCORE_ROWS]):
+            *done, first = prepare(group)
+            yield chunk + done
+            chunk, group, lengths = [first], [], [rows]
+        else:
+            lengths.append(rows)
+    chunk += prepare(group)
+    if chunk:
+        yield chunk
 
 
 def prepare_dataset(entries, duration_model: DurationModel) -> list[UtteranceFeatures]:
-    """prepare_utterance of each entry, in groups of up to GROUP_FRAMES frames."""
-    dataset, group, frames = [], [], 0
-    for entry in entries:
-        try:
-            buf, n = load_signal(entry)
-        except (OSError, PronAssessError):
-            _prepare_group(group, duration_model)  # an earlier entry's error comes first
-            raise
-        if frames + n > GROUP_FRAMES:
-            dataset += _prepare_group(group, duration_model)
-            group, frames = [], 0
-        group.append((entry, buf))
-        frames += n
-    return dataset + _prepare_group(group, duration_model)
+    """prepare_utterance of each entry, in order."""
+    return [utt for chunk in prepared_chunks(entries, duration_model) for utt in chunk]

@@ -307,6 +307,38 @@ class TestEval:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 3
         assert "u9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gold_ids, pred_ids, message", [
+        (3, [1], "missing predictions for 2 ids ['u2', 'u3']"),
+        (6, [1], "missing predictions for 5 ids ['u2', 'u3', 'u4', ...]"),
+        (3, [1, 2, 3, 9], "1 id ['u9'] not in gold"),
+        (3, range(1, 8), "4 ids ['u4', 'u5', 'u6', ...] not in gold"),
+    ], ids=["missing-all-listed", "missing-cut", "unknown-one", "unknown-cut"])
+    def test_id_messages_count_and_cut_only_when_cut(self, tmp_path, capsys, gold_ids, pred_ids,
+                                                     message):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\n" +
+                        "".join(f"u{i},{i},2\n" for i in range(1, gold_ids + 1)))
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,fluency,prosody\n" + "".join(f"u{i},1,1\n" for i in pred_ids))
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 3
+        assert capsys.readouterr().err == f"error: {pred}: {message}\n"
+
+    def test_constant_scores_warn_in_one_line(self, tmp_path, capsys):
+        # run 1 predicts one fluency score throughout; run 2 matches gold,
+        # whose prosody scores are constant
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\nu1,3,4\nu2,7,4\nu3,5,4\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,fluency,prosody\nu1,6,1\nu2,6,2\nu3,6,3\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--pred", str(gold)]) == 0
+        out, err = capsys.readouterr()
+        assert out == ("run1 fluency_pcc=0.000000 prosody_pcc=0.000000\n"
+                       "run2 fluency_pcc=1.000000 prosody_pcc=0.000000\n"
+                       "average fluency_pcc=0.500000 prosody_pcc=0.000000\n")
+        assert err == ("warning: run1: fluency scores are constant; PCC reported as 0\n"
+                       "warning: run1: prosody scores are constant; PCC reported as 0\n"
+                       "warning: run2: prosody scores are constant; PCC reported as 0\n")
+
 
 class TestSynthCli:
     def test_determinism(self, tmp_path, capsys):
@@ -351,37 +383,19 @@ def _score_corpus(tmp_path):
     return manifest, tmp_path / "c" / "durations.tsv", ckpt
 
 
-def _score_in_chunks(monkeypatch, budget, ckpt, dm_path, manifest, out):
+def _score_in_chunks(budget, ckpt, dm_path, manifest, out):
     """Run `score --manifest` with a budget of `budget` all-valid fusion
     rows; returns each forward chunk as its utterances' fusion lengths,
-    after checking that every chunk's estimated memory (VALID_ROW_KIB per
-    valid row plus PADDED_ROW_KIB per padded row) keeps to the budget's (or
-    the chunk is one utterance), and that a chunk closed only when the next
-    utterance would have broken it."""
+    after checking them with `check_chunks`."""
     from pronassess import cli
 
-    monkeypatch.setattr(cli, "SCORE_ROWS", budget)
-    chunks = []
-    chunk_entries = cli._chunks
+    from test_synth import check_chunks, recorded_chunks
 
-    def recording(entries, duration_model):
-        for chunk in chunk_entries(entries, duration_model):
-            chunks.append([len(u.ct) + len(u.fusion) + 1 for u in chunk])
-            yield chunk
-
-    monkeypatch.setattr(cli, "_chunks", recording)
-    rc = main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm_path),
-               "--manifest", str(manifest), "--out", str(out)])
+    with recorded_chunks(budget, cli) as chunks:
+        rc = main(["score", "--checkpoint", str(ckpt), "--duration-model", str(dm_path),
+                   "--manifest", str(manifest), "--out", str(out)])
     assert rc == 0
-
-    def kib(rows):
-        return cli.VALID_ROW_KIB * sum(rows) + cli.PADDED_ROW_KIB * len(rows) * max(rows)
-
-    limit = (cli.VALID_ROW_KIB + cli.PADDED_ROW_KIB) * budget
-    for chunk, following in zip(chunks, chunks[1:] + [None]):
-        assert len(chunk) == 1 or kib(chunk) <= limit
-        if following:
-            assert kib(chunk + following[:1]) > limit
+    check_chunks(chunks, budget)
     return chunks
 
 
@@ -455,7 +469,7 @@ class TestScore:
         assert err.startswith("error: ") and flag in err
         assert not (tmp_path / "single.csv").exists()
 
-    def test_manifest_mode_matches_batch_of_one(self, tmp_path, monkeypatch):
+    def test_manifest_mode_matches_batch_of_one(self, tmp_path):
         # 17 utterances of mixed length (17-93 fusion rows each) under a
         # budget of 400 all-valid rows span three forward chunks
         from pronassess import ScoringModel, predict_score, prepare_utterance, read_manifest
@@ -463,7 +477,7 @@ class TestScore:
         manifest, dm_path, ckpt = _score_corpus(tmp_path)
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for out in outs:
-            chunks = _score_in_chunks(monkeypatch, 400, ckpt, dm_path, manifest, out)
+            chunks = _score_in_chunks(400, ckpt, dm_path, manifest, out)
             assert len(chunks) >= 2
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
@@ -482,23 +496,23 @@ class TestScore:
             assert abs(float(f) - predict_score(dist_f)) <= 1e-6
             assert abs(float(p) - predict_score(dist_p)) <= 1e-6
 
-    def test_utterance_over_budget_is_its_own_chunk(self, tmp_path, monkeypatch):
+    def test_utterance_over_budget_is_its_own_chunk(self, tmp_path):
         manifest, dm_path, ckpt = _score_corpus(tmp_path)
         whole = tmp_path / "whole.csv"
-        assert len(_score_in_chunks(monkeypatch, 4096, ckpt, dm_path, manifest, whole)) == 1
+        assert len(_score_in_chunks(4096, ckpt, dm_path, manifest, whole)) == 1
         split = tmp_path / "split.csv"
-        chunks = _score_in_chunks(monkeypatch, 80, ckpt, dm_path, manifest, split)
+        chunks = _score_in_chunks(80, ckpt, dm_path, manifest, split)
         longest = max(max(c) for c in chunks)
         assert longest > 80 and [longest] in chunks  # over the budget alone
         assert any(len(c) > 1 for c in chunks)
         _assert_same_scores(whole, split)
 
-    def test_long_and_short_utterances_share_one_pass(self, tmp_path, monkeypatch):
+    def test_long_and_short_utterances_share_one_pass(self, tmp_path):
         # One 40-phone utterance and twelve of 2-4 phones. Utterances times
         # the longest is over SCORE_ROWS, so sizing passes by padded rows
         # split them; their estimated memory is within the budget, so one
         # pass scores them all.
-        from pronassess import ScoringModel, SyntheticSpec, cli, generate_corpus
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus, pipeline
         from pronassess.audio_io import write_manifest
 
         rows = []
@@ -518,10 +532,10 @@ class TestScore:
         ScoringModel(seed=2).save(ckpt)
 
         whole = tmp_path / "whole.csv"
-        [chunk] = _score_in_chunks(monkeypatch, cli.SCORE_ROWS, ckpt, dm_path, manifest, whole)
-        assert len(chunk) == 13 and len(chunk) * max(chunk) > cli.SCORE_ROWS
+        [chunk] = _score_in_chunks(pipeline.SCORE_ROWS, ckpt, dm_path, manifest, whole)
+        assert len(chunk) == 13 and len(chunk) * max(chunk) > pipeline.SCORE_ROWS
         split = tmp_path / "split.csv"
-        assert len(_score_in_chunks(monkeypatch, max(chunk), ckpt, dm_path, manifest, split)) >= 2
+        assert len(_score_in_chunks(max(chunk), ckpt, dm_path, manifest, split)) >= 2
         _assert_same_scores(whole, split)
 
     def test_non_finite_checkpoint_tensor_exit_3(self, tmp_path, capsys):
@@ -637,16 +651,17 @@ def test_score_pass_memory_stays_within_its_estimate(short):
     allows."""
     import tracemalloc
 
-    from pronassess import ScoringModel, cli
+    from pronassess import ScoringModel, pipeline
     from pronassess.model import ModelConfig
 
+    pass_kib, budget = pipeline._pass_kib, pipeline.SCORE_ROWS
     long = (341, 30)  # 372 fusion rows
     more = short or long
     shapes = [long]
-    while cli._pass_kib([sum(s) + 1 for s in shapes + [more]]) <= cli._pass_kib([cli.SCORE_ROWS]):
+    while pass_kib([sum(s) + 1 for s in shapes + [more]]) <= pass_kib([budget]):
         shapes.append(more)
     rows = [sum(s) + 1 for s in shapes]
-    assert len(shapes) > 1 and (short is None or len(rows) * max(rows) > cli.SCORE_ROWS)
+    assert len(shapes) > 1 and (short is None or len(rows) * max(rows) > budget)
 
     model = ScoringModel(seed=0)
     model.params = {k: p.astype(np.float32) for k, p in model.params.items()}
@@ -660,7 +675,7 @@ def test_score_pass_memory_stays_within_its_estimate(short):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli._pass_kib(rows) * 1024
+    assert peak <= pass_kib(rows) * 1024
 
 
 class TestScoreErrorOrder:
@@ -731,7 +746,7 @@ class TestScoreErrorOrder:
         # Entry 1 overflows the float32 forward, and entry 2's posteriors have
         # a row too few. With a budget that puts them in separate chunks, entry
         # 2 is prepared before entry 1's chunk is scored, as one at a time.
-        from pronassess import ScoringModel, cli
+        from pronassess import ScoringModel, pipeline
 
         manifest, dm, entries = self._corpus(tmp_path, n=2)
         ct = read_matrix(entries[0].ct_path)
@@ -742,7 +757,7 @@ class TestScoreErrorOrder:
         self._rewrite(manifest, e1=("posterior_path", short_post))
         ckpt = tmp_path / "full.ckpt"
         ScoringModel(seed=0).save(ckpt)
-        monkeypatch.setattr(cli, "SCORE_ROWS", 1)
+        monkeypatch.setattr(pipeline, "SCORE_ROWS", 1)
         rc = self._score(ckpt, dm, manifest, tmp_path)
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {entries[1].id}: posterior frames")

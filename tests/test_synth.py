@@ -1,15 +1,19 @@
 """Synthetic corpus generation and the feature-preparation pipeline."""
 
 import hashlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pronassess import (
     SyntheticSpec,
     dtw_align,
     generate_corpus,
+    pipeline,
     prepare_dataset,
     prepare_utterance,
     pseudo_ct,
@@ -20,7 +24,7 @@ from pronassess import (
     synth,
 )
 from pronassess.durations import MIN_COUNT, STD_FLOOR_MS
-from pronassess.errors import ValidationError
+from pronassess.errors import TooShortError, ValidationError
 from pronassess.synth import fluency_label, generator_duration_model, prosody_label
 
 
@@ -179,31 +183,73 @@ def _utterance_bytes(utt) -> tuple:
             utt.u_nv.tobytes(), utt.fluency, utt.prosody)
 
 
+@contextmanager
+def recorded_chunks(budget, owner):
+    """Set the chunk budget to `budget` all-valid fusion rows, and record
+    each chunk that `owner.prepared_chunks` yields as its utterances'
+    fusion lengths."""
+    chunks, prepared_chunks = [], pipeline.prepared_chunks
+
+    def recording(entries, duration_model):
+        for chunk in prepared_chunks(entries, duration_model):
+            chunks.append([len(u.ct) + len(u.fusion) + 1 for u in chunk])
+            yield chunk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "SCORE_ROWS", budget)
+        mp.setattr(owner, "prepared_chunks", recording)
+        yield chunks
+
+
+def check_chunks(chunks, budget):
+    """Every chunk's estimated memory (VALID_ROW_KIB per valid row plus
+    PADDED_ROW_KIB per padded row) keeps to that of `budget` all-valid rows,
+    or the chunk is one utterance, and a chunk closed only when the next
+    utterance would have broken it."""
+    def kib(rows):
+        return pipeline.VALID_ROW_KIB * sum(rows) + \
+            pipeline.PADDED_ROW_KIB * len(rows) * max(rows)
+
+    limit = (pipeline.VALID_ROW_KIB + pipeline.PADDED_ROW_KIB) * budget
+    for chunk, following in zip(chunks, chunks[1:] + [None]):
+        assert len(chunk) == 1 or kib(chunk) <= limit
+        if following:
+            assert kib(chunk + following[:1]) > limit
+
+
 class TestGroupedPipeline:
-    """prepare_dataset runs the front end once per group of entries; its
+    """prepare_dataset runs the front end once per chunk of entries; its
     output and its errors must be those of one entry at a time."""
 
-    @pytest.mark.parametrize("group_frames", [4096, 60], ids=["one-group", "many-groups"])
-    def test_matches_one_entry_at_a_time(self, corpus, monkeypatch, group_frames):
-        from pronassess import pipeline
+    @pytest.fixture(scope="class")
+    def one_at_a_time(self, corpus):
+        out, manifest = corpus
+        model = read_duration_model(out / "durations.tsv")
+        return [_utterance_bytes(prepare_utterance(e, model)) for e in read_manifest(manifest)]
 
+    def _chunked(self, corpus, one_at_a_time, budget):
         out, manifest = corpus
         entries = read_manifest(manifest)
         model = read_duration_model(out / "durations.tsv")
-        groups = []
-        prepare_group = pipeline._prepare_group
+        with recorded_chunks(budget, pipeline) as chunks:
+            dataset = prepare_dataset(entries, model)
+        assert [_utterance_bytes(u) for u in dataset] == one_at_a_time
+        assert sum(map(len, chunks)) == len(entries)
+        check_chunks(chunks, budget)
+        return chunks
 
-        def recording(group, duration_model):
-            groups.append(len(group))
-            return prepare_group(group, duration_model)
+    @pytest.mark.parametrize("budget", [4096, 60], ids=["one-group", "many-groups"])
+    def test_matches_one_entry_at_a_time(self, corpus, one_at_a_time, budget):
+        chunks = self._chunked(corpus, one_at_a_time, budget)
+        assert (len(chunks) == 1) == (budget == 4096)
 
-        monkeypatch.setattr(pipeline, "GROUP_FRAMES", group_frames)
-        monkeypatch.setattr(pipeline, "_prepare_group", recording)
-        dataset = prepare_dataset(entries, model)
-        assert sum(groups) == len(entries)
-        assert (max(groups) == len(entries)) == (group_frames == 4096)
-        assert [_utterance_bytes(u) for u in dataset] == \
-            [_utterance_bytes(prepare_utterance(e, model)) for e in entries]
+    # The 8 utterances hold 250 fusion rows and are one chunk from a budget of
+    # 267 rows up, so budgets up to 300 cover every chunking.
+    @settings(max_examples=40, deadline=None)
+    @given(budget=st.integers(1, 300))
+    @example(budget=1)
+    def test_matches_one_entry_at_a_time_at_any_budget(self, corpus, one_at_a_time, budget):
+        self._chunked(corpus, one_at_a_time, budget)
 
     def _bad_entries(self, corpus, tmp_path):
         from pronassess import AudioBuffer, write_matrix, write_wav
@@ -224,4 +270,21 @@ class TestGroupedPipeline:
         entries, model, too_short = self._bad_entries(corpus, tmp_path)
         entries[4].wav_path = tmp_path / "nope.wav" if later == "missing" else too_short
         with pytest.raises(ValidationError, match=f"{entries[1].id}: contextual rows"):
+            prepare_dataset(entries, model)
+
+    @pytest.mark.parametrize("later", ["missing", "too-short"])
+    def test_closing_entrys_bad_wav_waits_for_the_chunk_before(self, corpus, tmp_path,
+                                                               monkeypatch, later):
+        # At a budget of 1 row, entry 1 closes entry 0's chunk: both WAVs are
+        # read before either entry is prepared. Entry 0's contextual rows are
+        # one short, and entry 1's WAV is missing or under one window.
+        entries, model, too_short = self._bad_entries(corpus, tmp_path)
+        entries = entries[1:]  # the entry with short contextual rows first
+        entries[1].wav_path = tmp_path / "nope.wav" if later == "missing" else too_short
+        monkeypatch.setattr(pipeline, "SCORE_ROWS", 1)
+        with pytest.raises(ValidationError, match=f"{entries[0].id}: contextual rows"):
+            prepare_dataset(entries, model)
+        # with entry 0 repaired, entry 1's WAV is what fails
+        entries[0].ct_path = read_manifest(corpus[1])[1].ct_path
+        with pytest.raises(FileNotFoundError if later == "missing" else TooShortError):
             prepare_dataset(entries, model)
