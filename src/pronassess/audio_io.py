@@ -170,6 +170,11 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to a file as UTF-8, whatever the locale."""
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def table_text(header: str, rows, sep: str) -> str:
     """A header line, then one line of `sep`-joined str() fields per row,
     each line ended by a newline. str() of a Python float is its repr, so
@@ -196,7 +201,7 @@ def _rows(path, header: str, sep: str, what: str):
 
 def write_alignment(path, alignment: Alignment) -> None:
     rows = [(sp.phone, sp.start_frame, sp.end_frame) for sp in alignment.spans]
-    Path(path).write_text(table_text(ALIGNMENT_HEADER, rows, "\t"), encoding="utf-8")
+    write_text(path, table_text(ALIGNMENT_HEADER, rows, "\t"))
 
 
 def read_alignment(path) -> Alignment:
@@ -217,7 +222,7 @@ def write_duration_model(path, model: DurationModel) -> None:
     rows = [(phone, float(st.mean_ms), float(st.std_ms), int(st.count))
             for phone, st in [(GLOBAL_PHONE, model.global_stats),
                               *sorted(model.phones.items())]]
-    Path(path).write_text(table_text(DURATION_HEADER, rows, "\t"), encoding="utf-8")
+    write_text(path, table_text(DURATION_HEADER, rows, "\t"))
 
 
 def read_duration_model(path) -> DurationModel:
@@ -344,6 +349,4 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 def write_manifest(path, rows: list[dict]) -> None:
     """Write manifest rows (plain dicts with relative path strings) as JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

@@ -12,6 +12,8 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 """
 
 import argparse
+import errno
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -90,9 +92,8 @@ def _cmd_assemble(args) -> int:
     model = audio_io.read_duration_model(args.duration_model)
     fusion = compose_fusion(ff, alignment, model)
     audio_io.write_matrix(args.out, fusion.numeric_block())
-    sidecar = Path(str(args.out) + ".phones")
     rows = zip(alignment.phones, fusion.phone_indices)
-    sidecar.write_text(audio_io.table_text("phone\tindex", rows, "\t"), encoding="utf-8")
+    audio_io.write_text(f"{args.out}.phones", audio_io.table_text("phone\tindex", rows, "\t"))
     return 0
 
 
@@ -108,7 +109,7 @@ def _cmd_train(args) -> int:
     dataset = prepare_dataset(entries, duration_model)
     result = train(dataset, config=config)
     result.model.save(out / "checkpoint.ckpt")
-    (out / "history.csv").write_text(history_csv(result.history))
+    audio_io.write_text(out / "history.csv", history_csv(result.history))
     last = result.history[-1][0]
     print(f"epochs={last} best_epoch={result.best_epoch} "
           f"best_val_loss={result.history[result.best_epoch - 1][2]!r}")
@@ -159,6 +160,13 @@ def _cmd_score(args) -> int:
 
 def _score(args, get_model) -> int:
     """`score` once its mode is checked; `get_model()` returns the checkpoint."""
+    if args.out:  # fail as the final write would, before any entry is featurized
+        try:  # the parent with a trailing "/", so that a file there fails too
+            os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, args.out) from None
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     duration_model = audio_io.read_duration_model(args.duration_model)
     if args.manifest is not None:
         entries = audio_io.read_manifest(args.manifest)
@@ -169,7 +177,7 @@ def _score(args, get_model) -> int:
         scores = _score_entries(get_model, entries, duration_model)
         text = audio_io.score_text((e.id, f, p) for e, (f, p) in zip(entries, scores))
         if args.out:
-            Path(args.out).write_text(text)
+            audio_io.write_text(args.out, text)
         else:
             print(text, end="")
         return 0

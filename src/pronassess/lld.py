@@ -179,12 +179,9 @@ class FrameFeatures:
     def split(self, grid: FrameGrid) -> list["FrameFeatures"]:
         """The features of each signal of `grid`, the grid these were
         extracted on."""
-        ranges = grid.frame_ranges()
-        if len(ranges) == 1:
-            return [self]
         cols = (self.loudness, self.alpha_ratio_db, self.f0_semitones, self.jitter_local,
                 self.voiced)
-        return [FrameFeatures(*(c[a:b] for c in cols)) for a, b in ranges]
+        return [FrameFeatures(*(c[a:b] for c in cols)) for a, b in grid.frame_ranges()]
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
@@ -461,6 +458,5 @@ def extract_frame_features(buf: AudioBuffer, grid: FrameGrid | None = None) -> F
     f0_hz, voiced = estimate_f0(buf, grid)
     jitter = compute_jitter(buf, grid, f0_hz, voiced)
     semis = np.zeros(grid.num_frames)
-    if voiced.any():
-        semis[voiced] = hz_to_semitones(f0_hz[voiced])
+    semis[voiced] = hz_to_semitones(f0_hz[voiced])
     return FrameFeatures(loudness, alpha, semis, jitter, voiced)

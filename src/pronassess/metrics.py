@@ -29,6 +29,9 @@ def pcc(predictions, references) -> float:
         raise ValidationError(f"length mismatch: {x.size} predictions vs {y.size} references")
     if x.size < 2:
         raise ValidationError("need at least 2 points for a correlation")
+    # PCC is scale-invariant: a power of two that brings each side's largest
+    # magnitude into [0.5, 1) is exact, and no square below over- or underflows.
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     xc = x - x.mean()
     yc = y - y.mean()
     nx = np.sqrt((xc**2).sum())

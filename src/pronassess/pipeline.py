@@ -28,14 +28,14 @@ full-size float32 training step on 16 mixed-length utterances. Chunks are
 prepared one at a time, so memory stays bounded by one chunk whatever the
 manifest size.
 
-Each chunk is featurized together with the entry that closes it, the next
-chunk's first. So a front-end pass covers fewer than SCORE_ROWS frames
-plus the closing entry's (at 8.4 KiB of numpy arrays per frame), and an
-entry's preparation errors come before the forward pass of the chunk
-ahead of it. A WAV that cannot be read, or holds less than one window, is
-reported only after the entries before it are prepared. So
-`prepare_dataset` raises the first bad entry's error, as when entries are
-prepared one at a time.
+A front-end pass covers one chunk: fewer than SCORE_ROWS frames, or one
+longer entry (at 8.4 KiB of numpy arrays per frame). An entry is prepared
+with its chunk, so its preparation errors come after the forward pass of
+the chunk ahead of it. WAVs are read as the chunks are sized: one that
+cannot be read, or holds less than one window, is reported once the
+entries before it are prepared, and so before the forward pass of a chunk
+it would close. So `prepare_dataset` raises the first bad entry's error,
+as when entries are prepared one at a time.
 """
 
 import numpy as np
@@ -57,20 +57,13 @@ def compose_fusion(ff: FrameFeatures, alignment: Alignment, duration_model: Dura
     return build_fusion_input(pooled, gopd_values, alignment.phones)
 
 
-def load_signal(entry: audio_io.ManifestEntry) -> tuple[audio_io.AudioBuffer, int]:
-    """The entry's WAV and its frame count; TooShortError below one window."""
-    buf = audio_io.load_wav(entry.wav_path)
-    return buf, frame_count(len(buf.samples))
-
-
 def frame_features(bufs) -> list[FrameFeatures]:
     """Each signal's frame features, from one `extract_frame_features` call
     over the signals laid end to end."""
     if not bufs:
         return []
     grid = FrameGrid.for_signals([len(b.samples) for b in bufs])
-    joined = bufs[0] if len(bufs) == 1 else audio_io.AudioBuffer(
-        np.concatenate([b.samples for b in bufs]))
+    joined = audio_io.AudioBuffer(np.concatenate([b.samples for b in bufs]))
     return extract_frame_features(joined, grid).split(grid)
 
 
@@ -126,28 +119,26 @@ def prepared_chunks(entries, duration_model: DurationModel):
     """prepare_utterance of each entry, in order, yielded in chunks whose
     estimated pass memory stays within that of SCORE_ROWS all-valid rows."""
 
-    def prepare(group):  # one front-end pass over the group's signals
-        ffs = frame_features([buf for _, buf in group])
-        return [prepare_utterance(e, duration_model, ff) for (e, _), ff in zip(group, ffs)]
+    def prepare(chunk):  # one front-end pass over the chunk's signals
+        ffs = frame_features([buf for _, buf in chunk])
+        return [prepare_utterance(e, duration_model, ff) for (e, _), ff in zip(chunk, ffs)]
 
-    chunk, group, lengths = [], [], []  # lengths: fusion rows of chunk + group
+    chunk, lengths = [], []  # lengths: fusion rows of chunk
     for entry in entries:
         try:
-            buf, frames = load_signal(entry)
+            buf = audio_io.load_wav(entry.wav_path)
+            frames = frame_count(len(buf.samples))
         except (OSError, PronAssessError):
-            prepare(group)  # an earlier entry's error comes first
+            prepare(chunk)  # an earlier entry's error comes first
             raise
         rows = frames + len(entry.phones) + 1  # len(ct) + len(fusion) + 1 once prepared
-        group.append((entry, buf))
         if lengths and _pass_kib(lengths + [rows]) > _pass_kib([SCORE_ROWS]):
-            *done, first = prepare(group)
-            yield chunk + done
-            chunk, group, lengths = [first], [], [rows]
-        else:
-            lengths.append(rows)
-    chunk += prepare(group)
+            yield prepare(chunk)
+            chunk, lengths = [], []
+        chunk.append((entry, buf))
+        lengths.append(rows)
     if chunk:
-        yield chunk
+        yield prepare(chunk)
 
 
 def prepare_dataset(entries, duration_model: DurationModel) -> list[UtteranceFeatures]:

@@ -262,5 +262,5 @@ def generate_corpus(spec: SyntheticSpec, out_dir, jobs: int = 1) -> Path:
     audio_io.write_manifest(manifest_path, rows)
     audio_io.write_duration_model(out_dir / "durations.tsv", generator_duration_model())
     gold = audio_io.score_text((r["id"], r["fluency"], r["prosody"]) for r in rows)
-    (out_dir / "gold.csv").write_text(gold)
+    audio_io.write_text(out_dir / "gold.csv", gold)
     return manifest_path

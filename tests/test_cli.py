@@ -271,6 +271,14 @@ class TestEval:
         assert out.count("run") == 3
         assert "average fluency_pcc=1.000000" in out
 
+    def test_huge_predictions_correlate(self, tmp_path, capsys):
+        # squaring 1e200 overflowed, and the PCC printed was -0.000000
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\nu1,1,1\nu2,2,2\nu3,4,4\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,fluency,prosody\nu1,1e200,1\nu2,-1e200,2\nu3,0,4\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
+        assert capsys.readouterr() == ("run1 fluency_pcc=-0.327327 prosody_pcc=1.000000\n", "")
 
     @pytest.mark.parametrize("row", ["u2,7", "u2,7,2,1", "u2,seven,2", "u2,7,nan"])
     def test_malformed_row(self, tmp_path, capsys, row):
@@ -641,6 +649,60 @@ class TestScore:
         err = capsys.readouterr().err
         assert "is a directory" in err and str(tmp_path / "c") in err
 
+    @pytest.mark.parametrize("kind", ["missing-parent", "parent-is-file", "out-is-a-directory"])
+    def test_bad_out_checked_before_featurizing(self, tmp_path, capsys, monkeypatch, kind):
+        from pronassess import ScoringModel, SyntheticSpec, cli, generate_corpus
+
+        def never(*args, **kwargs):
+            pytest.fail("featurized before --out was checked")
+
+        monkeypatch.setattr(cli, "prepared_chunks", never)
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir").mkdir()
+        out, reason = {
+            "missing-parent": (tmp_path / "nope" / "s.csv", "no such file"),
+            "parent-is-file": (tmp_path / "a-file" / "s.csv",
+                               "a file where a directory is expected"),
+            "out-is-a-directory": (tmp_path / "a-dir", "is a directory, not a file"),
+        }[kind]
+        ckpt = tmp_path / "tiny.ckpt"
+        args = ["score", "--checkpoint", str(ckpt),
+                "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                "--manifest", str(manifest), "--out", str(out)]
+        # a checkpoint error still comes first
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: no such file: {ckpt}\n"
+        ScoringModel(TINY_CONFIG, seed=0).save(ckpt)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {reason}: {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file", "c", "tiny.ckpt"]
+        assert not any((tmp_path / "a-dir").iterdir())
+
+    def test_out_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # An id outside ASCII reached the CSV through the locale's encoding,
+        # which failed after every entry was scored.
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        row = json.loads(manifest.read_text())
+        row["id"] = "naïve-日本"
+        manifest.write_text(json.dumps(row) + "\n")
+        ckpt = tmp_path / "full.ckpt"
+        ScoringModel(seed=0).save(ckpt)
+        out = tmp_path / "s.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        run = subprocess.run(
+            [sys.executable, "-m", "pronassess.cli", "score", "--checkpoint", str(ckpt),
+             "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+             "--manifest", str(manifest), "--out", str(out)],
+            env=env, capture_output=True, timeout=300)
+        assert (run.returncode, run.stderr) == (0, b"")
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "id,fluency,prosody" and lines[1].startswith("naïve-日本,")
+
 
 @pytest.mark.parametrize("short", [None, (26, 2)], ids=["all-valid", "long-plus-short"])
 def test_score_pass_memory_stays_within_its_estimate(short):
@@ -741,15 +803,16 @@ class TestScoreErrorOrder:
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {entries[1].id}: contextual rows")
 
-    def test_next_chunks_first_entry_is_prepared_before_the_forward(self, tmp_path, capsys,
-                                                                    monkeypatch):
+    def test_next_chunks_first_entry_is_prepared_after_the_forward(self, tmp_path, capsys,
+                                                                   monkeypatch):
         # Entry 1 overflows the float32 forward, and entry 2's posteriors have
         # a row too few. With a budget that puts them in separate chunks, entry
-        # 2 is prepared before entry 1's chunk is scored, as one at a time.
+        # 2 is prepared with its own chunk, after entry 1's chunk is scored.
         from pronassess import ScoringModel, pipeline
 
         manifest, dm, entries = self._corpus(tmp_path, n=2)
-        ct = read_matrix(entries[0].ct_path)
+        good_ct = read_matrix(entries[0].ct_path)
+        ct = good_ct.copy()
         ct[0], ct[1] = 3.3e38, -3.3e38
         write_matrix(entries[0].ct_path, ct)
         short_post = tmp_path / "short.post.mtx"
@@ -760,9 +823,9 @@ class TestScoreErrorOrder:
         monkeypatch.setattr(pipeline, "SCORE_ROWS", 1)
         rc = self._score(ckpt, dm, manifest, tmp_path)
         assert rc == 3
-        assert capsys.readouterr().err.startswith(f"error: {entries[1].id}: posterior frames")
-        # with entry 2 repaired, entry 1's overflow is what fails
-        self._rewrite(manifest, e1=("posterior_path", entries[1].posterior_path))
+        assert "not a valid 11-class distribution" in capsys.readouterr().err
+        # with entry 1 repaired, entry 2's short posteriors are what fails
+        write_matrix(entries[0].ct_path, good_ct)
         rc = self._score(ckpt, dm, manifest, tmp_path)
         assert rc == 3
-        assert "not a valid 11-class distribution" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {entries[1].id}: posterior frames")

@@ -251,6 +251,20 @@ class TestGroupedPipeline:
     def test_matches_one_entry_at_a_time_at_any_budget(self, corpus, one_at_a_time, budget):
         self._chunked(corpus, one_at_a_time, budget)
 
+    @pytest.mark.parametrize("budget", [1, 60, 4096])
+    def test_one_front_end_pass_per_chunk(self, corpus, monkeypatch, budget):
+        out, manifest = corpus
+        passes, frame_features = [], pipeline.frame_features
+
+        def recording(bufs):
+            passes.append(len(bufs))
+            return frame_features(bufs)
+
+        monkeypatch.setattr(pipeline, "frame_features", recording)
+        with recorded_chunks(budget, pipeline) as chunks:
+            prepare_dataset(read_manifest(manifest), read_duration_model(out / "durations.tsv"))
+        assert passes == [len(chunk) for chunk in chunks]
+
     def _bad_entries(self, corpus, tmp_path):
         from pronassess import AudioBuffer, write_matrix, write_wav
 

@@ -1,6 +1,7 @@
 """Training loop behaviour and the evaluation metrics."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -245,3 +246,26 @@ class TestPcc:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             pcc([1], [1])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+    def test_extreme_magnitudes(self, scale):
+        # unscaled, 1e200's squares overflow and 1e-200's underflow to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pcc([scale, -scale, 0.0], [1, 2, 4]) == pytest.approx(-0.3273268353539886)
+
+    def test_ordinary_inputs_keep_their_bits(self):
+        # scaling by a power of two is exact: the unscaled formula's bits
+        def plain(x, y):
+            xc, yc = x - x.mean(), y - y.mean()
+            r = (xc @ yc) / (np.sqrt((xc**2).sum()) * np.sqrt((yc**2).sum()))
+            return float(np.clip(r, -1.0, 1.0))
+
+        rng = np.random.default_rng(59)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-20, 20)
+            y = rng.integers(0, 11, n) + rng.uniform(0, 1, n) * rng.integers(0, 2)
+            if np.ptp(y) == 0:
+                continue
+            assert np.float64(pcc(x, y)).tobytes() == np.float64(plain(x, y)).tobytes()
