@@ -306,6 +306,8 @@ def read_manifest(path) -> list[ManifestEntry]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{ln}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise ValidationError(f"{path}:{ln}: invalid JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
             raise ValidationError(f"{path}:{ln}: expected a JSON object, got {type(obj).__name__}")
         for field_name in _MANIFEST_FIELDS:
@@ -325,6 +327,8 @@ def read_manifest(path) -> list[ManifestEntry]:
         for key in ("wav_path", "ct_path", "posterior_path"):
             if not isinstance(obj[key], str):
                 raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
+            if "\0" in obj[key]:  # no OS takes it in a path
+                raise ValidationError(f"{path}:{ln}: {key} contains a NUL byte: {obj[key]!r}")
         uid = obj["id"]
         if not isinstance(uid, str) or not uid or any(c in uid for c in ",\r\n"):
             # ids become the first field of a score CSV row

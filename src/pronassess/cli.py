@@ -5,7 +5,9 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 
   0  success
   1  unexpected failure
-  2  missing input file, or a file where a directory is expected
+  2  a path the OS refuses: missing, the wrong kind (a directory where a file
+     is expected, or a file where a directory is), a name too long, a
+     symlink loop, no permission
   3  malformed or unsupported input (format, schema, range, inventory)
   4  infeasible alignment (more phones than frames)
   5  empty input set
@@ -24,7 +26,7 @@ import numpy as np
 from . import audio_io
 from .aligner import dtw_align, spans_to_durations
 from .durations import fit_durations, gopd_vector
-from .errors import InfeasibleAlignmentError, PronAssessError, ValidationError
+from .errors import EmptyInputError, InfeasibleAlignmentError, PronAssessError, ValidationError
 from .functionals import compute_functionals
 from .lld import FrameFeatures, extract_frame_features
 from .metrics import pcc, predict_score
@@ -33,6 +35,9 @@ from .pipeline import compose_fusion, prepare_dataset, prepared_chunks
 from .pipeline import prepare_utterance  # noqa: F401 - benchmarks/layers.py wraps it
 from .synth import SyntheticSpec, generate_corpus
 from .train import history_csv, parse_train_config, train
+
+# Exit codes of the package's errors (see the table above); any other exits 3.
+EXIT_CODES = {InfeasibleAlignmentError: 4, EmptyInputError: 5}
 
 
 def _cmd_extract(args) -> int:
@@ -55,13 +60,13 @@ def _cmd_align(args) -> int:
 def _cmd_fit_durations(args) -> int:
     root = Path(args.alignments)
     if not root.is_dir():
-        print(f"error: no such directory: {root}", file=sys.stderr)
-        return 2
-    files = sorted(root.glob(args.pattern))
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(root))
+    try:
+        files = sorted(root.glob(args.pattern))
+    except (ValueError, NotImplementedError) as exc:  # '' or an absolute pattern
+        raise ValidationError(f"bad --pattern {args.pattern!r}: {exc}") from None
     if not files:
-        print(f"error: no alignment files matching {args.pattern!r} in {args.alignments}",
-              file=sys.stderr)
-        return 5
+        raise EmptyInputError(f"no alignment files matching {args.pattern!r} in {args.alignments}")
     samples = []
     for f in files:
         samples.extend(spans_to_durations(audio_io.read_alignment(f)))
@@ -82,8 +87,7 @@ def _cmd_gopd(args) -> int:
 
 def _cmd_assemble(args) -> int:
     if (args.wav is None) == (args.frames is None):
-        print("error: need exactly one of --wav or --frames", file=sys.stderr)
-        return 3
+        raise ValidationError("need exactly one of --wav or --frames")
     if args.frames is not None:
         ff = FrameFeatures.from_matrix(audio_io.read_matrix(args.frames))
     else:
@@ -100,8 +104,7 @@ def _cmd_assemble(args) -> int:
 def _cmd_train(args) -> int:
     entries = audio_io.read_manifest(args.manifest)
     if not entries:
-        print("error: manifest is empty", file=sys.stderr)
-        return 5
+        raise EmptyInputError("manifest is empty")
     config = parse_train_config(args.config)
     duration_model = audio_io.read_duration_model(args.duration_model)
     out = Path(args.out)
@@ -135,30 +138,26 @@ def _cmd_score(args) -> int:
     if args.manifest is not None:
         extra = [flag for flag, value in single.items() if value is not None]
         if extra:
-            print(f"error: {' '.join(extra)} cannot be combined with --manifest", file=sys.stderr)
-            return 3
+            raise ValidationError(f"{' '.join(extra)} cannot be combined with --manifest")
     elif args.out is not None:
-        print("error: --out needs --manifest; one utterance's scores go to stdout",
-              file=sys.stderr)
-        return 3
+        raise ValidationError("--out needs --manifest; one utterance's scores go to stdout")
     elif not all(single.values()):
-        print("error: need either --manifest or all of --wav --posteriors --ct --phones",
-              file=sys.stderr)
-        return 3
+        raise ValidationError("need either --manifest or all of --wav --posteriors --ct --phones")
     # The checkpoint loads on a worker thread while this one reads the
     # duration model and the manifest and featurizes the first chunk. It is
-    # joined before the first forward pass, and on every early return or
-    # error, so a checkpoint error still wins over any later one.
+    # joined before the first forward pass, and on any error, so a
+    # checkpoint error still wins over any later one.
     with ThreadPoolExecutor(max_workers=1) as pool:
         loading = pool.submit(ScoringModel.load, args.checkpoint)
         try:
-            return _score(args, loading.result)
+            _score(args, loading.result)
         except BaseException:
             loading.result()
             raise
+    return 0
 
 
-def _score(args, get_model) -> int:
+def _score(args, get_model) -> None:
     """`score` once its mode is checked; `get_model()` returns the checkpoint."""
     if args.out:  # fail as the final write would, before any entry is featurized
         try:  # the parent with a trailing "/", so that a file there fails too
@@ -171,16 +170,14 @@ def _score(args, get_model) -> int:
     if args.manifest is not None:
         entries = audio_io.read_manifest(args.manifest)
         if not entries:
-            get_model()
-            print("error: manifest is empty", file=sys.stderr)
-            return 5
+            raise EmptyInputError("manifest is empty")
         scores = _score_entries(get_model, entries, duration_model)
         text = audio_io.score_text((e.id, f, p) for e, (f, p) in zip(entries, scores))
         if args.out:
             audio_io.write_text(args.out, text)
         else:
             print(text, end="")
-        return 0
+        return
     entry = audio_io.ManifestEntry(
         id="cli", wav_path=Path(args.wav), ct_path=Path(args.ct),
         posterior_path=Path(args.posteriors), phones=args.phones.split(),
@@ -188,7 +185,6 @@ def _score(args, get_model) -> int:
     )
     [(f, p)] = _score_entries(get_model, [entry], duration_model)
     print(f"{f!r} {p!r}")
-    return 0
 
 
 def _some_ids(ids) -> str:
@@ -216,8 +212,7 @@ def _pcc(run: str, head: str, predictions, references) -> float:
 def _cmd_eval(args) -> int:
     gold = audio_io.read_scores(args.gold)
     if not gold:
-        print(f"error: gold file {args.gold} has no scores", file=sys.stderr)
-        return 5
+        raise EmptyInputError(f"gold file {args.gold} has no scores")
     ids = sorted(gold)
     ref_f = [gold[i][0] for i in ids]
     ref_p = [gold[i][1] for i in ids]
@@ -330,19 +325,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+    except OSError as exc:
+        if exc.filename is None:  # no path at fault: a broken pipe, say
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         # FileExistsError: `mkdir(exist_ok=True)` on a path that is a file
         reason = {FileNotFoundError: "no such file",
-                  IsADirectoryError: "is a directory, not a file"}.get(
-                      type(exc), "a file where a directory is expected")
+                  IsADirectoryError: "is a directory, not a file",
+                  NotADirectoryError: "a file where a directory is expected",
+                  FileExistsError: "a file where a directory is expected"}.get(
+                      type(exc), exc.strerror)
         print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return 2
-    except InfeasibleAlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PronAssessError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_CODES.get(type(exc), 3)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1

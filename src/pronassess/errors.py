@@ -31,3 +31,7 @@ class TooShortError(PronAssessError):
 
 class ModelError(PronAssessError):
     """A duration or scoring model cannot answer the query."""
+
+
+class EmptyInputError(PronAssessError):
+    """An input set holds nothing to work on."""

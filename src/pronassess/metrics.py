@@ -29,6 +29,9 @@ def pcc(predictions, references) -> float:
         raise ValidationError(f"length mismatch: {x.size} predictions vs {y.size} references")
     if x.size < 2:
         raise ValidationError("need at least 2 points for a correlation")
+    if x.min() == x.max() or y.min() == y.max():
+        warnings.warn("constant vector in pcc, returning 0", stacklevel=2)
+        return 0.0
     # PCC is scale-invariant: a power of two that brings each side's largest
     # magnitude into [0.5, 1) is exact, and no square below over- or underflows.
     x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
@@ -36,7 +39,4 @@ def pcc(predictions, references) -> float:
     yc = y - y.mean()
     nx = np.sqrt((xc**2).sum())
     ny = np.sqrt((yc**2).sum())
-    if nx == 0.0 or ny == 0.0:
-        warnings.warn("constant vector in pcc, returning 0", stacklevel=2)
-        return 0.0
     return float(np.clip((xc @ yc) / (nx * ny), -1.0, 1.0))

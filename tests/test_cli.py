@@ -1,5 +1,6 @@
 """Subcommand behaviour, exit codes, and stdout payloads."""
 
+import errno
 import json
 import os
 import subprocess
@@ -64,6 +65,32 @@ class TestExtract:
         assert rc == 3
 
 
+class TestRefusedPaths:
+    """A path the OS refuses exits 2 with its reason, whether it is read,
+    written, or loaded on `score`'s checkpoint thread."""
+
+    def _path(self, tmp_path, kind):
+        if kind == "too-long":
+            return tmp_path / ("x" * 300), errno.ENAMETOOLONG
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        return loop, errno.ELOOP
+
+    @pytest.mark.parametrize("kind", ["too-long", "symlink-loop"])
+    @pytest.mark.parametrize("use", ["read", "write", "checkpoint"])
+    def test_exit_2_with_the_reason(self, tmp_path, capsys, silence_wav, kind, use):
+        path, code = self._path(tmp_path, kind)
+        if use == "checkpoint":
+            argv = ["score", "--checkpoint", str(path), "--duration-model", str(tmp_path / "d"),
+                    "--manifest", str(tmp_path / "m.jsonl")]
+        else:
+            wav, frames = (path, tmp_path / "f.mtx") if use == "read" else (silence_wav, path)
+            argv = ["extract", "--wav", str(wav), "--out-frames", str(frames),
+                    "--out-functionals", str(tmp_path / "u.mtx")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(code)}: {path}\n"
+
+
 class TestAlign:
     def test_single_frame(self, tmp_path, capsys):
         post = tmp_path / "p.mtx"
@@ -107,6 +134,13 @@ class TestFitDurations:
         model = read_duration_model(out)
         assert model.phones["AA"].std_ms == 5.0
         assert model.phones["AA"].count == 12
+
+    @pytest.mark.parametrize("pattern", ["", "/abs/*.tsv"], ids=["empty", "absolute"])
+    def test_bad_pattern_exit_3(self, tmp_path, capsys, pattern):
+        rc = main(["fit-durations", "--alignments", str(tmp_path), "--pattern", pattern,
+                   "--out", str(tmp_path / "m.tsv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: bad --pattern {pattern!r}: ")
 
     def test_empty_dir(self, tmp_path):
         adir = tmp_path / "empty"
@@ -253,6 +287,33 @@ class TestTrainCli:
         assert capsys.readouterr().err == f"error: a file where a directory is expected: {out}\n"
 
 
+@pytest.mark.parametrize("kind", ["nested-json", "nul-in-path"])
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_bad_manifest_line_exit_3(tmp_path, capsys, command, kind):
+    from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+    manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=8), tmp_path / "c")
+    if kind == "nested-json":
+        manifest.write_text("[" * 200_000 + "\n")
+        message = f"error: {manifest}:1: invalid JSON (nested too deeply)\n"
+    else:
+        row = json.loads(manifest.read_text())
+        row["wav_path"] = "a\0.wav"
+        manifest.write_text(json.dumps(row) + "\n")
+        message = f"error: {manifest}:1: wav_path contains a NUL byte: 'a\\x00.wav'\n"
+    dm = str(tmp_path / "c" / "durations.tsv")
+    if command == "train":
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+    else:
+        ckpt = tmp_path / "tiny.ckpt"
+        ScoringModel(TINY_CONFIG, seed=0).save(ckpt)
+        argv = ["score", "--checkpoint", str(ckpt)]
+    assert main([*argv, "--duration-model", dm, "--manifest", str(manifest)]) == 3
+    assert capsys.readouterr().err == message
+
+
 class TestEval:
     def test_identical_pred_gold(self, tmp_path, capsys):
         gold = tmp_path / "gold.csv"
@@ -346,6 +407,17 @@ class TestEval:
         assert err == ("warning: run1: fluency scores are constant; PCC reported as 0\n"
                        "warning: run1: prosody scores are constant; PCC reported as 0\n"
                        "warning: run2: prosody scores are constant; PCC reported as 0\n")
+
+    def test_constant_tenths_warn(self, tmp_path, capsys):
+        # the mean of three 0.1s is not 0.1, which gave a PCC of 1.19e-16
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,fluency,prosody\nu1,1,1\nu2,2,2\nu3,4,4\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,fluency,prosody\nu1,0.1,1\nu2,0.1,2\nu3,0.1,4\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
+        assert capsys.readouterr() == (
+            "run1 fluency_pcc=0.000000 prosody_pcc=1.000000\n",
+            "warning: run1: fluency scores are constant; PCC reported as 0\n")
 
 
 class TestSynthCli:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the CLI decides its exit codes in `main` alone."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,43 @@ def test_finds_an_unused_import():
 def test_no_unused_imports(module):
     unused = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert [n for n in unused if (module, n) not in ALLOWED] == []
+
+
+def _prints_error(node) -> bool:
+    """Whether node is a `print` whose first argument starts with 'error:'."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print" and node.args):
+        return False
+    first = node.args[0]
+    if isinstance(first, ast.JoinedStr) and first.values:  # an f-string
+        first = first.values[0]
+    return isinstance(first, ast.Constant) and str(first.value).startswith("error:")
+
+
+def exit_code_breaches(source: str) -> list[str]:
+    """'function:line' of each place where `source` prints an 'error:' line
+    outside `main`, or a `_cmd_*` function returns anything but 0: commands
+    raise, and `main` alone reports the error and picks the exit code."""
+    breaches = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            nonzero = isinstance(node, ast.Return) and (
+                node.value is None or ast.unparse(node.value) != "0")
+            if (_prints_error(node) and name != "main") or \
+                    (nonzero and name.startswith("_cmd_")):
+                breaches.append((node.lineno, name))
+    return [f"{name}:{line}" for line, name in sorted(breaches)]
+
+
+def test_finds_exit_code_breaches():
+    source = ("def _cmd_a(args):\n    print(f'error: {args}')\n    return 2\n"
+              "def _cmd_b(args):\n    return run(args)\n"
+              "def _cmd_c(args):\n    print('ok')\n    return 0\n"
+              "def helper():\n    print('error: x', file=sys.stderr)\n    return 5\n"
+              "def main():\n    print('error: y')\n    return 3\n")
+    assert exit_code_breaches(source) == ["_cmd_a:2", "_cmd_a:3", "_cmd_b:5", "helper:10"]
+
+
+def test_cli_decides_exit_codes_in_main():
+    assert exit_code_breaches((SRC / "cli.py").read_text(encoding="utf-8")) == []

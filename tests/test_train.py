@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pronassess.errors import ValidationError
 from pronassess.metrics import pcc, predict_score
@@ -238,6 +240,19 @@ class TestPcc:
     def test_constant_prediction_warns_zero(self):
         with pytest.warns(UserWarning):
             assert pcc([2, 2, 2], [1, 2, 3]) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False),
+           other=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=2, max_size=50),
+           constant_first=st.booleans())
+    @example(value=0.1, other=[1.0, 2.0, 4.0], constant_first=True)  # mean(0.1, 0.1, 0.1) != 0.1
+    def test_any_constant_side_gives_zero(self, value, other, constant_first):
+        sides = ([value] * len(other), other)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = pcc(*(sides if constant_first else sides[::-1]))
+        assert r == 0.0 and [w.category for w in caught] == [UserWarning]
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
