@@ -16,6 +16,7 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 import argparse
 import errno
 import os
+import stat
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +41,30 @@ from .train import history_csv, parse_train_config, train
 EXIT_CODES = {InfeasibleAlignmentError: 4, EmptyInputError: 5}
 
 
+def _require_dir(path, name) -> None:
+    """Raise the OSError, naming `name`, that opening a file in directory
+    `path` would: missing, a regular file, a symlink loop and so on."""
+    try:  # a trailing "/", so that a regular file fails too
+        os.stat(os.path.join(path, ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, name) from None
+
+
+def _check_out(path) -> None:
+    """Raise the OSError that writing a file at `path` would, before any
+    work is done; a path that does not exist yet passes."""
+    _require_dir(os.path.dirname(path) or ".", path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _cmd_extract(args) -> int:
+    for out in (args.out_frames, args.out_functionals):
+        _check_out(out)
     buf = audio_io.load_wav(args.wav)
     ff = extract_frame_features(buf)
     audio_io.write_matrix(args.out_frames, ff.to_matrix())
@@ -58,9 +82,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_fit_durations(args) -> int:
+    _require_dir(args.alignments, args.alignments)
     root = Path(args.alignments)
-    if not root.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(root))
     try:
         files = sorted(root.glob(args.pattern))
     except (ValueError, NotImplementedError) as exc:  # '' or an absolute pattern
@@ -159,13 +182,8 @@ def _cmd_score(args) -> int:
 
 def _score(args, get_model) -> None:
     """`score` once its mode is checked; `get_model()` returns the checkpoint."""
-    if args.out:  # fail as the final write would, before any entry is featurized
-        try:  # the parent with a trailing "/", so that a file there fails too
-            os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, args.out) from None
-        if os.path.isdir(args.out):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if args.out:  # before any entry is featurized
+        _check_out(args.out)
     duration_model = audio_io.read_duration_model(args.duration_model)
     if args.manifest is not None:
         entries = audio_io.read_manifest(args.manifest)

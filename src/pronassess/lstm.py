@@ -19,38 +19,33 @@ the direction's recurrent weights, laid out once per call (`_recurrent`),
 and one elementwise pass; the sigmoid gates use 0.5 * (1 + tanh(x / 2)).
 
 The two directions share nothing from the input projection to the
-output, so each one's time loop runs as one function: direction 0 on a
-worker thread and direction 1 on the calling thread, joined before the
-pass goes on (`_each_direction`; Appleyard et al. 2016, arXiv:1604.01946).
-numpy releases the interpreter lock inside its calls, so the loops overlap
-on a second core.
+output, so each direction runs as one function on a thread of its own:
+its input projection and bias before its time loop, or its d_wx, d_wh,
+d_b and term of d_x after it (the caller adds the two d_x terms).
+Direction 0 runs on a worker thread and direction 1 on the calling
+thread, joined before the pass goes on (`_each_direction`; Appleyard et
+al. 2016, arXiv:1604.01946). numpy releases the interpreter lock inside
+its calls, so the directions overlap on a second core. Meanwhile numpy's
+OpenBLAS runs one thread, set there and the caller's count restored
+after (`_one_blas_thread`), so two GEMMs at once take one core each:
+on a 2-vCPU host whose OpenBLAS defaults to 2 threads, 6 epochs of the
+acceptance tests' training fell from 2.52-2.72 s to 1.86-1.93 s. The
+count is process-wide: while any pass runs, every thread's BLAS calls
+run on one thread. Where no OpenBLAS setter is found (another BLAS
+build), the placement is the same, and a BLAS that runs more than one
+thread oversubscribes the cores.
 
-Each direction's big GEMMs are one function too: the input projection and
-its bias before the loop, and d_wx, d_wh, d_b and its term of d_x after
-it; the caller adds the two d_x terms. Where they run depends on the BLAS
-thread count, read at each call from the OpenBLAS numpy loaded
-(`_blas_threads`):
-- one BLAS thread: on the direction's own thread, around its loop, so
-  the second core is not idle while the caller runs them. On a 2-vCPU
-  host with BLAS pinned to one thread this made the session benchmark's
-  `mixed` training 1.15x faster (median of 10 alternating pairs, each one
-  faster).
-- any other count, or one that cannot be read: on the calling thread,
-  before the loops and after the join, where a multi-threaded BLAS gives
-  each GEMM every core. Two BLAS calls at once, each asking for both cores
-  of a 2-vCPU host, slowed the acceptance tests' full-size training run
-  at the default BLAS thread count from a median of 26.0 s to 28.8 s.
 A direction gathers its operands (x and h_{t-1} in its row order) inside
 its GEMM function and frees its loop scratch before it, so no thread
 holds both directions' gathers for the whole pass. The caller allocates
 the arrays that the loops fill and that the GEMMs write (d_wx, d_wh and
 the d_x terms), so that the worker allocates little in its own malloc
-arena: with the backward's outputs allocated on the worker, peak RSS over
-`mixed` training rose 5.3 % above the caller placement's, instead of
-2.6 %. Every product and elementwise operation is the one a single
-thread would run, on the same operands, so the result depends neither on
-the placement nor on the split: it is bit-identical to running the
-directions one after the other.
+arena: allocating the backward's outputs on the worker raised peak RSS
+over `mixed` training by another 2.6 %. Every product and elementwise
+operation is the one a single thread would run, on the same operands, at
+one BLAS thread whatever the caller's count, so the result depends
+neither on the split nor on that count: it is bit-identical to running
+the directions one after the other.
 
 `bilstm_backward` first turns the cached gates into each gate's local
 derivative coefficient over all packed rows at once, so a step only
@@ -77,6 +72,7 @@ carries and input gradient are allocated in it, so a float32 forward
 Gate order in the stacked weight matrices is input, forget, cell, output.
 """
 
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -155,42 +151,66 @@ def _recurrent(w, n_rows):
 
 @functools.cache
 def _blas_thread_probe():
-    """The get-num-threads function of the OpenBLAS that numpy loaded, or
-    None where none is found (another BLAS, or another numpy layout)."""
+    """The (get, set) num-threads functions of the OpenBLAS that numpy
+    loaded, or (None, None) where none is found (another BLAS, or another
+    numpy layout)."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            if hasattr(handle, symbol):
-                probe = getattr(handle, symbol)
-                probe.argtypes, probe.restype = [], ctypes.c_int
-                return probe
-    return None
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, set_ = (getattr(handle, name.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None, None
 
 
-def _blas_threads():
-    """Threads numpy's BLAS runs a GEMM on, read at each call; None if unknown."""
-    probe = _blas_thread_probe()
-    return None if probe is None else probe()
+_pin_lock = threading.Lock()
+_saved_threads = []  # a count per open `_one_blas_thread` block, the first one's at the bottom
 
 
-def _gemms_on_workers():
-    """Whether each direction's GEMMs run on that direction's own thread:
-    only when BLAS runs one thread, so two GEMMs at once take one core each."""
-    return _blas_threads() == 1
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block; nothing where
+    `_blas_thread_probe` finds no setter. The count is process-wide, so
+    blocks may nest or overlap on several threads: it stays 1 until the
+    last one exits, an error included, which restores the count found by
+    the first."""
+    get, set_ = _blas_thread_probe()
+    if set_ is None:
+        yield
+        return
+    with _pin_lock:
+        _saved_threads.append(get())
+        set_(1)
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            threads = _saved_threads.pop()
+            if not _saved_threads:
+                set_(threads)
 
 
-def _on_two_threads(run):
-    """run(0) on a worker thread and run(1) on the calling thread.
+def _each_direction(loop, before=None, after=None):
+    """before(d), loop(d) and after(d) for both directions d, each on a
+    thread of its own: direction 0 on a worker thread and direction 1 on
+    the calling thread, with numpy's BLAS at one thread (`_one_blas_thread`).
 
     The worker runs in a copy of the caller's context, so numpy's error
     state (`np.errstate`) holds in both directions. It is joined before
     this returns or raises, and an error raised in it is raised here."""
     errors = []
+
+    def run(d):
+        for stage in (before, loop, after):
+            if stage is not None:
+                stage(d)
 
     def worker():
         try:
@@ -198,39 +218,15 @@ def _on_two_threads(run):
         except BaseException as exc:  # re-raised on the caller after the join
             errors.append(exc)
 
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
-    thread.start()
-    try:
-        run(1)
-    finally:
-        thread.join()
+    with _one_blas_thread():
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
+        thread.start()
+        try:
+            run(1)
+        finally:
+            thread.join()
     if errors:
         raise errors[0]
-
-
-def _each_direction(loop, before=None, after=None):
-    """loop(d) for both directions on two threads (`_on_two_threads`), with
-    direction d's GEMMs before(d) ahead of its loop and after(d) behind it.
-
-    Where `_gemms_on_workers()`, each direction runs before(d), loop(d) and
-    after(d) on its own thread. Otherwise the caller runs before(0) and
-    before(1) ahead of the threads, and after(0) and after(1) after the
-    join."""
-    if _gemms_on_workers():
-        def run(d):
-            for stage in (before, loop, after):
-                if stage is not None:
-                    stage(d)
-
-        _on_two_threads(run)
-        return
-    for d in range(2):
-        if before is not None:
-            before(d)
-    _on_two_threads(loop)
-    for d in range(2):
-        if after is not None:
-            after(d)
 
 
 def _prev_rows(offsets):

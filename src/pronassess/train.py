@@ -9,10 +9,9 @@ float32 has the exponent range of these gradients.
 
 Determinism contract: a fixed seed fixes the parameter init, the
 validation split and the per-epoch shuffling stream, so two runs with the
-same numpy/BLAS build and BLAS thread count produce bit-identical
-histories and checkpoints. float32 sums are more sensitive to the BLAS
-summation order than float64 ones, so a different thread count can change
-the trajectory (and the epoch early stopping picks).
+same numpy/BLAS build produce bit-identical histories and checkpoints.
+The BiLSTM passes run BLAS at one thread whatever the caller's count
+(`lstm._each_direction`).
 """
 
 from dataclasses import dataclass, fields

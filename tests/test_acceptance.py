@@ -9,7 +9,12 @@ tests score it on one second seeded corpus, prepared once.
 import dataclasses
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from pronassess.train import TrainConfig, train
 from signals import pulse_train, tone
 from test_model import make_utt
 
+ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SEED = 5
 HELDOUT_SEED = 6
 TRAIN_SEED = 0
@@ -313,6 +319,44 @@ def test_criterion_9_determinism(tmp_path, corpus64):
     r2.model.save(tmp_path / "c2.ckpt")
     assert (tmp_path / "c1.ckpt").read_bytes() == (tmp_path / "c2.ckpt").read_bytes()
     ok(9, "corpora, histories and checkpoints bit-identical across reruns")
+
+
+# Trains the criterion-9 recipe on a pickled dataset; prints the BLAS
+# thread count it ran at and the history.
+TRAIN_RECIPE_9 = """
+import pickle, sys
+from pronassess import lstm
+from pronassess.train import TrainConfig, train
+
+with open(sys.argv[1], "rb") as f:
+    subset = pickle.load(f)
+result = train(subset, config=TrainConfig(epochs=3, seed=9))
+result.model.save(sys.argv[2])
+print(lstm._blas_thread_probe()[0]())
+print(repr(result.history))
+"""
+
+
+def test_criterion_9_determinism_across_blas_thread_counts(tmp_path, corpus64):
+    """The criterion-9 recipe gives the same history and checkpoint bytes
+    in a process at one BLAS thread and in one at two."""
+    _, dataset = corpus64
+    subset = tmp_path / "subset.pkl"
+    subset.write_bytes(pickle.dumps(dataset[:16]))
+    runs = []
+    for threads in (1, 2):
+        ckpt = tmp_path / f"{threads}.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", TRAIN_RECIPE_9, str(subset), str(ckpt)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        count, history = proc.stdout.splitlines()
+        runs.append((int(count), history, ckpt.read_bytes()))
+    # OpenBLAS starts at most one thread per CPU it may run on
+    assert [count for count, _, _ in runs] == [1, min(2, len(os.sched_getaffinity(0)))]
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][2] == runs[1][2]
+    ok(9, "histories and checkpoints bit-identical at 1 and 2 BLAS threads")
 
 
 def test_criterion_10_distribution_validity(trained):

@@ -64,6 +64,28 @@ class TestExtract:
         rc = main(["extract", "--wav", str(p), "--out-frames", "f", "--out-functionals", "u"])
         assert rc == 3
 
+    @pytest.mark.parametrize("bad", ["frames", "functionals"])
+    @pytest.mark.parametrize("kind", ["missing-parent", "parent-is-file", "out-is-a-directory",
+                                      "too-long"])
+    def test_both_outputs_checked_before_either_is_written(self, tmp_path, capsys, silence_wav,
+                                                           bad, kind):
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir").mkdir()
+        path, reason = {
+            "missing-parent": (tmp_path / "nope" / "o.mtx", "no such file"),
+            "parent-is-file": (tmp_path / "a-file" / "o.mtx",
+                               "a file where a directory is expected"),
+            "out-is-a-directory": (tmp_path / "a-dir", "is a directory, not a file"),
+            "too-long": (tmp_path / ("x" * 300), os.strerror(errno.ENAMETOOLONG)),
+        }[kind]
+        outs = {"frames": tmp_path / "f.mtx", "functionals": tmp_path / "u.mtx", bad: path}
+        rc = main(["extract", "--wav", str(silence_wav), "--out-frames", str(outs["frames"]),
+                   "--out-functionals", str(outs["functionals"])])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {reason}: {path}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file", "sil.wav"]
+        assert not any((tmp_path / "a-dir").iterdir())
+
 
 class TestRefusedPaths:
     """A path the OS refuses exits 2 with its reason, whether it is read,
@@ -148,15 +170,16 @@ class TestFitDurations:
         rc = main(["fit-durations", "--alignments", str(adir), "--out", "m.tsv"])
         assert rc == 5
 
-    @pytest.mark.parametrize("kind", ["missing", "file"])
-    def test_alignments_not_a_directory_exit_2(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind, reason", [("missing", "no such file"),
+                                              ("file", "a file where a directory is expected")],
+                             ids=["missing", "file"])
+    def test_alignments_not_a_directory_exit_2(self, tmp_path, capsys, kind, reason):
         adir = tmp_path / "aligns"
         if kind == "file":
             adir.write_text("")
         rc = main(["fit-durations", "--alignments", str(adir), "--out", str(tmp_path / "m.tsv")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(adir) in err
+        assert capsys.readouterr().err == f"error: {reason}: {adir}\n"
         assert not (tmp_path / "m.tsv").exists()
 
 

@@ -1,12 +1,7 @@
 """Packed BiLSTM against each sequence run alone, without padding."""
 
-import os
-import subprocess
-import sys
-import textwrap
 import threading
 import traceback
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +13,6 @@ from pronassess.lstm import (_activate, _recurrent, bilstm_backward, bilstm_forw
                              padded_output)
 
 TOL = 1e-12
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @st.composite
@@ -283,11 +277,6 @@ def _forward_and_gradients(x, lengths, d_out, fwd, bwd, dx_tail=None):
     return [out, dx, *g_fwd, *g_bwd]
 
 
-def _place_gemms(monkeypatch, blas_threads):
-    """Make `_gemms_on_workers` see this BLAS thread count."""
-    monkeypatch.setattr(lstm, "_blas_threads", lambda: blas_threads)
-
-
 def test_worker_thread_changes_no_bit(monkeypatch):
     """The direction run on the worker thread gives the same bits as the
     same call with both directions run one after the other on the caller."""
@@ -302,27 +291,21 @@ def test_worker_thread_changes_no_bit(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("tail", [None, np.array([3, 1, 40, 2])])
 def test_gemm_placement_changes_no_bit(monkeypatch, dtype, tail):
-    """The full-size forward and every gradient are the same bits with the
-    GEMMs on the direction threads, on the caller, and with no thread."""
+    """The full-size forward and every gradient are the same bits with each
+    direction's GEMMs and loop on its own thread and with both directions
+    run one after the other on the caller, so no two threads race on a
+    shared buffer."""
     case = _full_size(dtype)
-    runs = []
-    for blas_threads in (1, 2):
-        _place_gemms(monkeypatch, blas_threads)
-        assert lstm._gemms_on_workers() == (blas_threads == 1)
-        runs.append(_forward_and_gradients(*case, dx_tail=tail))
+    threaded = _forward_and_gradients(*case, dx_tail=tail)
     monkeypatch.setattr(lstm.threading, "Thread", _InlineThread)
-    runs.append(_forward_and_gradients(*case, dx_tail=tail))
-    for on_workers, on_caller, inline in zip(*runs):
-        assert on_workers.dtype == dtype
-        assert np.array_equal(on_workers, on_caller) and np.array_equal(on_workers, inline)
+    inline = _forward_and_gradients(*case, dx_tail=tail)
+    for got, ref in zip(threaded, inline):
+        assert got.dtype == dtype and np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("blas_threads, on_workers", [(1, True), (2, False), (None, False)])
-def test_gemms_leave_the_caller_only_with_one_blas_thread(monkeypatch, blas_threads, on_workers):
-    """With one BLAS thread each direction's GEMMs run on its own thread;
-    with more BLAS threads or an unknown count (None) they all run on the
-    caller. The time loops always take both threads."""
-    _place_gemms(monkeypatch, blas_threads)
+def test_gemms_run_on_their_directions_thread(monkeypatch):
+    """Each direction's GEMMs run on the thread that runs its time loop:
+    direction 0's on the worker and direction 1's on the caller."""
     caller = threading.get_ident()
     calls = []  # per _each_direction call: (kind, direction, thread) of each stage run
     each_direction = lstm._each_direction
@@ -352,13 +335,12 @@ def test_gemms_leave_the_caller_only_with_one_blas_thread(monkeypatch, blas_thre
         gemms = [(d, ident) for kind, d, ident in seen if kind == "gemm"]
         assert sorted(d for d, _ in gemms) == [0, 1]
         for d, ident in gemms:
-            assert ident == (loop_thread[d] if on_workers else caller)
+            assert ident == loop_thread[d]
 
 
-def test_gemm_error_on_the_worker_reaches_the_caller(monkeypatch):
+def test_gemm_error_on_the_worker_reaches_the_caller():
     """A GEMM that fails on the worker (direction 0's input weights have a
     row too many) raises on the caller, and the worker is joined."""
-    _place_gemms(monkeypatch, 1)
     lengths = np.array([6, 2, 4])
     x, d_out, fwd, bwd = _setup(3, 6, 4, 2, lengths, 9)
     cache = bilstm_forward(x, lengths, fwd, bwd)
@@ -372,36 +354,84 @@ def test_gemm_error_on_the_worker_reaches_the_caller(monkeypatch):
         assert threading.active_count() == threads
 
 
-def test_blas_probe_reads_one_thread_in_a_one_thread_process(tmp_path):
-    """Under a real one-thread OpenBLAS the probe reads 1 and the GEMMs run
-    on the direction threads. Two full-size passes there (float32 and
-    float64, with and without dx_tail) match the caller placement bit for
-    bit, so no two threads race on a shared buffer."""
-    script = textwrap.dedent("""
-        import numpy as np
-        from pronassess import lstm
-        from test_lstm import _forward_and_gradients, _full_size
+@pytest.fixture()
+def blas_at_three_threads():
+    """The get-num-threads function of numpy's OpenBLAS, with the count set
+    to 3 for the test: neither OpenBLAS's default here nor the pin's 1."""
+    get, set_ = lstm._blas_thread_probe()
+    assert set_ is not None, "numpy's OpenBLAS has no thread setter"
+    before = get()
+    set_(3)
+    assert get() == 3
+    yield get
+    set_(before)
 
-        assert lstm._blas_threads() == 1, lstm._blas_threads()
-        assert lstm._gemms_on_workers()
-        on_workers = lstm._gemms_on_workers
-        for dtype in (np.float32, np.float64):
-            case = _full_size(dtype)
-            for tail in (None, np.array([3, 1, 40, 2])):
-                runs = [_forward_and_gradients(*case, dx_tail=tail) for _ in range(2)]
-                lstm._gemms_on_workers = lambda: False
-                runs.append(_forward_and_gradients(*case, dx_tail=tail))
-                lstm._gemms_on_workers = on_workers
-                for first, second, on_caller in zip(*runs):
-                    assert np.array_equal(first, second) and np.array_equal(first, on_caller)
-        print("placements agree")
-    """)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "placements agree" in proc.stdout
+
+def test_each_direction_runs_blas_at_one_thread_and_restores_the_callers(
+        blas_at_three_threads):
+    """Every stage of both directions reads one BLAS thread; the caller's
+    count comes back after the call, and after either direction raises."""
+    get = blas_at_three_threads
+    seen = []
+
+    def read(d):
+        seen.append((d, get()))
+
+    lstm._each_direction(read, before=read, after=read)
+    assert sorted(seen) == [(0, 1)] * 3 + [(1, 1)] * 3
+    assert get() == 3
+    for failing in (0, 1):
+        def loop(d):
+            if d == failing:
+                raise FloatingPointError(f"direction {d} failed")
+
+        with pytest.raises(FloatingPointError, match=f"direction {failing} failed"):
+            lstm._each_direction(loop)
+        assert get() == 3
+
+
+def test_overlapping_pins_restore_the_first_callers_count(blas_at_three_threads):
+    """Pins may nest and overlap on two threads: the count stays 1 until
+    the last one exits, which restores the count found by the first."""
+    get = blas_at_three_threads
+    entered, release = threading.Event(), threading.Event()
+
+    def other():
+        with lstm._one_blas_thread():
+            entered.set()
+            release.wait(timeout=60)
+
+    thread = threading.Thread(target=other)
+    with lstm._one_blas_thread():
+        with lstm._one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+        thread.start()
+        assert entered.wait(timeout=60)
+    assert get() == 1  # the other thread's pin is still open
+    release.set()
+    thread.join()
+    assert get() == 3
+
+
+def test_no_blas_setter_leaves_the_count_and_changes_no_bit(monkeypatch, blas_at_three_threads):
+    """Where the probe finds no setter (another BLAS build), the pass still
+    runs, at the caller's BLAS count, and gives the same bits."""
+    get = blas_at_three_threads
+    case = _full_size()
+    pinned = _forward_and_gradients(*case)
+    counts = []
+
+    def activate(z, hid):
+        counts.append(get())
+        _activate(z, hid)
+
+    monkeypatch.setattr(lstm, "_blas_thread_probe", lambda: (None, None))
+    monkeypatch.setattr(lstm, "_activate", activate)
+    unpinned = _forward_and_gradients(*case)
+    assert set(counts) == {3}
+    for got, ref in zip(unpinned, pinned):
+        assert np.array_equal(got, ref)
 
 
 def test_worker_error_reaches_the_caller_and_the_thread_is_joined(monkeypatch):
