@@ -62,26 +62,24 @@ def _check_out(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     for out in (args.out_frames, args.out_functionals):
         _check_out(out)
     buf = audio_io.load_wav(args.wav)
     ff = extract_frame_features(buf)
     audio_io.write_matrix(args.out_frames, ff.to_matrix())
     audio_io.write_matrix(args.out_functionals, compute_functionals(ff).to_vector()[None, :])
-    return 0
 
 
-def _cmd_align(args) -> int:
+def _cmd_align(args) -> None:
     posteriors = audio_io.read_matrix(args.posteriors)
     phones = args.phones.split()
     alignment, score = dtw_align(posteriors, phones)
     audio_io.write_alignment(args.out, alignment)
     print(f"{score!r}")
-    return 0
 
 
-def _cmd_fit_durations(args) -> int:
+def _cmd_fit_durations(args) -> None:
     _require_dir(args.alignments, args.alignments)
     root = Path(args.alignments)
     try:
@@ -94,10 +92,9 @@ def _cmd_fit_durations(args) -> int:
     for f in files:
         samples.extend(spans_to_durations(audio_io.read_alignment(f)))
     audio_io.write_duration_model(args.out, fit_durations(samples))
-    return 0
 
 
-def _cmd_gopd(args) -> int:
+def _cmd_gopd(args) -> None:
     alignment = audio_io.read_alignment(args.alignment)
     model = audio_io.read_duration_model(args.model)
     values = gopd_vector(alignment, model)
@@ -105,12 +102,14 @@ def _cmd_gopd(args) -> int:
         audio_io.write_matrix(args.out, values[:, None])
     for (phone, dur), v in zip(spans_to_durations(alignment), values):
         print(f"{phone}\t{dur!r}\t{float(v)!r}")
-    return 0
 
 
-def _cmd_assemble(args) -> int:
+def _cmd_assemble(args) -> None:
     if (args.wav is None) == (args.frames is None):
         raise ValidationError("need exactly one of --wav or --frames")
+    sidecar = f"{args.out}.phones"
+    for out in (args.out, sidecar):
+        _check_out(out)
     if args.frames is not None:
         ff = FrameFeatures.from_matrix(audio_io.read_matrix(args.frames))
     else:
@@ -120,11 +119,10 @@ def _cmd_assemble(args) -> int:
     fusion = compose_fusion(ff, alignment, model)
     audio_io.write_matrix(args.out, fusion.numeric_block())
     rows = zip(alignment.phones, fusion.phone_indices)
-    audio_io.write_text(f"{args.out}.phones", audio_io.table_text("phone\tindex", rows, "\t"))
-    return 0
+    audio_io.write_text(sidecar, audio_io.table_text("phone\tindex", rows, "\t"))
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     entries = audio_io.read_manifest(args.manifest)
     if not entries:
         raise EmptyInputError("manifest is empty")
@@ -132,6 +130,8 @@ def _cmd_train(args) -> int:
     duration_model = audio_io.read_duration_model(args.duration_model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run, not after
+    for name in ("checkpoint.ckpt", "history.csv"):
+        _check_out(out / name)
     dataset = prepare_dataset(entries, duration_model)
     result = train(dataset, config=config)
     result.model.save(out / "checkpoint.ckpt")
@@ -139,7 +139,6 @@ def _cmd_train(args) -> int:
     last = result.history[-1][0]
     print(f"epochs={last} best_epoch={result.best_epoch} "
           f"best_val_loss={result.history[result.best_epoch - 1][2]!r}")
-    return 0
 
 
 def _score_entries(get_model, entries, duration_model) -> list[tuple[float, float]]:
@@ -155,7 +154,7 @@ def _score_entries(get_model, entries, duration_model) -> list[tuple[float, floa
     return scores
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> None:
     single = {"--wav": args.wav, "--posteriors": args.posteriors, "--ct": args.ct,
               "--phones": args.phones}
     if args.manifest is not None:
@@ -177,7 +176,6 @@ def _cmd_score(args) -> int:
         except BaseException:
             loading.result()
             raise
-    return 0
 
 
 def _score(args, get_model) -> None:
@@ -227,7 +225,7 @@ def _pcc(run: str, head: str, predictions, references) -> float:
     return r
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     gold = audio_io.read_scores(args.gold)
     if not gold:
         raise EmptyInputError(f"gold file {args.gold} has no scores")
@@ -250,17 +248,15 @@ def _cmd_eval(args) -> int:
         print(f"run{k} fluency_pcc={r_f:.6f} prosody_pcc={r_p:.6f}")
     if len(args.pred) > 1:
         print(f"average fluency_pcc={np.mean(all_f):.6f} prosody_pcc={np.mean(all_p):.6f}")
-    return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     spec = SyntheticSpec(
         n_utterances=args.n, seed=args.seed,
         min_phones=args.min_phones, max_phones=args.max_phones,
     )
     manifest = generate_corpus(spec, args.out, jobs=args.jobs)
     print(str(manifest))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except OSError as exc:
         if exc.filename is None:  # no path at fault: a broken pipe, say
             print(f"error: {exc}", file=sys.stderr)
@@ -361,6 +357,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -171,7 +171,8 @@ def _blas_thread_probe():
 
 
 _pin_lock = threading.Lock()
-_saved_threads = []  # a count per open `_one_blas_thread` block, the first one's at the bottom
+_pin_depth = 0  # open `_one_blas_thread` blocks
+_saved_count = None  # the count the first of them found
 
 
 @contextlib.contextmanager
@@ -181,20 +182,23 @@ def _one_blas_thread():
     blocks may nest or overlap on several threads: it stays 1 until the
     last one exits, an error included, which restores the count found by
     the first."""
+    global _pin_depth, _saved_count
     get, set_ = _blas_thread_probe()
     if set_ is None:
         yield
         return
     with _pin_lock:
-        _saved_threads.append(get())
+        if not _pin_depth:
+            _saved_count = get()
+        _pin_depth += 1
         set_(1)
     try:
         yield
     finally:
         with _pin_lock:
-            threads = _saved_threads.pop()
-            if not _saved_threads:
-                set_(threads)
+            _pin_depth -= 1
+            if not _pin_depth:
+                set_(_saved_count)
 
 
 def _each_direction(loop, before=None, after=None):

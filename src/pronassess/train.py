@@ -83,13 +83,14 @@ def parse_train_config(path) -> TrainConfig:
 
 class Adam:
     def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.params = params  # the arrays `step` updates
         self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One update, in place, in the parameters' dtype. Bit-identical to
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update of the parameters, in place, in their dtype. Bit-identical to
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p -= lr*m_hat / (sqrt(v_hat) + eps)."""
         self.t += 1
@@ -97,12 +98,12 @@ class Adam:
         bc2 = 1.0 - ADAM_BETA2**self.t
         # Chunks of whole rows, ADAM_CHUNK elements where the row width allows.
         scratch = np.empty((2, max([ADAM_CHUNK, *(g[:1].size for g in grads.values())])),
-                           dtype=np.result_type(*params.values()))
+                           dtype=np.result_type(*self.params.values()))
         for k, grad in grads.items():
             n_rows = max(1, ADAM_CHUNK // (grad[:1].size or 1))
             for lo in range(0, len(grad), n_rows):
                 rows = slice(lo, lo + n_rows)
-                p, m, v, g = params[k][rows], self.m[k][rows], self.v[k][rows], grad[rows]
+                p, m, v, g = self.params[k][rows], self.m[k][rows], self.v[k][rows], grad[rows]
                 a, b = (buf[: g.size].reshape(g.shape) for buf in scratch)
                 m *= ADAM_BETA1
                 m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
@@ -137,9 +138,11 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
     A `val_fraction` share of the data (at least one utterance; none for
     `val_fraction=0` or a dataset of one) is held out for validation and
     early stopping; without a validation split the training loss stands in
-    for the validation loss. Training stops once that loss has failed to
-    improve for `patience` consecutive epochs. The returned model carries
-    the parameters of the best epoch.
+    for the validation loss. Both splits run `config.batch` utterances per
+    forward pass, and each loss is the size-weighted mean of its batches'
+    losses. Training stops once the validation loss has failed to improve
+    on the best epoch's for `patience` consecutive epochs. The returned
+    model carries the parameters of the best epoch.
     """
     if not dataset:
         raise ValidationError("empty dataset")
@@ -166,59 +169,46 @@ def train(dataset: list[UtteranceFeatures], model_config: ModelConfig = ModelCon
         )
     val_set = [dataset[i] for i in val_idx]
     train_set = [dataset[i] for i in train_idx]
-
     opt = Adam(model.params, lr=config.lr)
-    history: list[tuple[int, float, float]] = []
-    best_val = np.inf
-    best_epoch = 0
-    bad_epochs = 0
 
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(train_set))
-        epoch_losses = []
-        for lo in range(0, len(train_set), config.batch):
-            batch = [train_set[int(i)] for i in perm[lo : lo + config.batch]]
+    def mean_loss(split, split_order, step: bool) -> float:
+        """The loss over `split`, `config.batch` utterances at a time in
+        `split_order`; with `step`, Adam steps on each batch's gradients."""
+        losses = []
+        for lo in range(0, len(split), config.batch):
+            batch = [split[int(i)] for i in split_order[lo : lo + config.batch]]
             loss, _, cache = model.forward_batch(batch, weights)
             if not np.isfinite(loss):
-                raise ValidationError(
-                    f"non-finite training loss at epoch {epoch}; aborting"
-                )
-            opt.step(model.params, model.backward(cache))
+                raise ValidationError(f"non-finite {'training' if step else 'validation'} "
+                                      f"loss at epoch {epoch}; aborting")
+            if step:
+                opt.step(model.backward(cache))
             del cache  # freed before the next forward builds its own
-            epoch_losses.append((loss, len(batch)))
+            losses.append((loss, len(batch)))
+        return float(sum(l * n for l, n in losses) / sum(n for _, n in losses))
 
+    history: list[tuple[int, float, float]] = []
+    best_epoch = 0
+    for epoch in range(1, config.epochs + 1):
+        train_loss = mean_loss(train_set, rng.permutation(len(train_set)), step=True)
         for name, p in model.params.items():
             if not np.all(np.isfinite(p)):
                 raise ValidationError(
                     f"non-finite values in {name!r} after epoch {epoch}; aborting"
                 )
-
-        train_loss = float(
-            sum(l * n for l, n in epoch_losses) / sum(n for _, n in epoch_losses)
-        )
-        if val_set:
-            val_loss, _, _ = model.forward_batch(val_set, weights)
-            val_loss = float(val_loss)
-        else:
-            val_loss = train_loss
-        if not np.isfinite(val_loss):
-            raise ValidationError(f"non-finite validation loss at epoch {epoch}; aborting")
+        val_loss = mean_loss(val_set, range(len(val_set)), step=False) if val_set else train_loss
         history.append((epoch, train_loss, val_loss))
 
         if epoch_callback is not None:
             epoch_callback(epoch, model)
 
-        if val_loss < best_val:
-            best_val = val_loss
+        if not best_epoch or val_loss < history[best_epoch - 1][2]:
             best_epoch = epoch
             # nothing updates the parameters after the last epoch: no copy
             best_params = (model.params if epoch == config.epochs
                            else {k: v.copy() for k, v in model.params.items()})
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
 
     model.params = best_params
     return TrainResult(model, history, best_epoch, train_idx, val_idx)

@@ -252,6 +252,35 @@ class TestGopdAndAssemble:
         sidecar = (tmp_path / "fusion.mtx.phones").read_text().splitlines()[1:]
         assert [int(line.split("\t")[1]) for line in sidecar] == list(fusion.phone_indices)
 
+    @pytest.mark.parametrize("kind", ["sidecar-too-long", "sidecar-is-a-directory"])
+    def test_assemble_checks_both_outputs_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                         kind):
+        """A `--out` whose `.phones` sidecar cannot be written exits 2 with
+        the reason before the WAV is read, and leaves no file behind."""
+        from pronassess import audio_io
+
+        def never(*args, **kwargs):
+            pytest.fail("read the WAV before the outputs were checked")
+
+        write_wav(tmp_path / "w.wav", AudioBuffer(np.zeros(400 + 19 * 160)))
+        adir, model = self._setup(tmp_path)
+        monkeypatch.setattr(audio_io, "load_wav", never)
+        outs = tmp_path / "o"
+        outs.mkdir()
+        if kind == "sidecar-too-long":
+            out = outs / ("x" * 250)
+            reason = os.strerror(errno.ENAMETOOLONG)
+        else:
+            out = outs / "f.mtx"
+            (outs / "f.mtx.phones").mkdir()
+            reason = "is a directory, not a file"
+        rc = main(["assemble", "--wav", str(tmp_path / "w.wav"), "--alignment", str(adir),
+                   "--duration-model", str(model), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {reason}: {out}.phones\n"
+        assert [p.name for p in outs.rglob("*")] == (
+            [] if kind == "sidecar-too-long" else ["f.mtx.phones"])
+
     @pytest.mark.parametrize("inputs", [[], ["--wav", "w.wav", "--frames", "f.mtx"]],
                              ids=["neither", "both"])
     def test_assemble_needs_exactly_one_input(self, tmp_path, capsys, inputs):
@@ -308,6 +337,28 @@ class TestTrainCli:
                    "--duration-model", str(tmp_path / "c" / "durations.tsv"), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: a file where a directory is expected: {out}\n"
+
+    @pytest.mark.parametrize("name", ["checkpoint.ckpt", "history.csv"])
+    def test_both_outputs_checked_before_featurizing(self, tmp_path, capsys, monkeypatch, name):
+        """An output under `--out` that is a directory exits 2 with the
+        reason before any utterance is featurized, and nothing is written."""
+        from pronassess import SyntheticSpec, cli, generate_corpus
+
+        def never(*args, **kwargs):
+            pytest.fail("featurized or trained before the outputs were checked")
+
+        monkeypatch.setattr(cli, "prepare_dataset", never)
+        monkeypatch.setattr(cli, "train", never)
+        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=8), tmp_path / "c")
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        rc = main(["train", "--manifest", str(manifest), "--config", str(config),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: is a directory, not a file: {out / name}\n"
+        assert [p.name for p in out.rglob("*")] == [name]
 
 
 @pytest.mark.parametrize("kind", ["nested-json", "nul-in-path"])

@@ -53,16 +53,15 @@ def _prints_error(node) -> bool:
 
 def exit_code_breaches(source: str) -> list[str]:
     """'function:line' of each place where `source` prints an 'error:' line
-    outside `main`, or a `_cmd_*` function returns anything but 0: commands
-    raise, and `main` alone reports the error and picks the exit code."""
+    outside `main`, or a `_cmd_*` function returns a value: commands raise,
+    and `main` alone reports the error and picks the exit code."""
     breaches = []
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            nonzero = isinstance(node, ast.Return) and (
-                node.value is None or ast.unparse(node.value) != "0")
+            valued = isinstance(node, ast.Return) and node.value is not None
             if (_prints_error(node) and name != "main") or \
-                    (nonzero and name.startswith("_cmd_")):
+                    (valued and name.startswith("_cmd_")):
                 breaches.append((node.lineno, name))
     return [f"{name}:{line}" for line, name in sorted(breaches)]
 
@@ -72,8 +71,10 @@ def test_finds_exit_code_breaches():
               "def _cmd_b(args):\n    return run(args)\n"
               "def _cmd_c(args):\n    print('ok')\n    return 0\n"
               "def helper():\n    print('error: x', file=sys.stderr)\n    return 5\n"
-              "def main():\n    print('error: y')\n    return 3\n")
-    assert exit_code_breaches(source) == ["_cmd_a:2", "_cmd_a:3", "_cmd_b:5", "helper:10"]
+              "def main():\n    print('error: y')\n    return 3\n"
+              "def _cmd_d(args):\n    if args:\n        return\n    print('ok')\n")
+    assert exit_code_breaches(source) == ["_cmd_a:2", "_cmd_a:3", "_cmd_b:5", "_cmd_c:8",
+                                          "helper:10"]
 
 
 def test_cli_decides_exit_codes_in_main():

@@ -91,6 +91,50 @@ class TestTrainLoop:
         if stopped_early:  # the last epoch moved the parameters away from the best
             assert any(not np.array_equal(p, snapshots[last][k]) for k, p in best.items())
 
+    def test_validation_runs_in_batches_of_batch(self, monkeypatch):
+        """No forward pass takes more than `batch` utterances, and the
+        validation loss is the size-weighted mean of its batches' losses."""
+        calls = []  # (ids of the utterances, loss) of each forward pass, in order
+        forward_batch = ScoringModel.forward_batch
+
+        def recording(self, batch, *args, **kwargs):
+            out = forward_batch(self, batch, *args, **kwargs)
+            calls.append(([id(u) for u in batch], out[0]))
+            return out
+
+        monkeypatch.setattr(ScoringModel, "forward_batch", recording)
+        ends = []  # len(calls) at the end of each epoch
+        data = tiny_dataset(16)
+        cfg = TrainConfig(lr=3e-3, epochs=3, patience=3, seed=6, batch=2, val_fraction=0.5)
+        result = train(data, TINY_CONFIG, cfg, epoch_callback=lambda e, m: ends.append(len(calls)))
+        assert max(len(ids) for ids, _ in calls) <= cfg.batch
+        val_ids = {id(data[i]) for i in result.val_indices}
+        assert len(result.history) == len(ends) == 3
+        for (_, _, val_loss), start, end in zip(result.history, [0, *ends], ends):
+            val_calls = [(ids, loss) for ids, loss in calls[start:end] if val_ids.issuperset(ids)]
+            assert len(val_calls) == 4
+            assert sorted(i for ids, _ in val_calls for i in ids) == sorted(val_ids)
+            assert val_loss == sum(loss * len(ids) for ids, loss in val_calls) / len(val_ids)
+
+    def test_one_batch_validation_loss_is_the_forward_loss(self):
+        """A validation split that fits in one batch keeps the bits of one
+        `forward_batch` over the whole split."""
+        snapshots = {}
+
+        def snapshot(epoch, model):
+            snapshots[epoch] = {k: p.copy() for k, p in model.params.items()}
+
+        data = tiny_dataset(12)
+        cfg = TrainConfig(lr=3e-3, epochs=3, patience=3, seed=6, batch=4, val_fraction=0.25)
+        result = train(data, TINY_CONFIG, cfg, epoch_callback=snapshot)
+        val_set = [data[i] for i in result.val_indices]
+        assert len(val_set) == 3
+        model = ScoringModel(TINY_CONFIG, seed=0)
+        weights = (cfg.loss_weight_fluency, cfg.loss_weight_prosody)
+        for epoch, _, val_loss in result.history:
+            model.params = snapshots[epoch]
+            assert val_loss == model.forward_batch(val_set, weights)[0]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
             train([], TINY_CONFIG, TrainConfig())
@@ -136,7 +180,7 @@ class TestAdam:
         for t in range(1, 6):
             grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape).astype(dtype)
                      for k, p in params.items()}
-            opt.step(params, grads)
+            opt.step(grads)
             bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
             for k, g in grads.items():  # the formula the in-place step must reproduce
                 ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
@@ -163,7 +207,7 @@ class TestAdam:
             params = {k: p.copy(order="K") for k, p in start.items()}
             opt = Adam(params, 0.01)
             for g in grads:
-                opt.step(params, g)
+                opt.step(g)
             results.append((params, opt.m, opt.v))
         assert not results[0][0]["t"].flags.c_contiguous
         for chunked, whole in zip(*results):
