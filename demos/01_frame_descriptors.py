@@ -19,6 +19,7 @@ from pronassess import (
     hz_to_semitones,
     power_spectrum,
 )
+from pronassess.lld import SEMITONE_REF_HZ
 
 SR = 16000
 
@@ -30,7 +31,8 @@ def describe(name, buf):
     print(f"  frames            {ff.num_frames}")
     print(f"  voiced fraction   {voiced.mean():.2f}")
     if voiced.any():
-        print(f"  median f0         {np.median(27.5 * 2 ** (ff.f0_semitones[voiced] / 12)):8.2f} Hz")
+        f0_hz = SEMITONE_REF_HZ * 2 ** (ff.f0_semitones[voiced] / 12)
+        print(f"  median f0         {np.median(f0_hz):8.2f} Hz")
         print(f"  median jitter     {np.median(ff.jitter_local[voiced]):8.5f}")
     print(f"  mean loudness     {ff.loudness.mean():8.3f}")
     print(f"  mean alpha ratio  {ff.alpha_ratio_db.mean():8.2f} dB")
@@ -43,7 +45,7 @@ print("=== 220 Hz tone (1 s) ===")
 tone = AudioBuffer(0.8 * np.sin(2 * np.pi * 220 * t))
 ff = describe("tone", tone)
 print(f"  expected semitones for 220 Hz: {hz_to_semitones(220.0):.1f} "
-      f"(three octaves above 27.5 Hz)")
+      f"(three octaves above {SEMITONE_REF_HZ} Hz)")
 
 print("\n=== loudness scaling law ===")
 grid = FrameGrid.for_signal(SR)

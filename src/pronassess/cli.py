@@ -63,6 +63,9 @@ def _check_out(path) -> None:
 
 
 def _cmd_extract(args) -> None:
+    if os.path.realpath(args.out_frames) == os.path.realpath(args.out_functionals):
+        raise ValidationError(f"--out-frames and --out-functionals name one file: "
+                              f"{args.out_frames}")
     for out in (args.out_frames, args.out_functionals):
         _check_out(out)
     buf = audio_io.load_wav(args.wav)
@@ -163,7 +166,7 @@ def _cmd_score(args) -> None:
             raise ValidationError(f"{' '.join(extra)} cannot be combined with --manifest")
     elif args.out is not None:
         raise ValidationError("--out needs --manifest; one utterance's scores go to stdout")
-    elif not all(single.values()):
+    elif None in single.values():
         raise ValidationError("need either --manifest or all of --wav --posteriors --ct --phones")
     # The checkpoint loads on a worker thread while this one reads the
     # duration model and the manifest and featurizes the first chunk. It is

@@ -60,6 +60,8 @@ VOICING_THRESHOLD = 0.45
 # Near-tied autocorrelation peaks within this fraction of the best count as
 # equivalent; the shortest such lag is taken.
 PEAK_TIE_RATIO = 0.95
+# F0 is reported in semitones above this frequency (A0); synth inverts it.
+SEMITONE_REF_HZ = 27.5
 
 _LAG_MIN = int(np.floor(SAMPLE_RATE / F0_MAX_HZ))  # 32
 _LAG_MAX = int(np.ceil(SAMPLE_RATE / F0_MIN_HZ))  # 291
@@ -246,11 +248,12 @@ def compute_alpha_ratio(power: np.ndarray) -> np.ndarray:
 
 
 def hz_to_semitones(f0_hz):
-    """Semitones above 27.5 Hz: 12 * log2(f / 27.5). Requires f > 0."""
+    """Semitones above SEMITONE_REF_HZ: 12 * log2(f / SEMITONE_REF_HZ).
+    Requires f > 0."""
     f0_hz = np.asarray(f0_hz, dtype=np.float64)
     if np.any(f0_hz <= 0.0):
         raise ValueError("hz_to_semitones requires strictly positive frequencies")
-    out = 12.0 * np.log2(f0_hz / 27.5)
+    out = 12.0 * np.log2(f0_hz / SEMITONE_REF_HZ)
     return float(out) if out.ndim == 0 else out
 
 

@@ -27,7 +27,7 @@ from .aligner import HOP_MS, Alignment, Span
 from .durations import DurationModel, PhoneStats
 from .errors import ValidationError
 from .inventory import PHONE_TO_INDEX, PHONEMES
-from .lld import HOP_SAMPLES, WINDOW_SAMPLES, extract_frame_features
+from .lld import HOP_SAMPLES, SEMITONE_REF_HZ, WINDOW_SAMPLES, extract_frame_features
 from .lstm import _one_blas_thread
 from .metrics import N_CLASSES
 from .model import ModelConfig
@@ -115,7 +115,7 @@ def _synth_wav(span_frames, base_st, depth_st, mod_hz, phase0, amps,
     n = WINDOW_SAMPLES + HOP_SAMPLES * (total_frames - 1)
     t = np.arange(n) / audio_io.SAMPLE_RATE
     contour_st = base_st + depth_st * np.sin(2.0 * math.pi * mod_hz * t + phase0)
-    freq = 27.5 * 2.0 ** (contour_st / 12.0)
+    freq = SEMITONE_REF_HZ * 2.0 ** (contour_st / 12.0)
     phase = 2.0 * math.pi * np.cumsum(freq) / audio_io.SAMPLE_RATE
 
     # amplitude interpolated between span centers

@@ -86,6 +86,18 @@ class TestExtract:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file", "sil.wav"]
         assert not any((tmp_path / "a-dir").iterdir())
 
+    @pytest.mark.parametrize("alias", ["same-path", "through-a-symlink"])
+    def test_one_file_for_both_outputs_exit_3(self, tmp_path, capsys, silence_wav, alias):
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        frames = tmp_path / "f.mtx"
+        functionals = frames if alias == "same-path" else tmp_path / "link" / "f.mtx"
+        rc = main(["extract", "--wav", str(silence_wav), "--out-frames", str(frames),
+                   "--out-functionals", str(functionals)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out-frames" in err and "--out-functionals" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sil.wav"]
+
 
 class TestRefusedPaths:
     """A path the OS refuses exits 2 with its reason, whether it is read,
@@ -622,6 +634,19 @@ class TestScore:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert not (tmp_path / "single.csv").exists()
+
+    def test_empty_phones_reach_the_aligner(self, tmp_path, capsys):
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
+
+        entry = read_manifest(generate_corpus(SyntheticSpec(n_utterances=1, seed=3),
+                                              tmp_path / "c"))[0]
+        ScoringModel(TINY_CONFIG).save(tmp_path / "tiny.ckpt")
+        rc = main(["score", "--checkpoint", str(tmp_path / "tiny.ckpt"),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--wav", str(entry.wav_path), "--posteriors", str(entry.posterior_path),
+                   "--ct", str(entry.ct_path), "--phones", ""])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: canonical phone sequence is empty\n"
 
     def test_manifest_mode_matches_batch_of_one(self, tmp_path):
         # 17 utterances of mixed length (17-93 fusion rows each) under a

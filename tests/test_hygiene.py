@@ -1,12 +1,13 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the CLI decides its exit codes in `main` alone."""
+"""Source hygiene: every name a module, test or demo imports is used in that
+file, and the CLI decides its exit codes in `main` alone."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pronassess"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pronassess"
 
 # Imported on purpose and never used in the module:
 ALLOWED = {
@@ -33,10 +34,15 @@ def test_finds_an_unused_import():
         ["os", "np", "c"]
 
 
-# The package's own imports are its public names, which it re-exports.
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+# The package modules by name, the tests and demos by folder and name. The
+# package's own imports are its public names, which it re-exports.
+MODULES = {p.stem: p for p in SRC.glob("*.py") if p.stem != "__init__"} | {
+    f"{folder}/{p.stem}": p for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    unused = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    unused = unused_imports(MODULES[module].read_text(encoding="utf-8"))
     assert [n for n in unused if (module, n) not in ALLOWED] == []
 
 

@@ -277,17 +277,6 @@ def _forward_and_gradients(x, lengths, d_out, fwd, bwd, dx_tail=None):
     return [out, dx, *g_fwd, *g_bwd]
 
 
-def test_worker_thread_changes_no_bit(monkeypatch):
-    """The direction run on the worker thread gives the same bits as the
-    same call with both directions run one after the other on the caller."""
-    case = _full_size()
-    threaded = _forward_and_gradients(*case)
-    monkeypatch.setattr(lstm.threading, "Thread", _InlineThread)
-    inline = _forward_and_gradients(*case)
-    for got, ref in zip(threaded, inline):
-        assert got.dtype == np.float32 and np.array_equal(got, ref)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("tail", [None, np.array([3, 1, 40, 2])])
 def test_gemm_placement_changes_no_bit(monkeypatch, dtype, tail):

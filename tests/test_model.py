@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,18 +13,14 @@ from pronassess.assembly import FusionInput
 from pronassess.errors import FormatError, InventoryError, ValidationError
 from pronassess.functionals import FUNCTIONAL_NAMES
 from pronassess.inventory import INVENTORY_SIZE
-from pronassess.lstm import bilstm_forward, padded_output
 from pronassess.metrics import N_CLASSES, predict_score
 from pronassess.model import (
     CKPT_MAGIC,
     TINY_CONFIG,
-    U_OFFSET,
-    U_SCALE,
     ModelConfig,
     ScoringModel,
     UtteranceFeatures,
     _param_table,
-    _valid,
     cross_attention,
     loss_fn,
     softmax,
@@ -99,6 +95,12 @@ def attention_batch(rng, q_lens, t_lens, d, keys=None):
     return p, ct, np.array(t_lens)
 
 
+def loop_cross_attention(p_nv, ct):
+    """Attention of one utterance, unpadded: the reference for the batch."""
+    weights = softmax(p_nv @ ct.T / np.sqrt(ct.shape[1]), axis=1)
+    return weights @ ct, weights
+
+
 class TestAttention:
     """Properties of each utterance's valid outputs and weights in a
     mixed-length padded batch."""
@@ -135,6 +137,20 @@ class TestAttention:
         for b, (q, t) in enumerate(zip(self.Q_LENS, t_lens)):
             lo, hi = ct[b, :t].min(axis=0), ct[b, :t].max(axis=0)
             assert np.all(out[b, :q] >= lo - 1e-12) and np.all(out[b, :q] <= hi + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 7)), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_utterance_loop(self, shapes, seed):
+        """Each utterance's attended rows and weights in a padded batch are
+        those of the utterance attended alone, within 1e-12."""
+        q_lens, t_lens = zip(*shapes)
+        p, ct, t_lens = attention_batch(np.random.default_rng(seed), q_lens, t_lens, 6)
+        out, weights = cross_attention(p, ct, t_lens)
+        for b, (q, t) in enumerate(zip(q_lens, t_lens)):
+            ref_out, ref_weights = loop_cross_attention(p[b, :q], ct[b, :t])
+            np.testing.assert_allclose(out[b, :q], ref_out, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights[b, :q, :t], ref_weights, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -278,18 +294,54 @@ class TestBackward:
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
-    def test_mixed_length_batch_is_mean_of_batches_of_one(self):
-        rng = np.random.default_rng(19)
-        model = ScoringModel(CFG, seed=12)
-        batch = [make_utt(rng, length, t, f, p)
-                 for length, t, f, p in ((1, 4, 3, 8), (3, 2, 10, 0), (6, 7, 5, 2))]
-        _, _, cache = model.forward_batch(batch)
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(0, 10),
+                                     st.integers(0, 10)), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1), cfg=st.just(CFG))
+    @example(shapes=[(1, 4, 3, 8), (3, 2, 10, 0), (6, 7, 5, 2)], seed=19, cfg=CFG)
+    @example(shapes=[(1, 4, 4, 7), (3, 2, 4, 7), (6, 7, 4, 7)], seed=18, cfg=CFG)
+    @example(shapes=[(2, 26, 3, 8), (9, 80, 10, 0), (4, 37, 5, 2), (12, 15, 0, 10)], seed=31,
+             cfg=ModelConfig())
+    def test_mixed_length_batch_is_mean_of_batches_of_one(self, shapes, seed, cfg):
+        """float64: the loss, each head distribution and every gradient of a
+        padded mixed-length batch are those of its utterances run one at a
+        time (their mean, for the loss and the gradients), within 1e-12 of
+        each quantity's largest entry."""
+        rng = np.random.default_rng(seed)
+        batch = [make_utt(rng, length, t, f, p, cfg=cfg) for length, t, f, p in shapes]
+        model = ScoringModel(cfg, seed=seed % 1000)
+        loss, dists, cache = model.forward_batch(batch)
         grads = model.backward(cache)
-        singles = [model.backward(model.forward_batch([utt])[2]) for utt in batch]
+        singles = [model.forward_batch([utt]) for utt in batch]
+        single_grads = [model.backward(single_cache) for _, _, single_cache in singles]
+
+        def assert_near(got, want, what):
+            err = np.abs(np.asarray(got) - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), f"{what}: max |diff| = {err:.2e}"
+
+        assert_near(loss, np.mean([single_loss for single_loss, _, _ in singles]), "loss")
+        assert_near(dists, [single_dists[0] for _, single_dists, _ in singles], "distributions")
         assert grads.keys() == model.params.keys()
         for name, g in grads.items():
-            mean = sum(s[name] for s in singles) / len(batch)
-            np.testing.assert_allclose(g, mean, rtol=0, atol=1e-12, err_msg=name)
+            assert_near(g, sum(s[name] for s in single_grads) / len(batch), name)
+
+    @pytest.mark.parametrize("name", [row[0] for row in _param_table(CFG)])
+    def test_directional_derivative_of_each_tensor(self, name):
+        """grad . v against a central difference of the loss along a random
+        direction v of one tensor, on a float64 mixed-length batch."""
+        rng = np.random.default_rng(20)
+        model = ScoringModel(CFG, seed=13)
+        batch = [make_utt(rng, length, t, f, p)
+                 for length, t, f, p in ((1, 4, 3, 8), (3, 2, 10, 0), (6, 7, 5, 2), (2, 9, 0, 10))]
+        grad = model.backward(model.forward_batch(batch)[2])[name]
+        param = model.params[name]
+        orig, v, h = param.copy(), rng.normal(size=param.shape), 1e-6
+        param[...] = orig + h * v
+        loss_plus, _, _ = model.forward_batch(batch)
+        param[...] = orig - h * v
+        loss_minus, _, _ = model.forward_batch(batch)
+        fd = (loss_plus - loss_minus) / (2 * h)
+        assert abs(np.sum(grad * v) - fd) <= 1e-5 * abs(fd) + 1e-9
 
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(15)
@@ -299,125 +351,6 @@ class TestBackward:
         loss_a, _, _ = model.forward_batch(batch)
         loss_b, _, _ = model.forward_batch(batch[::-1])
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
-
-
-def loop_cross_attention(p_nv, ct):
-    """Attention of one utterance, unpadded: the reference for the batch."""
-    weights = softmax(p_nv @ ct.T / np.sqrt(ct.shape[1]), axis=1)
-    return weights @ ct, weights
-
-
-class LoopAttentionModel(ScoringModel):
-    """The scoring model with attention and its gradient run one utterance
-    at a time, as before the padded batch path: the reference that
-    `forward_batch` and `backward` must match."""
-
-    def forward_batch(self, batch, loss_weights=(0.5, 0.5)):
-        d = self.config.feature_dim
-        p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
-        t_lens = np.array([len(u.ct) for u in batch])
-        u_std = ((np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE
-                 ).astype(self.dtype, copy=False)
-        u = u_std @ self.params["u_w"].T + self.params["u_b"]
-        s_lens = t_lens + l_lens + 1
-        f_pad = np.zeros((len(batch), s_lens.max(), d), dtype=self.dtype)
-        attns = []
-        for i, utt in enumerate(batch):
-            t, n_ph = t_lens[i], l_lens[i]
-            f_pad[i, :t] = utt.ct
-            f_pad[i, t : t + n_ph], weights = loop_cross_attention(p_all[i, :n_ph], f_pad[i, :t])
-            attns.append(weights)
-        f_pad[np.arange(len(batch)), t_lens + l_lens] = u
-        fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
-        hs_all = padded_output(fu_cache, s_lens.max())
-        fvec = hs_all.sum(axis=1, dtype=np.float64) / s_lens[:, None] + u
-        dist_f = softmax(fvec @ self.params["head_f_w"].T + self.params["head_f_b"])
-        dist_p = softmax(fvec @ self.params["head_p_w"].T + self.params["head_p_b"])
-        dists = list(zip(dist_f, dist_p))
-        loss = float(np.mean([loss_fn(f, p, utt.fluency, utt.prosody, loss_weights)
-                              for (f, p), utt in zip(dists, batch)]))
-        cache = {
-            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "t_lens": t_lens,
-            "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "attns": attns,
-            "u_std": u_std, "fu_cache": fu_cache, "fvec": fvec, "dist_f": dist_f, "dist_p": dist_p,
-        }
-        return loss, dists, cache
-
-    def backward(self, cache):
-        d = self.config.feature_dim
-        batch = cache["batch"]
-        n = len(batch)
-        rows = np.arange(n)
-        wf, wp = cache["loss_weights"]
-        l_lens, t_lens = cache["l_lens"], cache["t_lens"]
-        s_lens = t_lens + l_lens + 1
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        dlf = cache["dist_f"].copy()
-        dlf[rows, [utt.fluency for utt in batch]] -= 1.0
-        dlf *= wf / n
-        dlp = cache["dist_p"].copy()
-        dlp[rows, [utt.prosody for utt in batch]] -= 1.0
-        dlp *= wp / n
-        grads["head_f_w"] = dlf.T @ cache["fvec"]
-        grads["head_f_b"] = dlf.sum(axis=0)
-        grads["head_p_w"] = dlp.T @ cache["fvec"]
-        grads["head_p_b"] = dlp.sum(axis=0)
-        dfvec = dlf @ self.params["head_f_w"] + dlp @ self.params["head_p_w"]
-        d_hs = np.broadcast_to((dfvec / s_lens[:, None])[:, None, :], (n, s_lens.max(), d))
-        d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
-        d_u = dfvec + d_fseq[rows, t_lens + l_lens]
-        grads["u_w"] = d_u.T @ cache["u_std"]
-        grads["u_b"] = d_u.sum(axis=0)
-        d_p = np.zeros((n, l_lens.max(), d))
-        for i, utt in enumerate(batch):
-            t, n_ph = t_lens[i], l_lens[i]
-            weights = cache["attns"][i]
-            d_w = d_fseq[i, t : t + n_ph] @ utt.ct.T
-            d_scores = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
-            d_p[i, :n_ph] = d_scores @ utt.ct / np.sqrt(d)
-        d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
-        da = d_rows[_valid(l_lens)][:, 5:] * (1.0 - cache["ptilde"] ** 2)
-        grads["ff_w"] = da.T @ cache["emb"]
-        grads["ff_b"] = da.sum(axis=0)
-        np.add.at(grads["embed"], cache["idx"], da @ self.params["ff_w"])
-        return grads
-
-
-def assert_matches_loops(model, batch, rel=1e-12):
-    """Loss, distributions and every gradient of the padded batch path lie
-    within `rel` of the per-utterance loops, relative to each quantity's
-    largest entry."""
-    ref = LoopAttentionModel.from_params(model.config, model.params)
-    loss, dists, cache = model.forward_batch(batch)
-    ref_loss, ref_dists, ref_cache = ref.forward_batch(batch)
-    assert abs(loss - ref_loss) <= rel * abs(ref_loss)
-    got, want = np.array(dists), np.array(ref_dists)
-    assert np.abs(got - want).max() <= rel * np.abs(want).max()
-    grads, ref_grads = model.backward(cache), ref.backward(ref_cache)
-    assert grads.keys() == ref_grads.keys()
-    for name, g in ref_grads.items():
-        assert np.abs(grads[name] - g).max() <= rel * np.abs(g).max(), name
-
-
-class TestBatchedAttentionMatchesLoops:
-    """float64, mixed-length batches: the padded batch path against the
-    per-utterance loops it replaced."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(0, 10),
-                                     st.integers(0, 10)), min_size=1, max_size=5),
-           seed=st.integers(0, 2**32 - 1))
-    def test_tiny_model(self, shapes, seed):
-        rng = np.random.default_rng(seed)
-        batch = [make_utt(rng, length, t, f, p) for length, t, f, p in shapes]
-        assert_matches_loops(ScoringModel(TINY_CONFIG, seed=seed % 1000), batch)
-
-    def test_full_size_model(self):
-        cfg = ModelConfig()
-        rng = np.random.default_rng(31)
-        batch = [make_utt(rng, length, t, int(rng.integers(11)), int(rng.integers(11)), cfg=cfg)
-                 for length, t in ((2, 26), (9, 80), (4, 37), (12, 15))]
-        assert_matches_loops(ScoringModel(cfg, seed=16), batch)
 
 
 class TestCheckpoint:
@@ -597,19 +530,17 @@ def test_truncated_or_bit_flipped_checkpoint_fails_loud_or_loads_finite(
 
 
 class TestSinglePath:
-    """The single-utterance entry points run the batched forward path."""
+    """The single-utterance entry points run the batched forward path (for
+    `score_utterance`, see TestBackward's batches of one)."""
 
     def test_batch_of_one_matches_mixed_length_batch(self):
         rng = np.random.default_rng(18)
         model = ScoringModel(CFG, seed=11)
-        batch = [make_utt(rng, length, t) for length, t in ((1, 4), (3, 2), (6, 7))]
-        _, dists, _ = model.forward_batch(batch)
-        p_all, *_ = model._encode_phones([utt.fusion for utt in batch])
-        for i, utt in enumerate(batch):
-            np.testing.assert_allclose(model.phonecue_forward(utt.fusion),
-                                       p_all[i, : len(utt.fusion)], rtol=0, atol=1e-12)
-            for single, batched in zip(model.score_utterance(utt), dists[i]):
-                np.testing.assert_allclose(single, batched, rtol=0, atol=1e-12)
+        fusions = [make_fusion(rng, length) for length in (1, 3, 6)]
+        p_all, *_ = model._encode_phones(fusions)
+        for i, fusion in enumerate(fusions):
+            np.testing.assert_allclose(model.phonecue_forward(fusion), p_all[i, : len(fusion)],
+                                       rtol=0, atol=1e-12)
 
 
 class TestFloat32Scoring:
