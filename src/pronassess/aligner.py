@@ -5,7 +5,7 @@ every frame is assigned to exactly one phone, phones appear in canonical
 order, and each phone occupies at least one frame.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ class Span(NamedTuple):
 class Alignment:
     """Ordered phoneme spans tiling frames 0..T-1 contiguously."""
 
-    spans: list[Span] = field(default_factory=list)
+    spans: list[Span]
 
     def __post_init__(self):
         if not self.spans:

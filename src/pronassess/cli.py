@@ -14,6 +14,7 @@ eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
 """
 
 import argparse
+import contextlib
 import errno
 import os
 import stat
@@ -62,10 +63,24 @@ def _check_out(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _check_not_input(outputs, inputs) -> None:
+    """Raise a ValidationError, before any file is opened, when an output is
+    the same file as an input. Both are (flag, path) pairs, path None when
+    the flag is not given."""
+    for out_flag, out in outputs:
+        for flag, path in inputs:
+            with contextlib.suppress(OSError):  # a path not there (yet) is no match
+                if None not in (out, path) and os.path.samefile(out, path):
+                    raise ValidationError(f"{out_flag} {out} would overwrite the input "
+                                          f"{flag} {path}")
+
+
 def _cmd_extract(args) -> None:
     if os.path.realpath(args.out_frames) == os.path.realpath(args.out_functionals):
         raise ValidationError(f"--out-frames and --out-functionals name one file: "
                               f"{args.out_frames}")
+    _check_not_input([("--out-frames", args.out_frames),
+                      ("--out-functionals", args.out_functionals)], [("--wav", args.wav)])
     for out in (args.out_frames, args.out_functionals):
         _check_out(out)
     buf = audio_io.load_wav(args.wav)
@@ -75,6 +90,7 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_align(args) -> None:
+    _check_not_input([("--out", args.out)], [("--posteriors", args.posteriors)])
     posteriors = audio_io.read_matrix(args.posteriors)
     phones = args.phones.split()
     alignment, score = dtw_align(posteriors, phones)
@@ -91,6 +107,7 @@ def _cmd_fit_durations(args) -> None:
         raise ValidationError(f"bad --pattern {args.pattern!r}: {exc}") from None
     if not files:
         raise EmptyInputError(f"no alignment files matching {args.pattern!r} in {args.alignments}")
+    _check_not_input([("--out", args.out)], [("--alignments", f) for f in files])
     samples = []
     for f in files:
         samples.extend(spans_to_durations(audio_io.read_alignment(f)))
@@ -98,6 +115,8 @@ def _cmd_fit_durations(args) -> None:
 
 
 def _cmd_gopd(args) -> None:
+    _check_not_input([("--out", args.out)],
+                     [("--alignment", args.alignment), ("--model", args.model)])
     alignment = audio_io.read_alignment(args.alignment)
     model = audio_io.read_duration_model(args.model)
     values = gopd_vector(alignment, model)
@@ -111,6 +130,9 @@ def _cmd_assemble(args) -> None:
     if (args.wav is None) == (args.frames is None):
         raise ValidationError("need exactly one of --wav or --frames")
     sidecar = f"{args.out}.phones"
+    _check_not_input([("--out", args.out), ("--out", sidecar)],
+                     [("--wav", args.wav), ("--frames", args.frames),
+                      ("--alignment", args.alignment), ("--duration-model", args.duration_model)])
     for out in (args.out, sidecar):
         _check_out(out)
     if args.frames is not None:
@@ -126,12 +148,15 @@ def _cmd_assemble(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    out = Path(args.out)
+    _check_not_input([("--out", out / "checkpoint.ckpt"), ("--out", out / "history.csv")],
+                     [("--manifest", args.manifest), ("--config", args.config),
+                      ("--duration-model", args.duration_model)])
     entries = audio_io.read_manifest(args.manifest)
     if not entries:
         raise EmptyInputError("manifest is empty")
     config = parse_train_config(args.config)
     duration_model = audio_io.read_duration_model(args.duration_model)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run, not after
     for name in ("checkpoint.ckpt", "history.csv"):
         _check_out(out / name)
@@ -168,6 +193,9 @@ def _cmd_score(args) -> None:
         raise ValidationError("--out needs --manifest; one utterance's scores go to stdout")
     elif None in single.values():
         raise ValidationError("need either --manifest or all of --wav --posteriors --ct --phones")
+    _check_not_input([("--out", args.out)],
+                     [("--checkpoint", args.checkpoint), ("--manifest", args.manifest),
+                      ("--duration-model", args.duration_model)])
     # The checkpoint loads on a worker thread while this one reads the
     # duration model and the manifest and featurizes the first chunk. It is
     # joined before the first forward pass, and on any error, so a

@@ -1,19 +1,19 @@
 """Per-phoneme Gaussian duration models and the goodness-of-phonemic-duration score.
 
-A model stores (mean_ms, std_ms, count) per phone plus one pooled global
-entry. Phones seen fewer than MIN_COUNT times delegate to the global entry
-at evaluation time; standard deviations are floored at STD_FLOOR_MS so no
-phone degenerates into a spike.
+A model stores (mean_ms, std_ms, count) per phone plus the pooled global
+entry that every model has. Phones seen fewer than MIN_COUNT times, or not
+at all, delegate to it at evaluation time; standard deviations are floored
+at STD_FLOOR_MS so no phone degenerates into a spike.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .aligner import spans_to_durations
-from .errors import ModelError, ValidationError
+from .errors import ValidationError
 
 MIN_COUNT = 10
 STD_FLOOR_MS = 5.0
@@ -30,8 +30,8 @@ class PhoneStats:
 
 @dataclass
 class DurationModel:
-    phones: dict[str, PhoneStats] = field(default_factory=dict)
-    global_stats: PhoneStats | None = None
+    phones: dict[str, PhoneStats]
+    global_stats: PhoneStats
 
     def lookup(self, phone: str) -> PhoneStats:
         """Stats used to score `phone`: its own entry when well supported,
@@ -39,8 +39,6 @@ class DurationModel:
         st = self.phones.get(phone)
         if st is not None and st.count >= MIN_COUNT:
             return st
-        if self.global_stats is None:
-            raise ModelError(f"no entry for phone {phone!r} and no global fallback")
         return self.global_stats
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; `cli` maps each to an exit code."""
 
 
 class PronAssessError(Exception):
@@ -27,10 +27,6 @@ class InfeasibleAlignmentError(PronAssessError):
 
 class TooShortError(PronAssessError):
     """Signal shorter than one analysis window."""
-
-
-class ModelError(PronAssessError):
-    """A duration or scoring model cannot answer the query."""
 
 
 class EmptyInputError(PronAssessError):

@@ -10,6 +10,8 @@ Conventions fixed here:
   waveform by c scales loudness by exactly c**0.6.
 * alpha ratio -- 10*log10 of low-band (50-1000 Hz) over high-band
   (1-5 kHz) power, each floored by eps=1e-10; silence gives exactly 0 dB.
+  Bins are summed in order (numpy's `sum` adds a lone row's pairwise), so a
+  frame's value does not depend on its signal's frame count.
 * pitch      -- normalized autocorrelation over lags for 55-500 Hz,
   voiced when the peak exceeds 0.45, lag refined by parabolic
   interpolation. Among near-tied peaks the shortest lag wins, which keeps
@@ -26,12 +28,11 @@ that one call per descriptor covers many short utterances, whose cost is
 otherwise numpy's per-call overhead. Every frame keeps its own signal's
 sample range: jitter segments, local maxima and anchors are clipped to
 it, and the features of each signal equal those of that signal alone bit
-for bit. Loudness is computed per signal, because its mel product is a
-GEMM, whose rounding depends on the number of rows; so is the alpha ratio
-of a one-frame signal, because numpy sums the bands of one row pairwise
-and those of several rows in order. The spectrum and pitch run in blocks
-of `_BLOCK` frames and jitter in blocks of `_JITTER_BLOCK` voiced frames,
-so that their per-frame arrays stay in cache.
+for bit. Loudness is the one descriptor computed per signal: its mel
+product is a GEMM, whose rounding depends on the number of rows. The
+spectrum and pitch run in blocks of `_BLOCK` frames and jitter in blocks
+of `_JITTER_BLOCK` voiced frames, so that their per-frame arrays stay in
+cache.
 """
 
 from dataclasses import dataclass
@@ -242,8 +243,8 @@ def compute_loudness(power: np.ndarray) -> np.ndarray:
 
 
 def compute_alpha_ratio(power: np.ndarray) -> np.ndarray:
-    low = power[:, _low_band].sum(axis=1)
-    high = power[:, _high_band].sum(axis=1)
+    low = np.cumsum(power[:, _low_band], axis=1)[:, -1]
+    high = np.cumsum(power[:, _high_band], axis=1)[:, -1]
     return 10.0 * np.log10((low + ALPHA_EPS) / (high + ALPHA_EPS))
 
 
@@ -451,13 +452,9 @@ def extract_frame_features(buf: AudioBuffer, grid: FrameGrid | None = None) -> F
         raise ValidationError(f"frame grid covers {grid.bounds[-1]} samples, "
                               f"buffer holds {len(buf.samples)}")
     power = power_spectrum(buf, grid)
-    ranges = grid.frame_ranges()
     # one mel product per signal: a GEMM's rounding depends on its row count
-    loudness = np.concatenate([compute_loudness(power[a:b]) for a, b in ranges])
+    loudness = np.concatenate([compute_loudness(power[a:b]) for a, b in grid.frame_ranges()])
     alpha = compute_alpha_ratio(power)
-    for a, b in ranges:
-        if b == a + 1:  # numpy sums one row's bands pairwise, and those of more rows in order
-            alpha[a] = compute_alpha_ratio(power[a:b])[0]
     f0_hz, voiced = estimate_f0(buf, grid)
     jitter = compute_jitter(buf, grid, f0_hz, voiced)
     semis = np.zeros(grid.num_frames)

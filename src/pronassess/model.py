@@ -91,10 +91,10 @@ class UtteranceFeatures:
     prosody: int | None = None
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:  # over the last axis
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_attention(p_nv: np.ndarray, ct: np.ndarray, t_lens) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +108,7 @@ def cross_attention(p_nv: np.ndarray, ct: np.ndarray, t_lens) -> tuple[np.ndarra
         raise ValidationError(f"query dim {p_nv.shape[2]} != key/value dim {ct.shape[2]}")
     scores = p_nv @ ct.transpose(0, 2, 1) / math.sqrt(ct.shape[2])
     scores = np.where(np.arange(ct.shape[1]) < t_lens[:, None, None], scores, -np.inf)
-    weights = softmax(scores, axis=2)
+    weights = softmax(scores)
     return weights @ ct, weights
 
 
@@ -413,7 +413,7 @@ class ScoringModel:
         return cls.from_params(cfg, params)
 
 
-def loss_fn(dist_f, dist_p, fluency, prosody, loss_weights=(0.5, 0.5)) -> float:
+def loss_fn(dist_f, dist_p, fluency, prosody, loss_weights) -> float:
     """Weighted cross-entropy over the two heads (natural log)."""
     if not (0 <= fluency < N_CLASSES and 0 <= prosody < N_CLASSES):
         raise ValidationError(f"labels must lie in 0..{N_CLASSES - 1}")

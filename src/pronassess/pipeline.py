@@ -68,12 +68,9 @@ def frame_features(bufs) -> list[FrameFeatures]:
 
 
 def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationModel,
-                      ff: FrameFeatures | None = None) -> UtteranceFeatures:
-    """Run the full feature pipeline for one manifest entry. `ff`, when
-    given, is the entry's frame features (from `frame_features`), and its
-    WAV is not read again."""
-    if ff is None:
-        [ff] = frame_features([audio_io.load_wav(entry.wav_path)])
+                      ff: FrameFeatures) -> UtteranceFeatures:
+    """The scoring-network input of one manifest entry, from its frame
+    features `ff` (from `frame_features`) and its other files."""
     functionals = compute_functionals(ff)
 
     # Cast once: validate_posteriors and dtw_align compute in float64, so

@@ -21,6 +21,7 @@ from pronassess import (
     write_matrix,
     write_wav,
 )
+from pronassess.audio_io import read_scores
 from pronassess.cli import main
 from pronassess.inventory import PHONE_TO_INDEX
 from pronassess.model import TINY_CONFIG
@@ -246,7 +247,7 @@ class TestGopdAndAssemble:
         assert sidecar[1].split("\t")[0] == "AA"
 
     def test_assemble_matches_pipeline(self, tmp_path, capsys):
-        from pronassess import SyntheticSpec, generate_corpus, prepare_utterance, read_manifest
+        from pronassess import SyntheticSpec, generate_corpus, prepare_dataset, read_manifest
 
         corpus = tmp_path / "c"
         entry = read_manifest(generate_corpus(
@@ -258,7 +259,7 @@ class TestGopdAndAssemble:
         out = tmp_path / "fusion.mtx"
         assert main(["assemble", "--wav", str(entry.wav_path), "--alignment", str(align),
                      "--duration-model", str(durations), "--out", str(out)]) == 0
-        fusion = prepare_utterance(entry, read_duration_model(durations)).fusion
+        fusion = prepare_dataset([entry], read_duration_model(durations))[0].fusion
         expected = fusion.numeric_block().astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(read_matrix(out), expected)
         sidecar = (tmp_path / "fusion.mtx.phones").read_text().splitlines()[1:]
@@ -302,6 +303,64 @@ class TestGopdAndAssemble:
         assert rc == 3
         assert "exactly one of --wav or --frames" in capsys.readouterr().err
         assert not (tmp_path / "fusion.mtx").exists()
+
+
+class TestOutputIsAnInput:
+    """Every command that writes refuses an output that is the same file as
+    one of its inputs (exit 3) before it reads anything, and the input keeps
+    its bytes."""
+
+    @pytest.mark.parametrize("case", ["extract-frames", "extract-functionals-through-a-symlink",
+                                      "align", "fit-durations", "gopd", "assemble",
+                                      "assemble-sidecar", "train", "score"])
+    def test_exit_3_and_input_unchanged(self, tmp_path, capsys, case):
+        from pronassess import ScoringModel, SyntheticSpec, dtw_align, generate_corpus, read_manifest
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=8), tmp_path / "c")
+        entry = read_manifest(manifest)[0]
+        wav, post, dm = entry.wav_path, entry.posterior_path, tmp_path / "c" / "durations.tsv"
+        (tmp_path / "aligns").mkdir()
+        align = tmp_path / "aligns" / "a.tsv"
+        write_alignment(align, dtw_align(read_matrix(post), entry.phones)[0])
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        (tmp_path / "run").mkdir()
+        config = tmp_path / "run" / "checkpoint.ckpt"
+        config.write_text("epochs=1\n")
+        sidecar = tmp_path / "fusion.mtx.phones"
+        sidecar.write_bytes(align.read_bytes())
+        ckpt = tmp_path / "full.ckpt"
+        if case == "score":
+            ScoringModel(seed=0).save(ckpt)
+        via_link = tmp_path / "link" / wav.relative_to(tmp_path)
+        other = str(tmp_path / "o.mtx")
+        argv, out_flag, out, in_flag, path = {
+            "extract-frames": (["extract", "--wav", wav, "--out-frames", wav,
+                                "--out-functionals", other], "--out-frames", wav, "--wav", wav),
+            "extract-functionals-through-a-symlink": (
+                ["extract", "--wav", wav, "--out-frames", other, "--out-functionals", via_link],
+                "--out-functionals", via_link, "--wav", wav),
+            "align": (["align", "--posteriors", post, "--phones", " ".join(entry.phones),
+                       "--out", post], "--out", post, "--posteriors", post),
+            "fit-durations": (["fit-durations", "--alignments", tmp_path / "aligns", "--out", align],
+                              "--out", align, "--alignments", align),
+            "gopd": (["gopd", "--alignment", align, "--model", dm, "--out", dm],
+                     "--out", dm, "--model", dm),
+            "assemble": (["assemble", "--wav", wav, "--alignment", align, "--duration-model", dm,
+                          "--out", align], "--out", align, "--alignment", align),
+            "assemble-sidecar": (["assemble", "--wav", wav, "--alignment", sidecar,
+                                  "--duration-model", dm, "--out", tmp_path / "fusion.mtx"],
+                                 "--out", sidecar, "--alignment", sidecar),
+            "train": (["train", "--manifest", manifest, "--config", config, "--duration-model", dm,
+                       "--out", tmp_path / "run"], "--out", config, "--config", config),
+            "score": (["score", "--checkpoint", ckpt, "--duration-model", dm,
+                       "--manifest", manifest, "--out", manifest],
+                      "--out", manifest, "--manifest", manifest),
+        }[case]
+        before = Path(path).read_bytes()
+        assert main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {out_flag} {out} would overwrite the input {in_flag} {path}\n"
+        assert Path(path).read_bytes() == before
 
 
 class TestTrainCli:
@@ -567,11 +626,11 @@ def _score_in_chunks(budget, ckpt, dm_path, manifest, out):
 
 def _assert_same_scores(a, b):
     """Score CSVs a and b list the same ids in order, with scores within 1e-6."""
-    rows = [[line.split(",") for line in out.read_text().splitlines()] for out in (a, b)]
-    assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]]
-    for row_a, row_b in zip(rows[0][1:], rows[1][1:]):
-        assert abs(float(row_a[1]) - float(row_b[1])) <= 1e-6
-        assert abs(float(row_a[2]) - float(row_b[2])) <= 1e-6
+    scores_a, scores_b = read_scores(a), read_scores(b)
+    assert list(scores_a) == list(scores_b)
+    for uid, (f, p) in scores_a.items():
+        assert abs(f - scores_b[uid][0]) <= 1e-6
+        assert abs(p - scores_b[uid][1]) <= 1e-6
 
 
 def _overflow_score_args(tmp_path):
@@ -651,7 +710,7 @@ class TestScore:
     def test_manifest_mode_matches_batch_of_one(self, tmp_path):
         # 17 utterances of mixed length (17-93 fusion rows each) under a
         # budget of 400 all-valid rows span three forward chunks
-        from pronassess import ScoringModel, predict_score, prepare_utterance, read_manifest
+        from pronassess import ScoringModel, predict_score, prepare_dataset, read_manifest
 
         manifest, dm_path, ckpt = _score_corpus(tmp_path)
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -661,19 +720,19 @@ class TestScore:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
         entries = read_manifest(manifest)
-        rows = [line.split(",") for line in outs[0].read_text().splitlines()]
-        assert rows[0] == ["id", "fluency", "prosody"]
-        assert [r[0] for r in rows[1:]] == [e.id for e in entries]
+        scores = read_scores(outs[0])
+        assert list(scores) == [e.id for e in entries]
         # The CLI scores in the checkpoint's float32; the reference is the
         # float64 forward of the same weights, one utterance at a time, and
         # the tolerance is the benchmark's score gate.
         model = ScoringModel.load(ckpt)
         model.params = {name: p.astype(np.float64) for name, p in model.params.items()}
         dm = read_duration_model(dm_path)
-        for entry, (_, f, p) in zip(entries, rows[1:]):
-            dist_f, dist_p = model.score_utterance(prepare_utterance(entry, dm))
-            assert abs(float(f) - predict_score(dist_f)) <= 1e-6
-            assert abs(float(p) - predict_score(dist_p)) <= 1e-6
+        for entry in entries:
+            dist_f, dist_p = model.score_utterance(prepare_dataset([entry], dm)[0])
+            f, p = scores[entry.id]
+            assert abs(f - predict_score(dist_f)) <= 1e-6
+            assert abs(p - predict_score(dist_p)) <= 1e-6
 
     def test_utterance_over_budget_is_its_own_chunk(self, tmp_path):
         manifest, dm_path, ckpt = _score_corpus(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 from pronassess import DurationModel, PhoneStats, fit_durations, gopd, gopd_vector
 from pronassess.aligner import Alignment, Span
-from pronassess.errors import ModelError, ValidationError
+from pronassess.errors import ValidationError
 from pronassess.inventory import PHONEMES
 
 PEAK_100_20 = -math.log(20.0 * math.sqrt(2.0 * math.pi))
@@ -75,11 +75,6 @@ class TestGopd:
         model = fit_durations([("AA", 90.0), ("AA", 110.0)])
         for phone in PHONEMES:
             assert np.isfinite(gopd(75.0, phone, model))
-
-    def test_no_global_entry_fails(self):
-        model = DurationModel({}, None)
-        with pytest.raises(ModelError):
-            gopd(100.0, "AA", model)
 
     def test_positive_density_allowed_for_tiny_sigma(self):
         # log density, not log probability: sigma below 1/sqrt(2*pi) ms

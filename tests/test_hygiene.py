@@ -1,5 +1,6 @@
 """Source hygiene: every name a module, test or demo imports is used in that
-file, and the CLI decides its exit codes in `main` alone."""
+file, every private module-level name of the package is read in its module,
+and the CLI decides its exit codes in `main` alone."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,37 @@ MODULES = {p.stem: p for p in SRC.glob("*.py") if p.stem != "__init__"} | {
 def test_no_unused_imports(module):
     unused = unused_imports(MODULES[module].read_text(encoding="utf-8"))
     assert [n for n in unused if (module, n) not in ALLOWED] == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """The module-level `_names` (not dunders) that `source` defines, as a
+    function, class or assignment target, and never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_finds_an_unused_private_name():
+    source = ("_A = 1\n_B: int = 2\n_c, d = 3, 4\n__all__ = []\n"
+              "def _f():\n    return _A\n"
+              "def _g():\n    _local = 5\n"
+              "class _K:\n    pass\n"
+              "print(_B, _f)\n")
+    assert unused_private_names(source) == ["_c", "_g", "_K"]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
+def test_no_unused_private_names(module):
+    assert unused_private_names(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def _prints_error(node) -> bool:

@@ -15,7 +15,6 @@ from pronassess import (
     generate_corpus,
     pipeline,
     prepare_dataset,
-    prepare_utterance,
     pseudo_ct,
     read_alignment,
     read_duration_model,
@@ -161,7 +160,7 @@ class TestPipeline:
         write_matrix(bad, read_matrix(entry.posterior_path)[:-1])
         entry.posterior_path = bad
         with pytest.raises(ValidationError, match="frames"):
-            prepare_utterance(entry, model)
+            prepare_dataset([entry], model)
 
     def test_unnormalized_posteriors_rejected(self, corpus, tmp_path):
         out, manifest = corpus
@@ -174,7 +173,7 @@ class TestPipeline:
         write_matrix(bad, read_matrix(entry.posterior_path) + 3.0)
         entry.posterior_path = bad
         with pytest.raises(ValidationError, match="normalized"):
-            prepare_utterance(entry, model)
+            prepare_dataset([entry], model)
 
 
 def _utterance_bytes(utt) -> tuple:
@@ -225,7 +224,7 @@ class TestGroupedPipeline:
     def one_at_a_time(self, corpus):
         out, manifest = corpus
         model = read_duration_model(out / "durations.tsv")
-        return [_utterance_bytes(prepare_utterance(e, model)) for e in read_manifest(manifest)]
+        return [_utterance_bytes(prepare_dataset([e], model)[0]) for e in read_manifest(manifest)]
 
     def _chunked(self, corpus, one_at_a_time, budget):
         out, manifest = corpus
