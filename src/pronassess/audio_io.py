@@ -16,9 +16,10 @@ Formats, all little-endian where binary:
 * Manifest -- one JSON object per line (see ManifestEntry).
 
 Loading never rescales, resamples or truncates; any deviation from the
-declared format is a hard error.
+declared format is a hard error that names the file.
 """
 
+import functools
 import json
 import os
 import struct
@@ -59,6 +60,18 @@ class AudioBuffer:
             raise ValidationError(f"samples exceed [-1, 1] (peak {peak:.6g})")
 
 
+def _naming_the_file(read):
+    """`read(path)`, with the path in front of the message of a format error."""
+    @functools.wraps(read)
+    def read_named(path):
+        try:
+            return read(path)
+        except FormatError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+    return read_named
+
+
+@_naming_the_file
 def load_wav(path) -> AudioBuffer:
     """Read a PCM16 mono 16 kHz WAV file, scaling samples by 1/32768."""
     with open(path, "rb") as fh:
@@ -134,6 +147,7 @@ def write_matrix(path, mat: np.ndarray) -> None:
         fh.write(payload)
 
 
+@_naming_the_file
 def read_matrix(path) -> np.ndarray:
     """Read an MTX1 file into a native-endian float32 array, the stored
     precision; callers that compute in float64 cast on use."""
@@ -290,6 +304,7 @@ class ManifestEntry:
 
 
 _MANIFEST_FIELDS = ("id", "wav_path", "ct_path", "posterior_path", "phones", "fluency", "prosody")
+MANIFEST_PATHS = ("wav_path", "ct_path", "posterior_path")  # the fields that name files
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -324,7 +339,7 @@ def read_manifest(path) -> list[ManifestEntry]:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < N_CLASSES:
                 raise ValidationError(f"{path}:{ln}: {key} must be an integer in "
                                       f"0-{N_CLASSES - 1}, got {v!r}")
-        for key in ("wav_path", "ct_path", "posterior_path"):
+        for key in MANIFEST_PATHS:
             if not isinstance(obj[key], str):
                 raise ValidationError(f"{path}:{ln}: {key} must be a string, got {obj[key]!r}")
             if "\0" in obj[key]:  # no OS takes it in a path
@@ -337,17 +352,9 @@ def read_manifest(path) -> list[ManifestEntry]:
         if uid in seen_ids:
             raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
         seen_ids.add(uid)
-        entries.append(
-            ManifestEntry(
-                id=uid,
-                wav_path=base / obj["wav_path"],
-                ct_path=base / obj["ct_path"],
-                posterior_path=base / obj["posterior_path"],
-                phones=list(phones),
-                fluency=obj["fluency"],
-                prosody=obj["prosody"],
-            )
-        )
+        paths = {key: base / obj[key] for key in MANIFEST_PATHS}
+        entries.append(ManifestEntry(id=uid, **paths, phones=list(phones),
+                                     fluency=obj["fluency"], prosody=obj["prosody"]))
     return entries
 
 

@@ -1,7 +1,10 @@
 """Batch command-line front-end.
 
 Subcommands: extract, align, fit-durations, gopd, assemble, train, score,
-eval, synth. Data goes to stdout, diagnostics to stderr. Exit codes:
+eval, synth. Data goes to stdout, diagnostics to stderr. Each command that
+writes checks all its outputs in one call before any work: one it cannot
+write, two that name one file, or one that is the same file as an input
+(a file a manifest lists too; links included) is refused. Exit codes:
 
   0  success
   1  unexpected failure
@@ -42,81 +45,88 @@ from .train import history_csv, parse_train_config, train
 EXIT_CODES = {InfeasibleAlignmentError: 4, EmptyInputError: 5}
 
 
-def _require_dir(path, name) -> None:
-    """Raise the OSError, naming `name`, that opening a file in directory
-    `path` would: missing, a regular file, a symlink loop and so on."""
+def _require_dir(path, name) -> os.stat_result:
+    """The stat of directory `path`, else the OSError, naming `name`, that
+    opening a file in it would raise (missing, a regular file, a loop)."""
     try:  # a trailing "/", so that a regular file fails too
-        os.stat(os.path.join(path, ""))
+        return os.stat(os.path.join(path, ""))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, name) from None
 
 
-def _check_out(path) -> None:
-    """Raise the OSError that writing a file at `path` would, before any
-    work is done; a path that does not exist yet passes."""
-    _require_dir(os.path.dirname(path) or ".", path)
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        return
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+def _check_outputs(outputs, inputs) -> None:
+    """Refuse two outputs that name one file, then an output that is the same
+    file as an input (both exit 3), then the OSError that writing an output
+    would raise (exit 2). Both are (flag, path) pairs, path None for a flag
+    not given; an output not there yet is named by its directory and name."""
+    named, refused = {}, []
+    for flag, path in outputs:
+        if path is None:
+            continue
+        try:
+            try:
+                st = os.stat(path)
+                key = st.st_dev, st.st_ino
+                if stat.S_ISDIR(st.st_mode):
+                    refused.append(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path))
+            except FileNotFoundError:  # a new file
+                st = _require_dir(os.path.dirname(path) or ".", path)
+                key = st.st_dev, st.st_ino, os.path.basename(path)
+        except OSError as exc:  # a missing or non-directory parent, a name too long, a loop
+            refused.append(exc)
+            continue
+        if key in named:
+            raise ValidationError(f"{named[key][0]} and {flag} name one file: {named[key][1]}")
+        named[key] = flag, path
+    # only an output that exists, keyed by its (device, inode), can be an input
+    for in_flag, in_path in inputs if any(len(key) == 2 for key in named) else ():
+        with contextlib.suppress(OSError, TypeError):  # not there, or None: no match
+            st = os.stat(in_path)
+            if (st.st_dev, st.st_ino) in named:
+                flag, path = named[st.st_dev, st.st_ino]
+                raise ValidationError(f"{flag} {path} would overwrite the input "
+                                      f"{in_flag} {in_path}")
+    if refused:
+        raise refused[0]
 
 
-def _check_not_input(outputs, inputs) -> None:
-    """Raise a ValidationError, before any file is opened, when an output is
-    the same file as an input. Both are (flag, path) pairs, path None when
-    the flag is not given."""
-    for out_flag, out in outputs:
-        for flag, path in inputs:
-            with contextlib.suppress(OSError):  # a path not there (yet) is no match
-                if None not in (out, path) and os.path.samefile(out, path):
-                    raise ValidationError(f"{out_flag} {out} would overwrite the input "
-                                          f"{flag} {path}")
+def _entry_files(entries):
+    """('<id> <field>', path) of each file that manifest `entries` name."""
+    return ((f"{e.id} {field}", getattr(e, field))
+            for e in entries for field in audio_io.MANIFEST_PATHS)
 
 
 def _cmd_extract(args) -> None:
-    if os.path.realpath(args.out_frames) == os.path.realpath(args.out_functionals):
-        raise ValidationError(f"--out-frames and --out-functionals name one file: "
-                              f"{args.out_frames}")
-    _check_not_input([("--out-frames", args.out_frames),
-                      ("--out-functionals", args.out_functionals)], [("--wav", args.wav)])
-    for out in (args.out_frames, args.out_functionals):
-        _check_out(out)
-    buf = audio_io.load_wav(args.wav)
-    ff = extract_frame_features(buf)
+    _check_outputs([("--out-frames", args.out_frames), ("--out-functionals", args.out_functionals)],
+                   [("--wav", args.wav)])
+    ff = extract_frame_features(audio_io.load_wav(args.wav))
     audio_io.write_matrix(args.out_frames, ff.to_matrix())
     audio_io.write_matrix(args.out_functionals, compute_functionals(ff).to_vector()[None, :])
 
 
 def _cmd_align(args) -> None:
-    _check_not_input([("--out", args.out)], [("--posteriors", args.posteriors)])
-    posteriors = audio_io.read_matrix(args.posteriors)
-    phones = args.phones.split()
-    alignment, score = dtw_align(posteriors, phones)
+    _check_outputs([("--out", args.out)], [("--posteriors", args.posteriors)])
+    alignment, score = dtw_align(audio_io.read_matrix(args.posteriors), args.phones.split())
     audio_io.write_alignment(args.out, alignment)
     print(f"{score!r}")
 
 
 def _cmd_fit_durations(args) -> None:
     _require_dir(args.alignments, args.alignments)
-    root = Path(args.alignments)
     try:
-        files = sorted(root.glob(args.pattern))
+        files = sorted(Path(args.alignments).glob(args.pattern))
     except (ValueError, NotImplementedError) as exc:  # '' or an absolute pattern
         raise ValidationError(f"bad --pattern {args.pattern!r}: {exc}") from None
     if not files:
         raise EmptyInputError(f"no alignment files matching {args.pattern!r} in {args.alignments}")
-    _check_not_input([("--out", args.out)], [("--alignments", f) for f in files])
-    samples = []
-    for f in files:
-        samples.extend(spans_to_durations(audio_io.read_alignment(f)))
+    _check_outputs([("--out", args.out)], [("--alignments", f) for f in files])
+    samples = [s for f in files for s in spans_to_durations(audio_io.read_alignment(f))]
     audio_io.write_duration_model(args.out, fit_durations(samples))
 
 
 def _cmd_gopd(args) -> None:
-    _check_not_input([("--out", args.out)],
-                     [("--alignment", args.alignment), ("--model", args.model)])
+    _check_outputs([("--out", args.out)],
+                   [("--alignment", args.alignment), ("--model", args.model)])
     alignment = audio_io.read_alignment(args.alignment)
     model = audio_io.read_duration_model(args.model)
     values = gopd_vector(alignment, model)
@@ -130,11 +140,9 @@ def _cmd_assemble(args) -> None:
     if (args.wav is None) == (args.frames is None):
         raise ValidationError("need exactly one of --wav or --frames")
     sidecar = f"{args.out}.phones"
-    _check_not_input([("--out", args.out), ("--out", sidecar)],
-                     [("--wav", args.wav), ("--frames", args.frames),
-                      ("--alignment", args.alignment), ("--duration-model", args.duration_model)])
-    for out in (args.out, sidecar):
-        _check_out(out)
+    _check_outputs([("--out", args.out), ("--out", sidecar)],
+                   [("--wav", args.wav), ("--frames", args.frames),
+                    ("--alignment", args.alignment), ("--duration-model", args.duration_model)])
     if args.frames is not None:
         ff = FrameFeatures.from_matrix(audio_io.read_matrix(args.frames))
     else:
@@ -148,24 +156,20 @@ def _cmd_assemble(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    out = Path(args.out)
-    _check_not_input([("--out", out / "checkpoint.ckpt"), ("--out", out / "history.csv")],
-                     [("--manifest", args.manifest), ("--config", args.config),
-                      ("--duration-model", args.duration_model)])
     entries = audio_io.read_manifest(args.manifest)
     if not entries:
-        raise EmptyInputError("manifest is empty")
+        raise EmptyInputError(f"manifest {args.manifest} is empty")
     config = parse_train_config(args.config)
     duration_model = audio_io.read_duration_model(args.duration_model)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run, not after
-    for name in ("checkpoint.ckpt", "history.csv"):
-        _check_out(out / name)
-    dataset = prepare_dataset(entries, duration_model)
-    result = train(dataset, config=config)
+    _check_outputs([("--out", out / "checkpoint.ckpt"), ("--out", out / "history.csv")],
+                   [("--manifest", args.manifest), ("--config", args.config),
+                    ("--duration-model", args.duration_model), *_entry_files(entries)])
+    result = train(prepare_dataset(entries, duration_model), config=config)
     result.model.save(out / "checkpoint.ckpt")
     audio_io.write_text(out / "history.csv", history_csv(result.history))
-    last = result.history[-1][0]
-    print(f"epochs={last} best_epoch={result.best_epoch} "
+    print(f"epochs={result.history[-1][0]} best_epoch={result.best_epoch} "
           f"best_val_loss={result.history[result.best_epoch - 1][2]!r}")
 
 
@@ -193,9 +197,6 @@ def _cmd_score(args) -> None:
         raise ValidationError("--out needs --manifest; one utterance's scores go to stdout")
     elif None in single.values():
         raise ValidationError("need either --manifest or all of --wav --posteriors --ct --phones")
-    _check_not_input([("--out", args.out)],
-                     [("--checkpoint", args.checkpoint), ("--manifest", args.manifest),
-                      ("--duration-model", args.duration_model)])
     # The checkpoint loads on a worker thread while this one reads the
     # duration model and the manifest and featurizes the first chunk. It is
     # joined before the first forward pass, and on any error, so a
@@ -211,27 +212,25 @@ def _cmd_score(args) -> None:
 
 def _score(args, get_model) -> None:
     """`score` once its mode is checked; `get_model()` returns the checkpoint."""
-    if args.out:  # before any entry is featurized
-        _check_out(args.out)
     duration_model = audio_io.read_duration_model(args.duration_model)
-    if args.manifest is not None:
-        entries = audio_io.read_manifest(args.manifest)
-        if not entries:
-            raise EmptyInputError("manifest is empty")
-        scores = _score_entries(get_model, entries, duration_model)
-        text = audio_io.score_text((e.id, f, p) for e, (f, p) in zip(entries, scores))
-        if args.out:
-            audio_io.write_text(args.out, text)
-        else:
-            print(text, end="")
+    if args.manifest is None:
+        entry = audio_io.ManifestEntry("cli", Path(args.wav), Path(args.ct),
+                                       Path(args.posteriors), args.phones.split(), 0, 0)
+        [(f, p)] = _score_entries(get_model, [entry], duration_model)
+        print(f"{f!r} {p!r}")
         return
-    entry = audio_io.ManifestEntry(
-        id="cli", wav_path=Path(args.wav), ct_path=Path(args.ct),
-        posterior_path=Path(args.posteriors), phones=args.phones.split(),
-        fluency=0, prosody=0,
-    )
-    [(f, p)] = _score_entries(get_model, [entry], duration_model)
-    print(f"{f!r} {p!r}")
+    entries = audio_io.read_manifest(args.manifest)
+    if not entries:
+        raise EmptyInputError(f"manifest {args.manifest} is empty")
+    _check_outputs([("--out", args.out)],
+                   [("--checkpoint", args.checkpoint), ("--manifest", args.manifest),
+                    ("--duration-model", args.duration_model), *_entry_files(entries)])
+    scores = _score_entries(get_model, entries, duration_model)
+    text = audio_io.score_text((e.id, f, p) for e, (f, p) in zip(entries, scores))
+    if args.out:
+        audio_io.write_text(args.out, text)
+    else:
+        print(text, end="")
 
 
 def _some_ids(ids) -> str:
@@ -282,12 +281,9 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    spec = SyntheticSpec(
-        n_utterances=args.n, seed=args.seed,
-        min_phones=args.min_phones, max_phones=args.max_phones,
-    )
-    manifest = generate_corpus(spec, args.out, jobs=args.jobs)
-    print(str(manifest))
+    spec = SyntheticSpec(n_utterances=args.n, seed=args.seed,
+                         min_phones=args.min_phones, max_phones=args.max_phones)
+    print(generate_corpus(spec, args.out, jobs=args.jobs))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,11 +370,14 @@ def main(argv=None) -> int:
         if exc.filename is None:  # no path at fault: a broken pipe, say
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        # FileExistsError: `mkdir(exist_ok=True)` on a path that is a file
+        if isinstance(exc, FileExistsError):  # `mkdir(exist_ok=True)` on no directory
+            try:
+                _require_dir(exc.filename, exc.filename)
+            except OSError as why:  # a file, a symlink loop, a dangling symlink
+                exc = why
         reason = {FileNotFoundError: "no such file",
                   IsADirectoryError: "is a directory, not a file",
-                  NotADirectoryError: "a file where a directory is expected",
-                  FileExistsError: "a file where a directory is expected"}.get(
+                  NotADirectoryError: "a file where a directory is expected"}.get(
                       type(exc), exc.strerror)
         print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return 2

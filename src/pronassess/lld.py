@@ -28,11 +28,11 @@ that one call per descriptor covers many short utterances, whose cost is
 otherwise numpy's per-call overhead. Every frame keeps its own signal's
 sample range: jitter segments, local maxima and anchors are clipped to
 it, and the features of each signal equal those of that signal alone bit
-for bit. Loudness is the one descriptor computed per signal: its mel
-product is a GEMM, whose rounding depends on the number of rows. The
-spectrum and pitch run in blocks of `_BLOCK` frames and jitter in blocks
-of `_JITTER_BLOCK` voiced frames, so that their per-frame arrays stay in
-cache.
+for bit. No descriptor depends on which frames share its call: loudness
+takes each frame's mel product on its own, as a 1-row product, since a GEMM
+over many rows rounds differently. The spectrum and pitch run in blocks of
+`_BLOCK` frames and jitter in blocks of `_JITTER_BLOCK` voiced frames, so
+that their per-frame arrays stay in cache.
 """
 
 from dataclasses import dataclass
@@ -238,7 +238,8 @@ _high_band = (_fft_freqs > 1000.0) & (_fft_freqs <= 5000.0)
 
 
 def compute_loudness(power: np.ndarray) -> np.ndarray:
-    band_power = power @ _mel_fb.T
+    # a 1-row product per frame, so that no frame depends on the others
+    band_power = np.matmul(power[:, None, :], _mel_fb.T)[:, 0]
     return (band_power**0.3).sum(axis=1)
 
 
@@ -452,8 +453,7 @@ def extract_frame_features(buf: AudioBuffer, grid: FrameGrid | None = None) -> F
         raise ValidationError(f"frame grid covers {grid.bounds[-1]} samples, "
                               f"buffer holds {len(buf.samples)}")
     power = power_spectrum(buf, grid)
-    # one mel product per signal: a GEMM's rounding depends on its row count
-    loudness = np.concatenate([compute_loudness(power[a:b]) for a, b in grid.frame_ranges()])
+    loudness = compute_loudness(power)
     alpha = compute_alpha_ratio(power)
     f0_hz, voiced = estimate_f0(buf, grid)
     jitter = compute_jitter(buf, grid, f0_hz, voiced)

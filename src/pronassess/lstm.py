@@ -27,7 +27,7 @@ thread, joined before the pass goes on (`_each_direction`; Appleyard et
 al. 2016, arXiv:1604.01946). numpy releases the interpreter lock inside
 its calls, so the directions overlap on a second core. Meanwhile numpy's
 OpenBLAS runs one thread, set there and the caller's count restored
-after (`_one_blas_thread`), so two GEMMs at once take one core each:
+after (`one_blas_thread`), so two GEMMs at once take one core each:
 on a 2-vCPU host whose OpenBLAS defaults to 2 threads, 6 epochs of the
 acceptance tests' training fell from 2.52-2.72 s to 1.86-1.93 s. The
 count is process-wide: while any pass runs, every thread's BLAS calls
@@ -171,12 +171,12 @@ def _blas_thread_probe():
 
 
 _pin_lock = threading.Lock()
-_pin_depth = 0  # open `_one_blas_thread` blocks
+_pin_depth = 0  # open `one_blas_thread` blocks
 _saved_count = None  # the count the first of them found
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """numpy's OpenBLAS at one thread inside the block; nothing where
     `_blas_thread_probe` finds no setter. The count is process-wide, so
     blocks may nest or overlap on several threads: it stays 1 until the
@@ -204,7 +204,7 @@ def _one_blas_thread():
 def _each_direction(loop, before=None, after=None):
     """before(d), loop(d) and after(d) for both directions d, each on a
     thread of its own: direction 0 on a worker thread and direction 1 on
-    the calling thread, with numpy's BLAS at one thread (`_one_blas_thread`).
+    the calling thread, with numpy's BLAS at one thread (`one_blas_thread`).
 
     The worker runs in a copy of the caller's context, so numpy's error
     state (`np.errstate`) holds in both directions. It is joined before
@@ -222,7 +222,7 @@ def _each_direction(loop, before=None, after=None):
         except BaseException as exc:  # re-raised on the caller after the join
             errors.append(exc)
 
-    with _one_blas_thread():
+    with one_blas_thread():
         thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
         thread.start()
         try:

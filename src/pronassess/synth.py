@@ -28,7 +28,7 @@ from .durations import DurationModel, PhoneStats
 from .errors import ValidationError
 from .inventory import PHONE_TO_INDEX, PHONEMES
 from .lld import HOP_SAMPLES, SEMITONE_REF_HZ, WINDOW_SAMPLES, extract_frame_features
-from .lstm import _one_blas_thread
+from .lstm import one_blas_thread
 from .metrics import N_CLASSES
 from .model import ModelConfig
 
@@ -151,7 +151,7 @@ def _synth_wav(span_frames, base_st, depth_st, mod_hz, phase0, amps,
 
 # One BLAS thread per utterance, so `jobs` worker processes run `jobs`
 # BLAS threads and not `jobs` full OpenBLAS thread pools.
-@_one_blas_thread()
+@one_blas_thread()
 def _gen_one(args):
     spec, index, out_dir = args
     rng = np.random.default_rng([spec.seed, index])

@@ -87,17 +87,22 @@ class TestExtract:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file", "sil.wav"]
         assert not any((tmp_path / "a-dir").iterdir())
 
-    @pytest.mark.parametrize("alias", ["same-path", "through-a-symlink"])
+    @pytest.mark.parametrize("alias", ["same-path", "through-a-symlink", "hard-link"])
     def test_one_file_for_both_outputs_exit_3(self, tmp_path, capsys, silence_wav, alias):
         (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
         frames = tmp_path / "f.mtx"
-        functionals = frames if alias == "same-path" else tmp_path / "link" / "f.mtx"
+        functionals = {"same-path": frames, "through-a-symlink": tmp_path / "link" / "f.mtx",
+                       "hard-link": tmp_path / "h.mtx"}[alias]
+        if alias == "hard-link":
+            frames.write_bytes(b"frames\n")
+            functionals.hardlink_to(frames)
+        before = {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()}
         rc = main(["extract", "--wav", str(silence_wav), "--out-frames", str(frames),
                    "--out-functionals", str(functionals)])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--out-frames" in err and "--out-functionals" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sil.wav"]
+        assert capsys.readouterr().err == \
+            f"error: --out-frames and --out-functionals name one file: {frames}\n"
+        assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestRefusedPaths:
@@ -307,12 +312,15 @@ class TestGopdAndAssemble:
 
 class TestOutputIsAnInput:
     """Every command that writes refuses an output that is the same file as
-    one of its inputs (exit 3) before it reads anything, and the input keeps
-    its bytes."""
+    one of its inputs (exit 3) before it featurizes or writes anything, and
+    the input keeps its bytes. The inputs of `train` and `score --manifest`
+    include each file the manifest lists."""
 
     @pytest.mark.parametrize("case", ["extract-frames", "extract-functionals-through-a-symlink",
                                       "align", "fit-durations", "gopd", "assemble",
-                                      "assemble-sidecar", "train", "score"])
+                                      "assemble-sidecar", "train", "train-listed-ct", "score",
+                                      "score-listed-wav", "score-listed-ct",
+                                      "score-listed-posteriors"])
     def test_exit_3_and_input_unchanged(self, tmp_path, capsys, case):
         from pronassess import ScoringModel, SyntheticSpec, dtw_align, generate_corpus, read_manifest
 
@@ -329,8 +337,16 @@ class TestOutputIsAnInput:
         sidecar = tmp_path / "fusion.mtx.phones"
         sidecar.write_bytes(align.read_bytes())
         ckpt = tmp_path / "full.ckpt"
-        if case == "score":
+        if case.startswith("score"):
             ScoringModel(seed=0).save(ckpt)
+        listed_ct = tmp_path / "run" / "history.csv"
+        if case == "train-listed-ct":
+            listed_ct.write_bytes(entry.ct_path.read_bytes())
+            (tmp_path / "config.txt").write_text("epochs=1\n")
+            rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+            rows[0]["ct_path"] = str(listed_ct)
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        score = ["score", "--checkpoint", ckpt, "--duration-model", dm, "--manifest", manifest]
         via_link = tmp_path / "link" / wav.relative_to(tmp_path)
         other = str(tmp_path / "o.mtx")
         argv, out_flag, out, in_flag, path = {
@@ -352,9 +368,16 @@ class TestOutputIsAnInput:
                                  "--out", sidecar, "--alignment", sidecar),
             "train": (["train", "--manifest", manifest, "--config", config, "--duration-model", dm,
                        "--out", tmp_path / "run"], "--out", config, "--config", config),
-            "score": (["score", "--checkpoint", ckpt, "--duration-model", dm,
-                       "--manifest", manifest, "--out", manifest],
-                      "--out", manifest, "--manifest", manifest),
+            "train-listed-ct": (["train", "--manifest", manifest,
+                                 "--config", tmp_path / "config.txt",
+                                 "--duration-model", dm, "--out", tmp_path / "run"],
+                                "--out", listed_ct, f"{entry.id} ct_path", listed_ct),
+            "score": ([*score, "--out", manifest], "--out", manifest, "--manifest", manifest),
+            "score-listed-wav": ([*score, "--out", wav], "--out", wav, f"{entry.id} wav_path", wav),
+            "score-listed-ct": ([*score, "--out", entry.ct_path], "--out", entry.ct_path,
+                                f"{entry.id} ct_path", entry.ct_path),
+            "score-listed-posteriors": ([*score, "--out", post], "--out", post,
+                                        f"{entry.id} posterior_path", post),
         }[case]
         before = Path(path).read_bytes()
         assert main([str(a) for a in argv]) == 3

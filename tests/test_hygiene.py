@@ -1,6 +1,7 @@
 """Source hygiene: every name a module, test or demo imports is used in that
 file, every private module-level name of the package is read in its module,
-and the CLI decides its exit codes in `main` alone."""
+no module of the package takes another's private name, and the CLI decides
+its exit codes in `main` alone."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,10 @@ def test_no_unused_imports(module):
     assert [n for n in unused if (module, n) not in ALLOWED] == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unused_private_names(source: str) -> list[str]:
     """The module-level `_names` (not dunders) that `source` defines, as a
     function, class or assignment target, and never reads."""
@@ -60,8 +65,7 @@ def unused_private_names(source: str) -> list[str]:
             defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [name for name in defined
-            if name.startswith("_") and not name.startswith("__") and name not in read]
+    return [name for name in defined if _is_private(name) and name not in read]
 
 
 def test_finds_an_unused_private_name():
@@ -76,6 +80,41 @@ def test_finds_an_unused_private_name():
 @pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
 def test_no_unused_private_names(module):
     assert unused_private_names(MODULES[module].read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """'module.name' of each private name (not a dunder) that `source` takes
+    from a module of the package: imported by name (`from .lstm import _x`)
+    or read from a module it imports (`from . import lstm`, then `lstm._x`)."""
+    tree = ast.parse(source)
+    found, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "pronassess"
+                                                 or node.module.startswith("pronassess.")):
+            module = (node.module or "").removeprefix("pronassess").lstrip(".")
+            for a in node.names:
+                if not module:
+                    modules[a.asname or a.name] = a.name
+                elif _is_private(a.name):
+                    found.append(f"{module}.{a.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and \
+                node.value.id in modules and _is_private(node.attr):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_finds_a_private_import():
+    source = ("from . import lstm, audio_io as io\n"
+              "from .lstm import _pin, run, __all__\nfrom pronassess.model import _f\n"
+              "from os import _exit\nimport numpy as np\n"
+              "lstm._depth\nio._read\nio.write\nnp._core\nlstm.__doc__\n")
+    assert private_imports(source) == ["lstm._pin", "model._f", "lstm._depth", "audio_io._read"]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
+def test_no_private_imports(module):
+    assert private_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def _prints_error(node) -> bool:
