@@ -214,7 +214,7 @@ def _score(args, get_model) -> None:
     """`score` once its mode is checked; `get_model()` returns the checkpoint."""
     duration_model = audio_io.read_duration_model(args.duration_model)
     if args.manifest is None:
-        entry = audio_io.ManifestEntry("cli", Path(args.wav), Path(args.ct),
+        entry = audio_io.ManifestEntry(args.wav, Path(args.wav), Path(args.ct),
                                        Path(args.posteriors), args.phones.split(), 0, 0)
         [(f, p)] = _score_entries(get_model, [entry], duration_model)
         print(f"{f!r} {p!r}")

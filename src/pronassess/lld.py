@@ -13,9 +13,13 @@ Conventions fixed here:
   Bins are summed in order (numpy's `sum` adds a lone row's pairwise), so a
   frame's value does not depend on its signal's frame count.
 * pitch      -- normalized autocorrelation over lags for 55-500 Hz,
-  voiced when the peak exceeds 0.45, lag refined by parabolic
-  interpolation. Among near-tied peaks the shortest lag wins, which keeps
-  pure tones off their octave-down alias.
+  voiced when the best value exceeds 0.45 and a true local peak lies
+  within 5 % of it, lag refined by parabolic interpolation. A best value
+  at the edge of the lag range, with no such peak, means a pitch outside
+  55-500 Hz, and the frame is unvoiced. Among near-tied peaks the shortest
+  lag wins, which keeps pure tones off their octave-down alias. Above
+  500 Hz a true peak exists at twice the period, so the tracker still
+  reports the octave below.
 * jitter     -- cycle-to-cycle period variability from waveform peaks
   tracked at the detected period inside a 3-window neighborhood;
   unvoiced frames and frames with fewer than 3 periods report 0. The peaks
@@ -292,10 +296,10 @@ def _pitch(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     search = ncc[:, 1:-1]  # lags pad the search range by one, so neighbours never wrap
     best = search.max(axis=1)
-    voiced = (best > VOICING_THRESHOLD) & (total > 1e-18)
     is_peak = (search >= ncc[:, 2:]) & (search > ncc[:, :-2])
     tied = is_peak & (search >= PEAK_TIE_RATIO * best[:, None])
-    col = 1 + np.where(tied.any(axis=1), tied.argmax(axis=1), search.argmax(axis=1))
+    voiced = (best > VOICING_THRESHOLD) & tied.any(axis=1)
+    col = 1 + tied.argmax(axis=1)
     rows = np.arange(len(centered))
     delta = _parabolic_offset(ncc[rows, col - 1], ncc[rows, col], ncc[rows, col + 1])
     return np.where(voiced, SAMPLE_RATE / (lags[col] + delta), 0.0), voiced

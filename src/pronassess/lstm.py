@@ -22,7 +22,7 @@ The two directions share nothing from the input projection to the
 output, so each direction runs as one function on a thread of its own:
 its input projection and bias before its time loop, or its d_wx, d_wh,
 d_b and term of d_x after it (the caller adds the two d_x terms).
-Direction 0 runs on a worker thread and direction 1 on the calling
+Direction 0 runs on a thread-pool worker and direction 1 on the calling
 thread, joined before the pass goes on (`_each_direction`; Appleyard et
 al. 2016, arXiv:1604.01946). numpy releases the interpreter lock inside
 its calls, so the directions overlap on a second core. Meanwhile numpy's
@@ -77,6 +77,7 @@ import contextvars
 import ctypes
 import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,36 +202,19 @@ def one_blas_thread():
                 set_(_saved_count)
 
 
-def _each_direction(loop, before=None, after=None):
-    """before(d), loop(d) and after(d) for both directions d, each on a
-    thread of its own: direction 0 on a worker thread and direction 1 on
-    the calling thread, with numpy's BLAS at one thread (`one_blas_thread`).
+def _each_direction(run):
+    """run(d) for both directions d, each on a thread of its own: direction
+    0 on a thread-pool worker and direction 1 on the calling thread, with
+    numpy's BLAS at one thread (`one_blas_thread`).
 
     The worker runs in a copy of the caller's context, so numpy's error
     state (`np.errstate`) holds in both directions. It is joined before
-    this returns or raises, and an error raised in it is raised here."""
-    errors = []
-
-    def run(d):
-        for stage in (before, loop, after):
-            if stage is not None:
-                stage(d)
-
-    def worker():
-        try:
-            run(0)
-        except BaseException as exc:  # re-raised on the caller after the join
-            errors.append(exc)
-
-    with one_blas_thread():
-        thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
-        thread.start()
-        try:
-            run(1)
-        finally:
-            thread.join()
-    if errors:
-        raise errors[0]
+    this returns or raises; an error raised in it is raised here, unless
+    direction 1 raised too, whose error then wins."""
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(contextvars.copy_context().run, run, 0)
+        run(1)
+        worker.result()
 
 
 def _prev_rows(offsets):
@@ -266,12 +250,10 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
     recurrent = [_recurrent(p[1].T, len(lengths)) for p in params]
     step_rows = _prev_rows(plan.offsets)
 
-    def project(d):
+    def run(d):
         # the backward direction's input, gathered only while its GEMM runs
         np.matmul(x_p[plan.rev] if d else x_p, params[d][0].T, out=gates[d])
         gates[d] += params[d][2]
-
-    def loop(d):
         for now, prev in step_rows:
             z = gates[d, now]
             if prev:
@@ -285,7 +267,7 @@ def bilstm_forward(x, lengths, fwd_params, bwd_params):
             np.tanh(c, out=h)
             h *= z[:, 3 * hid :]
 
-    _each_direction(loop, before=project)
+    _each_direction(run)
     return BiLSTMCache(plan, lengths, x_p, gates, cs, hs)
 
 
@@ -345,7 +327,14 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     if dx_tail is not None:
         sel = np.flatnonzero(plan.steps >= (cache.lengths - np.asarray(dx_tail))[plan.rows])
 
-    def loop(d):
+    # d_wx, d_wh and the direction's term of d_x, allocated here and not on
+    # the worker: each direction's d_b is its only new array that outlives it.
+    d_in = cache.x.shape[1]
+    outs = [(np.empty((4 * hid, d_in), dtype=dtype), np.empty((4 * hid, hid), dtype=dtype),
+             np.empty((len(sel), d_in), dtype=dtype)) for _ in range(2)]
+    d_b = [None, None]
+
+    def run(d):
         i, f, g, o = (cache.gates[d].reshape(n_rows, 4, hid)[:, k] for k in range(4))
         # dz = coefficient * dc for i, f, g and * dh for o (f still lacking its
         # factor c_{t-1}); dc = coef_c * dh plus the carry from step t + 1.
@@ -381,17 +370,9 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
                 dz[now, 1] *= cache.c[d, prev]
                 dc_next = dc * f[now]
                 dh_next = recurrent[d](dz_all[d, now])
-        coef_c[d] = recurrent[d] = None  # freed before the GEMMs
-
-    # d_wx, d_wh and the direction's term of d_x, allocated here and not on
-    # the worker: each direction's d_b is its only new array that outlives it.
-    d_in = cache.x.shape[1]
-    outs = [(np.empty((4 * hid, d_in), dtype=dtype), np.empty((4 * hid, hid), dtype=dtype),
-             np.empty((len(sel), d_in), dtype=dtype)) for _ in range(2)]
-    d_b = [None, None]
-
-    def gemms(d):
-        # the backward direction's gathers live only while their GEMM runs
+        # the loop's scratch, freed before the GEMMs; the backward direction's
+        # gathers live only while their GEMM runs
+        coef_c[d] = recurrent[d] = coef = dc = dh = dc_next = dh_next = None
         dz = dz_all[d]
         d_wx, d_wh, dx_term = outs[d]
         np.matmul(dz.T, cache.x[plan.rev] if d else cache.x, out=d_wx)
@@ -399,7 +380,7 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
         d_b[d] = dz.sum(axis=0)
         np.matmul(dz[plan.rev[sel] if d else sel], params[d][0], out=dx_term)
 
-    _each_direction(loop, after=gemms)
+    _each_direction(run)
 
     d_x = np.zeros(d_out.shape[:2] + (d_in,), dtype=dtype)
     d_x[plan.rows[sel], plan.steps[sel]] = outs[0][2] + outs[1][2]

@@ -78,8 +78,7 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
     posteriors = audio_io.read_matrix(entry.posterior_path).astype(np.float64)
     if posteriors.shape[0] != ff.num_frames:
         raise ValidationError(
-            f"{entry.id}: posterior frames ({posteriors.shape[0]}) != "
-            f"feature frames ({ff.num_frames})"
+            f"posterior frames ({posteriors.shape[0]}) != feature frames ({ff.num_frames})"
         )
     validate_posteriors(posteriors, check_normalized=True)
     alignment, _ = dtw_align(posteriors, entry.phones)
@@ -88,8 +87,7 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
     ct = audio_io.read_matrix(entry.ct_path)
     if ct.shape[0] != ff.num_frames:
         raise ValidationError(
-            f"{entry.id}: contextual rows ({ct.shape[0]}) != feature frames ({ff.num_frames})"
-        )
+            f"contextual rows ({ct.shape[0]}) != feature frames ({ff.num_frames})")
     return UtteranceFeatures(
         fusion=fusion,
         ct=ct,
@@ -112,19 +110,33 @@ def _pass_kib(rows) -> int:
     return VALID_ROW_KIB * sum(rows) + PADDED_ROW_KIB * len(rows) * max(rows)
 
 
+def _named(entry, fn, *args):
+    """fn(*args), with the entry's id in front of the message of a package
+    error, which keeps its type; a message that starts with the id already
+    (single-utterance `score`, whose id is its WAV path) is kept."""
+    try:
+        return fn(*args)
+    except PronAssessError as exc:
+        if str(exc).startswith(f"{entry.id}: "):
+            raise
+        raise type(exc)(f"{entry.id}: {exc}") from None
+
+
 def prepared_chunks(entries, duration_model: DurationModel):
     """prepare_utterance of each entry, in order, yielded in chunks whose
-    estimated pass memory stays within that of SCORE_ROWS all-valid rows."""
+    estimated pass memory stays within that of SCORE_ROWS all-valid rows.
+    An entry's package errors name its id (`_named`)."""
 
     def prepare(chunk):  # one front-end pass over the chunk's signals
         ffs = frame_features([buf for _, buf in chunk])
-        return [prepare_utterance(e, duration_model, ff) for (e, _), ff in zip(chunk, ffs)]
+        return [_named(e, prepare_utterance, e, duration_model, ff)
+                for (e, _), ff in zip(chunk, ffs)]
 
     chunk, lengths = [], []  # lengths: fusion rows of chunk
     for entry in entries:
         try:
-            buf = audio_io.load_wav(entry.wav_path)
-            frames = frame_count(len(buf.samples))
+            buf = _named(entry, audio_io.load_wav, entry.wav_path)
+            frames = _named(entry, frame_count, len(buf.samples))
         except (OSError, PronAssessError):
             prepare(chunk)  # an earlier entry's error comes first
             raise

@@ -47,12 +47,6 @@ class TestExtract:
         assert np.all(read_matrix(frames) == 0.0)
         assert np.all(read_matrix(utt)[:, :9] == 0.0)
 
-    def test_missing_file(self, tmp_path, capsys):
-        rc = main(["extract", "--wav", str(tmp_path / "nope.wav"),
-                   "--out-frames", "f", "--out-functionals", "u"])
-        assert rc == 2
-        assert "no such file" in capsys.readouterr().err
-
     def test_stereo_rejected(self, tmp_path):
         import wave
 
@@ -64,28 +58,6 @@ class TestExtract:
             wf.writeframes(b"\x00" * 1600)
         rc = main(["extract", "--wav", str(p), "--out-frames", "f", "--out-functionals", "u"])
         assert rc == 3
-
-    @pytest.mark.parametrize("bad", ["frames", "functionals"])
-    @pytest.mark.parametrize("kind", ["missing-parent", "parent-is-file", "out-is-a-directory",
-                                      "too-long"])
-    def test_both_outputs_checked_before_either_is_written(self, tmp_path, capsys, silence_wav,
-                                                           bad, kind):
-        (tmp_path / "a-file").write_text("")
-        (tmp_path / "a-dir").mkdir()
-        path, reason = {
-            "missing-parent": (tmp_path / "nope" / "o.mtx", "no such file"),
-            "parent-is-file": (tmp_path / "a-file" / "o.mtx",
-                               "a file where a directory is expected"),
-            "out-is-a-directory": (tmp_path / "a-dir", "is a directory, not a file"),
-            "too-long": (tmp_path / ("x" * 300), os.strerror(errno.ENAMETOOLONG)),
-        }[kind]
-        outs = {"frames": tmp_path / "f.mtx", "functionals": tmp_path / "u.mtx", bad: path}
-        rc = main(["extract", "--wav", str(silence_wav), "--out-frames", str(outs["frames"]),
-                   "--out-functionals", str(outs["functionals"])])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {reason}: {path}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file", "sil.wav"]
-        assert not any((tmp_path / "a-dir").iterdir())
 
     @pytest.mark.parametrize("alias", ["same-path", "through-a-symlink", "hard-link"])
     def test_one_file_for_both_outputs_exit_3(self, tmp_path, capsys, silence_wav, alias):
@@ -103,32 +75,6 @@ class TestExtract:
         assert capsys.readouterr().err == \
             f"error: --out-frames and --out-functionals name one file: {frames}\n"
         assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
-
-
-class TestRefusedPaths:
-    """A path the OS refuses exits 2 with its reason, whether it is read,
-    written, or loaded on `score`'s checkpoint thread."""
-
-    def _path(self, tmp_path, kind):
-        if kind == "too-long":
-            return tmp_path / ("x" * 300), errno.ENAMETOOLONG
-        loop = tmp_path / "loop"
-        loop.symlink_to(loop)
-        return loop, errno.ELOOP
-
-    @pytest.mark.parametrize("kind", ["too-long", "symlink-loop"])
-    @pytest.mark.parametrize("use", ["read", "write", "checkpoint"])
-    def test_exit_2_with_the_reason(self, tmp_path, capsys, silence_wav, kind, use):
-        path, code = self._path(tmp_path, kind)
-        if use == "checkpoint":
-            argv = ["score", "--checkpoint", str(path), "--duration-model", str(tmp_path / "d"),
-                    "--manifest", str(tmp_path / "m.jsonl")]
-        else:
-            wav, frames = (path, tmp_path / "f.mtx") if use == "read" else (silence_wav, path)
-            argv = ["extract", "--wav", str(wav), "--out-frames", str(frames),
-                    "--out-functionals", str(tmp_path / "u.mtx")]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {os.strerror(code)}: {path}\n"
 
 
 class TestAlign:
@@ -149,15 +95,6 @@ class TestAlign:
         write_matrix(post, np.full((1, 41), -1.0))
         rc = main(["align", "--posteriors", str(post), "--phones", "AA B", "--out", "x.tsv"])
         assert rc == 4
-
-    def test_posteriors_path_through_a_file_exit_2(self, tmp_path, capsys):
-        (tmp_path / "f").write_text("")
-        path = tmp_path / "f" / "p.mtx"
-        rc = main(["align", "--posteriors", str(path), "--phones", "AA", "--out", "x.tsv"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err
-
 
 class TestFitDurations:
     def test_floored_std(self, tmp_path, capsys):
@@ -187,19 +124,6 @@ class TestFitDurations:
         adir.mkdir()
         rc = main(["fit-durations", "--alignments", str(adir), "--out", "m.tsv"])
         assert rc == 5
-
-    @pytest.mark.parametrize("kind, reason", [("missing", "no such file"),
-                                              ("file", "a file where a directory is expected")],
-                             ids=["missing", "file"])
-    def test_alignments_not_a_directory_exit_2(self, tmp_path, capsys, kind, reason):
-        adir = tmp_path / "aligns"
-        if kind == "file":
-            adir.write_text("")
-        rc = main(["fit-durations", "--alignments", str(adir), "--out", str(tmp_path / "m.tsv")])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {reason}: {adir}\n"
-        assert not (tmp_path / "m.tsv").exists()
-
 
 class TestGopdAndAssemble:
     def _setup(self, tmp_path):
@@ -400,20 +324,6 @@ class TestTrainCli:
         assert rc == 3
         assert line.partition("=")[0] in capsys.readouterr().err
 
-    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
-        from pronassess import SyntheticSpec, generate_corpus
-
-        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=8), tmp_path / "c")
-        config = tmp_path / "config.txt"
-        config.write_text("epochs=1\n")
-        out = tmp_path / "run"
-        out.write_text("")
-        rc = main(["train", "--manifest", str(manifest), "--config", str(config),
-                   "--duration-model", str(tmp_path / "c" / "durations.tsv"), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-
     def test_out_checked_before_featurizing(self, tmp_path, capsys, monkeypatch):
         from pronassess import SyntheticSpec, cli, generate_corpus
 
@@ -480,6 +390,44 @@ def test_bad_manifest_line_exit_3(tmp_path, capsys, command, kind):
         argv = ["score", "--checkpoint", str(ckpt)]
     assert main([*argv, "--duration-model", dm, "--manifest", str(manifest)]) == 3
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("kind", ["short-wav", "unnormalized", "too-many-phones",
+                                  "narrow-posteriors"])
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_entry_error_names_the_entry(tmp_path, capsys, command, kind):
+    """An error in preparing one manifest entry (here the second of three)
+    starts with that entry's id and keeps the exit code of its type."""
+    from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
+
+    manifest = generate_corpus(SyntheticSpec(n_utterances=3, seed=8), tmp_path / "c")
+    entry = read_manifest(manifest)[1]
+    post = read_matrix(entry.posterior_path)
+    if kind == "short-wav":
+        write_wav(entry.wav_path, AudioBuffer(np.zeros(300)))
+        rc, message = 3, "signal of 300 samples is shorter than one 400-sample window"
+    elif kind == "unnormalized":
+        write_matrix(entry.posterior_path, post + np.float32(0.5))
+        rc, message = 3, "rows are not normalized (max |logsumexp| = 0.5)"
+    elif kind == "too-many-phones":
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        rows[1]["phones"] = entry.phones[:1] * (len(post) + 1)
+        manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        rc, message = 4, f"cannot align {len(post) + 1} phones to {len(post)} frames (need T >= L)"
+    else:
+        write_matrix(entry.posterior_path, post[:, :40])
+        rc, message = 3, f"posterior matrix must be T x 41, got shape ({len(post)}, 40)"
+    if command == "train":
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+    else:
+        ckpt = tmp_path / "tiny.ckpt"
+        ScoringModel(TINY_CONFIG, seed=0).save(ckpt)
+        argv = ["score", "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.csv")]
+    dm = str(tmp_path / "c" / "durations.tsv")
+    assert main([*argv, "--duration-model", dm, "--manifest", str(manifest)]) == rc
+    assert capsys.readouterr().err == f"error: {entry.id}: {message}\n"
 
 
 class TestEval:
@@ -604,13 +552,6 @@ class TestSynthCli:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "c"
-        out.write_text("")
-        assert main(["synth", "--n", "1", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-
     def test_negative_seed_exit_3(self, tmp_path, capsys):
         rc = main(["synth", "--n", "1", "--seed", "-1", "--out", str(tmp_path / "c")])
         assert rc == 3
@@ -728,7 +669,26 @@ class TestScore:
                    "--wav", str(entry.wav_path), "--posteriors", str(entry.posterior_path),
                    "--ct", str(entry.ct_path), "--phones", ""])
         assert rc == 3
-        assert capsys.readouterr().err == "error: canonical phone sequence is empty\n"
+        # the single utterance's entry id is its --wav path
+        assert capsys.readouterr().err == (
+            f"error: {entry.wav_path}: canonical phone sequence is empty\n")
+
+    def test_bad_wav_is_named_once(self, tmp_path, capsys):
+        """A WAV format error names the --wav path already, which is also the
+        entry id, so the line names it once."""
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
+
+        entry = read_manifest(generate_corpus(SyntheticSpec(n_utterances=1, seed=3),
+                                              tmp_path / "c"))[0]
+        entry.wav_path.write_bytes(b"not a wav\n")
+        ScoringModel(TINY_CONFIG).save(tmp_path / "tiny.ckpt")
+        rc = main(["score", "--checkpoint", str(tmp_path / "tiny.ckpt"),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--wav", str(entry.wav_path), "--posteriors", str(entry.posterior_path),
+                   "--ct", str(entry.ct_path), "--phones", " ".join(entry.phones)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {entry.wav_path}: not a RIFF/WAVE file: it must start with RIFF and WAVE\n")
 
     def test_manifest_mode_matches_batch_of_one(self, tmp_path):
         # 17 utterances of mixed length (17-93 fusion rows each) under a
@@ -1017,23 +977,29 @@ class TestScoreErrorOrder:
             rows[int(k[1:])][field] = str(value)
         manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
-    @pytest.mark.parametrize("ckpt_kind", ["missing", "corrupt"])
-    @pytest.mark.parametrize("manifest_kind", ["empty", "bad-entry"])
-    def test_checkpoint_error_wins(self, tmp_path, capsys, ckpt_kind, manifest_kind):
+    @pytest.mark.parametrize("other_kind, ckpt_kind", [
+        *((other, ckpt) for other in ("empty", "bad-entry") for ckpt in ("missing", "corrupt")),
+        ("missing-duration-model", "symlink-loop")])
+    def test_checkpoint_error_wins(self, tmp_path, capsys, ckpt_kind, other_kind):
         manifest, dm, entries = self._corpus(tmp_path, n=2)
-        if manifest_kind == "empty":
+        if other_kind == "empty":
             manifest.write_text("")
-        else:
+        elif other_kind == "bad-entry":
             self._rewrite(manifest, e0=("wav_path", tmp_path / "nope.wav"))
+        else:
+            dm = tmp_path / "nope.tsv"
         ckpt = tmp_path / "model.ckpt"
         if ckpt_kind == "corrupt":
             ckpt.write_bytes(b"not a checkpoint\n")
+        elif ckpt_kind == "symlink-loop":
+            ckpt.symlink_to(ckpt)
         rc = self._score(ckpt, dm, manifest, tmp_path)
         err = capsys.readouterr().err
-        if ckpt_kind == "missing":
-            assert (rc, err) == (2, f"error: no such file: {ckpt}\n")
-        else:
+        if ckpt_kind == "corrupt":
             assert rc == 3 and err.startswith("error: bad checkpoint magic") and str(ckpt) in err
+        else:
+            reason = "no such file" if ckpt_kind == "missing" else os.strerror(errno.ELOOP)
+            assert (rc, err) == (2, f"error: {reason}: {ckpt}\n")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("later", ["missing-wav", "too-short-wav"])

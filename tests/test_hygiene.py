@@ -1,7 +1,8 @@
 """Source hygiene: every name a module, test or demo imports is used in that
 file, every private module-level name of the package is read in its module,
-no module of the package takes another's private name, and the CLI decides
-its exit codes in `main` alone."""
+no module of the package takes another's private name, the CLI decides its
+exit codes in `main` alone, and the package starts threads only through
+`ThreadPoolExecutor`."""
 
 import ast
 from pathlib import Path
@@ -156,3 +157,30 @@ def test_finds_exit_code_breaches():
 
 def test_cli_decides_exit_codes_in_main():
     assert exit_code_breaches((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def thread_starts(source: str) -> list[str]:
+    """'line: what' of each place where `source` reads `threading.Thread` or
+    imports `Thread` from `threading`: the package starts its threads through
+    `ThreadPoolExecutor`, which joins them and re-raises their errors."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "Thread" and \
+                isinstance(node.value, ast.Name) and node.value.id == "threading":
+            found.append((node.lineno, "threading.Thread"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading" and \
+                any(a.name == "Thread" for a in node.names):
+            found.append((node.lineno, "from threading import Thread"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_finds_a_thread_start():
+    source = ("import threading\nfrom threading import Lock, Thread\n"
+              "worker = threading.Thread(target=print)\nlock = threading.Lock()\n"
+              "from concurrent.futures import ThreadPoolExecutor\n")
+    assert thread_starts(source) == ["2: from threading import Thread", "3: threading.Thread"]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
+def test_threads_start_only_through_a_pool(module):
+    assert thread_starts(MODULES[module].read_text(encoding="utf-8")) == []

