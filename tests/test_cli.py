@@ -47,6 +47,12 @@ class TestExtract:
         assert np.all(read_matrix(frames) == 0.0)
         assert np.all(read_matrix(utt)[:, :9] == 0.0)
 
+    def test_missing_file(self, tmp_path, capsys):
+        rc = main(["extract", "--wav", str(tmp_path / "nope.wav"),
+                   "--out-frames", "f", "--out-functionals", "u"])
+        assert rc == 2
+        assert "no such file" in capsys.readouterr().err
+
     def test_stereo_rejected(self, tmp_path):
         import wave
 
@@ -58,6 +64,28 @@ class TestExtract:
             wf.writeframes(b"\x00" * 1600)
         rc = main(["extract", "--wav", str(p), "--out-frames", "f", "--out-functionals", "u"])
         assert rc == 3
+
+    @pytest.mark.parametrize("bad", ["frames", "functionals"])
+    @pytest.mark.parametrize("kind", ["missing-parent", "parent-is-file", "out-is-a-directory",
+                                      "too-long"])
+    def test_both_outputs_checked_before_either_is_written(self, tmp_path, capsys, silence_wav,
+                                                           bad, kind):
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir").mkdir()
+        path, reason = {
+            "missing-parent": (tmp_path / "nope" / "o.mtx", "no such file"),
+            "parent-is-file": (tmp_path / "a-file" / "o.mtx",
+                               "a file where a directory is expected"),
+            "out-is-a-directory": (tmp_path / "a-dir", "is a directory, not a file"),
+            "too-long": (tmp_path / ("x" * 300), os.strerror(errno.ENAMETOOLONG)),
+        }[kind]
+        outs = {"frames": tmp_path / "f.mtx", "functionals": tmp_path / "u.mtx", bad: path}
+        rc = main(["extract", "--wav", str(silence_wav), "--out-frames", str(outs["frames"]),
+                   "--out-functionals", str(outs["functionals"])])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {reason}: {path}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file", "sil.wav"]
+        assert not any((tmp_path / "a-dir").iterdir())
 
     @pytest.mark.parametrize("alias", ["same-path", "through-a-symlink", "hard-link"])
     def test_one_file_for_both_outputs_exit_3(self, tmp_path, capsys, silence_wav, alias):
@@ -75,6 +103,32 @@ class TestExtract:
         assert capsys.readouterr().err == \
             f"error: --out-frames and --out-functionals name one file: {frames}\n"
         assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestRefusedPaths:
+    """A path the OS refuses exits 2 with its reason, whether it is read,
+    written, or loaded on `score`'s checkpoint thread."""
+
+    def _path(self, tmp_path, kind):
+        if kind == "too-long":
+            return tmp_path / ("x" * 300), errno.ENAMETOOLONG
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        return loop, errno.ELOOP
+
+    @pytest.mark.parametrize("kind", ["too-long", "symlink-loop"])
+    @pytest.mark.parametrize("use", ["read", "write", "checkpoint"])
+    def test_exit_2_with_the_reason(self, tmp_path, capsys, silence_wav, kind, use):
+        path, code = self._path(tmp_path, kind)
+        if use == "checkpoint":
+            argv = ["score", "--checkpoint", str(path), "--duration-model", str(tmp_path / "d"),
+                    "--manifest", str(tmp_path / "m.jsonl")]
+        else:
+            wav, frames = (path, tmp_path / "f.mtx") if use == "read" else (silence_wav, path)
+            argv = ["extract", "--wav", str(wav), "--out-frames", str(frames),
+                    "--out-functionals", str(tmp_path / "u.mtx")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(code)}: {path}\n"
 
 
 class TestAlign:
@@ -95,6 +149,15 @@ class TestAlign:
         write_matrix(post, np.full((1, 41), -1.0))
         rc = main(["align", "--posteriors", str(post), "--phones", "AA B", "--out", "x.tsv"])
         assert rc == 4
+
+    def test_posteriors_path_through_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        path = tmp_path / "f" / "p.mtx"
+        rc = main(["align", "--posteriors", str(path), "--phones", "AA", "--out", "x.tsv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestFitDurations:
     def test_floored_std(self, tmp_path, capsys):
@@ -124,6 +187,19 @@ class TestFitDurations:
         adir.mkdir()
         rc = main(["fit-durations", "--alignments", str(adir), "--out", "m.tsv"])
         assert rc == 5
+
+    @pytest.mark.parametrize("kind, reason", [("missing", "no such file"),
+                                              ("file", "a file where a directory is expected")],
+                             ids=["missing", "file"])
+    def test_alignments_not_a_directory_exit_2(self, tmp_path, capsys, kind, reason):
+        adir = tmp_path / "aligns"
+        if kind == "file":
+            adir.write_text("")
+        rc = main(["fit-durations", "--alignments", str(adir), "--out", str(tmp_path / "m.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {reason}: {adir}\n"
+        assert not (tmp_path / "m.tsv").exists()
+
 
 class TestGopdAndAssemble:
     def _setup(self, tmp_path):
@@ -323,6 +399,20 @@ class TestTrainCli:
                    "--out", str(tmp_path / "run")])
         assert rc == 3
         assert line.partition("=")[0] in capsys.readouterr().err
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        from pronassess import SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=2, seed=8), tmp_path / "c")
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        out = tmp_path / "run"
+        out.write_text("")
+        rc = main(["train", "--manifest", str(manifest), "--config", str(config),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_out_checked_before_featurizing(self, tmp_path, capsys, monkeypatch):
         from pronassess import SyntheticSpec, cli, generate_corpus
@@ -551,6 +641,13 @@ class TestSynthCli:
         assert rc == 3
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        out.write_text("")
+        assert main(["synth", "--n", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_negative_seed_exit_3(self, tmp_path, capsys):
         rc = main(["synth", "--n", "1", "--seed", "-1", "--out", str(tmp_path / "c")])
