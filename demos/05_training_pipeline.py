@@ -2,8 +2,9 @@
 """End-to-end: synthesize a small labelled corpus, run the feature
 pipeline, train the scoring network briefly, and evaluate with PCC.
 
-The full 64-utterance run used by the acceptance suite takes a couple of
-minutes; this demo uses 24 utterances and 12 epochs to stay quick (~1 min).
+The full 64-utterance run used by the acceptance suite takes 12-14 s on a
+2-vCPU host; this demo uses 24 utterances and 12 epochs to stay quick
+(~4 s wall there, 3 s of it training).
 
 Equivalent CLI session:
 

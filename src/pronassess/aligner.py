@@ -73,12 +73,12 @@ def dtw_align(log_posteriors: np.ndarray, phones: list[str]) -> tuple[Alignment,
 
     Recurrence: dp[t, i] = logpost[t, y_i] + max(dp[t-1, i], dp[t-1, i-1]).
     On backtrace ties the transition (i-1) branch wins, which fixes one
-    deterministic segmentation out of the tied optima.
+    deterministic segmentation out of the tied optima. `log_posteriors`
+    must have passed `validate_posteriors`; it is not checked here.
 
     Returns the alignment and the achieved total log score.
     """
     log_posteriors = np.asarray(log_posteriors, dtype=np.float64)
-    validate_posteriors(log_posteriors)
     if not phones:
         raise ValidationError("canonical phone sequence is empty")
     t_frames = log_posteriors.shape[0]

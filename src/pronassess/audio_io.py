@@ -30,7 +30,7 @@ import numpy as np
 
 from .aligner import Alignment, Span
 from .durations import DurationModel, PhoneStats
-from .errors import FormatError, UnsupportedFormatError, ValidationError
+from .errors import FormatError, UnsupportedFormatError, ValidationError, named
 from .inventory import PHONE_TO_INDEX
 from .metrics import N_CLASSES
 
@@ -61,13 +61,10 @@ class AudioBuffer:
 
 
 def _naming_the_file(read):
-    """`read(path)`, with the path in front of the message of a format error."""
+    """`read(path)`, with the path in front of the message of a package error."""
     @functools.wraps(read)
     def read_named(path):
-        try:
-            return read(path)
-        except FormatError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        return named(path, read, path)
     return read_named
 
 
@@ -176,12 +173,13 @@ def read_matrix(path) -> np.ndarray:
     return mat
 
 
+@_naming_the_file
 def read_text(path) -> str:
     """A text file's contents; bytes that are not UTF-8 raise FormatError."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise FormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def write_text(path, text: str) -> None:

@@ -29,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io
-from .aligner import dtw_align, spans_to_durations
+from .aligner import dtw_align, spans_to_durations, validate_posteriors
 from .durations import fit_durations, gopd_vector
-from .errors import EmptyInputError, InfeasibleAlignmentError, PronAssessError, ValidationError
+from .errors import (EmptyInputError, InfeasibleAlignmentError, PronAssessError, ValidationError,
+                     named)
 from .functionals import compute_functionals
 from .lld import FrameFeatures, extract_frame_features
 from .metrics import pcc, predict_score
@@ -106,7 +107,9 @@ def _cmd_extract(args) -> None:
 
 def _cmd_align(args) -> None:
     _check_outputs([("--out", args.out)], [("--posteriors", args.posteriors)])
-    alignment, score = dtw_align(audio_io.read_matrix(args.posteriors), args.phones.split())
+    posteriors = audio_io.read_matrix(args.posteriors)
+    validate_posteriors(posteriors)
+    alignment, score = dtw_align(posteriors, args.phones.split())
     audio_io.write_alignment(args.out, alignment)
     print(f"{score!r}")
 
@@ -177,12 +180,14 @@ def _score_entries(get_model, entries, duration_model) -> list[tuple[float, floa
     """(fluency, prosody) of each entry, in order: one `forward_batch` per
     chunk of `prepared_chunks`, of the model that `get_model()` returns. A
     forward that overflows gives a non-finite distribution, which
-    `predict_score` rejects, so numpy's overflow warnings are not shown."""
+    `predict_score` rejects naming the entry, so numpy's overflow warnings
+    are not shown."""
     scores = []
     for batch in prepared_chunks(entries, duration_model):
         with np.errstate(over="ignore", invalid="ignore"):
             dists = get_model().forward_batch(batch)[1]
-        scores.extend((predict_score(f), predict_score(p)) for f, p in dists)
+        scores.extend((named(utt.id, predict_score, f), named(utt.id, predict_score, p))
+                      for utt, (f, p) in zip(batch, dists))
     return scores
 
 

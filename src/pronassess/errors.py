@@ -1,4 +1,6 @@
-"""Exception types shared across the package; `cli` maps each to an exit code."""
+"""Exception types shared across the package; `cli` maps each to an exit code.
+`named`, the one code that re-raises a package error, puts the file or
+manifest entry it concerns in front of its message."""
 
 
 class PronAssessError(Exception):
@@ -31,3 +33,17 @@ class TooShortError(PronAssessError):
 
 class EmptyInputError(PronAssessError):
     """An input set holds nothing to work on."""
+
+
+def named(context, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with f"{context}: " in front of the message of a
+    package error, which keeps its type. A message that starts with
+    f"{context}:" already (a `path:line:` one, or single-utterance `score`,
+    whose entry id is its WAV path) is kept, and an empty context adds
+    nothing."""
+    try:
+        return fn(*args, **kwargs)
+    except PronAssessError as exc:
+        if not str(context) or str(exc).startswith(f"{context}:"):
+            raise
+        raise type(exc)(f"{context}: {exc}") from None

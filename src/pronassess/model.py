@@ -44,7 +44,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .assembly import FusionInput
-from .errors import FormatError, InventoryError, ValidationError
+from .errors import FormatError, InventoryError, ValidationError, named
 from .functionals import FUNCTIONAL_NAMES
 from .inventory import INVENTORY_SIZE
 from .lstm import bilstm_backward, bilstm_forward, output_sums, padded_output
@@ -89,6 +89,7 @@ class UtteranceFeatures:
     u_nv: np.ndarray     # (len(FUNCTIONAL_NAMES),) utterance functionals
     fluency: int | None = None
     prosody: int | None = None
+    id: str = ""         # the manifest entry's, which input errors name
 
 
 def softmax(x: np.ndarray) -> np.ndarray:  # over the last axis
@@ -110,6 +111,15 @@ def cross_attention(p_nv: np.ndarray, ct: np.ndarray, t_lens) -> tuple[np.ndarra
     scores = np.where(np.arange(ct.shape[1]) < t_lens[:, None, None], scores, -np.inf)
     weights = softmax(scores)
     return weights @ ct, weights
+
+
+def _check_inputs(utt: UtteranceFeatures, d: int) -> None:
+    """Reject contextual rows that are not T x d with T >= 1, and functionals
+    of the wrong length."""
+    if utt.ct.ndim != 2 or utt.ct.shape[1] != d or len(utt.ct) == 0:
+        raise ValidationError(f"ct must be T x {d} with T >= 1, got {utt.ct.shape}")
+    if len(utt.u_nv) != len(FUNCTIONAL_NAMES):
+        raise ValidationError(f"u_nv must have {len(FUNCTIONAL_NAMES)} entries")
 
 
 def _valid(lengths: np.ndarray) -> np.ndarray:
@@ -243,10 +253,7 @@ class ScoringModel:
         head distributions, cache for backward)."""
         d = self.config.feature_dim
         for utt in batch:
-            if utt.ct.ndim != 2 or utt.ct.shape[1] != d or len(utt.ct) == 0:
-                raise ValidationError(f"ct must be T x {d} with T >= 1, got {utt.ct.shape}")
-            if len(utt.u_nv) != len(FUNCTIONAL_NAMES):
-                raise ValidationError(f"u_nv must have {len(FUNCTIONAL_NAMES)} entries")
+            named(utt.id, _check_inputs, utt, d)
         p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
         t_lens = np.array([len(u.ct) for u in batch])
         u_std = ((np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE

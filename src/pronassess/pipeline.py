@@ -44,7 +44,7 @@ from . import audio_io
 from .aligner import Alignment, dtw_align, validate_posteriors
 from .assembly import FusionInput, build_fusion_input, pool_to_phonemes
 from .durations import DurationModel, gopd_vector
-from .errors import PronAssessError, ValidationError
+from .errors import PronAssessError, ValidationError, named
 from .functionals import compute_functionals
 from .lld import FrameFeatures, FrameGrid, extract_frame_features, frame_count
 from .model import UtteranceFeatures
@@ -94,6 +94,7 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
         u_nv=functionals.to_vector(),
         fluency=entry.fluency,
         prosody=entry.prosody,
+        id=entry.id,
     )
 
 
@@ -110,33 +111,21 @@ def _pass_kib(rows) -> int:
     return VALID_ROW_KIB * sum(rows) + PADDED_ROW_KIB * len(rows) * max(rows)
 
 
-def _named(entry, fn, *args):
-    """fn(*args), with the entry's id in front of the message of a package
-    error, which keeps its type; a message that starts with the id already
-    (single-utterance `score`, whose id is its WAV path) is kept."""
-    try:
-        return fn(*args)
-    except PronAssessError as exc:
-        if str(exc).startswith(f"{entry.id}: "):
-            raise
-        raise type(exc)(f"{entry.id}: {exc}") from None
-
-
 def prepared_chunks(entries, duration_model: DurationModel):
     """prepare_utterance of each entry, in order, yielded in chunks whose
     estimated pass memory stays within that of SCORE_ROWS all-valid rows.
-    An entry's package errors name its id (`_named`)."""
+    An entry's package errors name its id (`named`)."""
 
     def prepare(chunk):  # one front-end pass over the chunk's signals
         ffs = frame_features([buf for _, buf in chunk])
-        return [_named(e, prepare_utterance, e, duration_model, ff)
+        return [named(e.id, prepare_utterance, e, duration_model, ff)
                 for (e, _), ff in zip(chunk, ffs)]
 
     chunk, lengths = [], []  # lengths: fusion rows of chunk
     for entry in entries:
         try:
-            buf = _named(entry, audio_io.load_wav, entry.wav_path)
-            frames = _named(entry, frame_count, len(buf.samples))
+            buf = named(entry.id, audio_io.load_wav, entry.wav_path)
+            frames = named(entry.id, frame_count, len(buf.samples))
         except (OSError, PronAssessError):
             prepare(chunk)  # an earlier entry's error comes first
             raise

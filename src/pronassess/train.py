@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import read_text, table_text
-from .errors import ValidationError
+from .errors import ValidationError, named
 from .model import ModelConfig, ScoringModel, UtteranceFeatures
 
 # Adam's fixed hyperparameters (Kingma & Ba 2015); only the step size is set.
@@ -75,10 +75,7 @@ def parse_train_config(path) -> TrainConfig:
             kwargs[key] = types[key](value)
         except ValueError as exc:
             raise ValidationError(f"{path}:{ln}: bad value for {key!r}: {value!r}") from exc
-    try:
-        return TrainConfig(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return named(path, TrainConfig, **kwargs)
 
 
 class Adam:

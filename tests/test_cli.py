@@ -150,6 +150,16 @@ class TestAlign:
         rc = main(["align", "--posteriors", str(post), "--phones", "AA B", "--out", "x.tsv"])
         assert rc == 4
 
+    def test_narrow_posteriors_exit_3(self, tmp_path, capsys):
+        post = tmp_path / "p.mtx"
+        write_matrix(post, np.full((3, 40), -1.0))
+        out = tmp_path / "a.tsv"
+        rc = main(["align", "--posteriors", str(post), "--phones", "AA", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "error: posterior matrix must be T x 41, got shape (3, 40)\n"
+        assert not out.exists()
+
     def test_posteriors_path_through_a_file_exit_2(self, tmp_path, capsys):
         (tmp_path / "f").write_text("")
         path = tmp_path / "f" / "p.mtx"
@@ -923,7 +933,24 @@ class TestScore:
         # loud rather than reach the CSV.
         rc = main(_overflow_score_args(tmp_path))
         assert rc == 3
-        assert "not a valid 11-class distribution" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: utt0000: input is not a valid 11-class distribution\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_wide_contextual_rows_name_the_entry(self, tmp_path, capsys):
+        # synth writes 1024-wide rows; a TINY_CONFIG checkpoint takes 16
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=3), tmp_path / "c")
+        entry = read_manifest(manifest)[0]
+        ScoringModel(TINY_CONFIG).save(tmp_path / "tiny.ckpt")
+        rc = main(["score", "--checkpoint", str(tmp_path / "tiny.ckpt"),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {entry.id}: ct must be T x {TINY_CONFIG.feature_dim} with T >= 1, "
+            f"got {read_matrix(entry.ct_path).shape}\n")
         assert not (tmp_path / "s.csv").exists()
 
     def test_float32_overflow_stderr_is_error_line_only(self, tmp_path, capfd):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module, test or demo imports is used in that
 file, every private module-level name of the package is read in its module,
 no module of the package takes another's private name, the CLI decides its
-exit codes in `main` alone, and the package starts threads only through
-`ThreadPoolExecutor`."""
+exit codes in `main` alone, the package starts threads only through
+`ThreadPoolExecutor`, and `errors.named` alone re-raises a package error."""
 
 import ast
 from pathlib import Path
@@ -184,3 +184,43 @@ def test_finds_a_thread_start():
 @pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
 def test_threads_start_only_through_a_pool(module):
     assert thread_starts(MODULES[module].read_text(encoding="utf-8")) == []
+
+
+# The exception classes that `errors` defines.
+ERRORS = {node.name for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+          if isinstance(node, ast.ClassDef)}
+
+
+def rewraps(source: str) -> list[str]:
+    """'function:line' of each `except` handler in `source` that catches a
+    class of `errors` (by name or as `errors.X`, alone or in a tuple) and
+    raises a new exception; a bare `raise` re-raises the same one."""
+    found = []
+    for top in ast.parse(source).body:
+        for handler in ast.walk(top):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            caught = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)} | \
+                {n.attr for n in ast.walk(handler.type) if isinstance(n, ast.Attribute)}
+            if caught & ERRORS:
+                found += [(node.lineno, getattr(top, "name", "<module>"))
+                          for stmt in handler.body for node in ast.walk(stmt)
+                          if isinstance(node, ast.Raise) and node.exc is not None]
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+def test_finds_a_rewrap():
+    source = ("def a(path):\n    try:\n        read(path)\n"
+              "    except FormatError as exc:\n        raise FormatError(f'{path}: {exc}')\n"
+              "def b():\n    try:\n        run()\n"
+              "    except (OSError, errors.ValidationError):\n        cleanup()\n        raise\n"
+              "def c():\n    try:\n        run()\n"
+              "    except ValueError as exc:\n        raise ValidationError(str(exc))\n"
+              "    except errors.PronAssessError:\n        if log():\n            raise Exit(3)\n")
+    assert rewraps(source) == ["a:5", "c:19"]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
+def test_package_errors_are_rewrapped_only_by_named(module):
+    found = rewraps(MODULES[module].read_text(encoding="utf-8"))
+    assert [f.partition(":")[0] for f in found] == (["named"] if module == "errors" else [])

@@ -228,6 +228,17 @@ class TestProjectionAndLoss:
         with pytest.raises(ValidationError, match="ct must be T x"):
             ScoringModel(CFG, seed=2).forward_batch([make_utt(rng), bad])
 
+    @pytest.mark.parametrize("uid", ["", "utt7"])
+    def test_input_error_names_the_utterance(self, uid):
+        # an utterance built by hand has no id, and its message names none
+        rng = np.random.default_rng(24)
+        bad = make_utt(rng)
+        bad.ct, bad.id = np.zeros((4, CFG.feature_dim - 1)), uid
+        with pytest.raises(ValidationError) as info:
+            ScoringModel(CFG, seed=2).forward_batch([make_utt(rng), bad])
+        assert str(info.value) == (f"{uid}: " * bool(uid) + f"ct must be T x {CFG.feature_dim} "
+                                   f"with T >= 1, got (4, {CFG.feature_dim - 1})")
+
     def test_uniform_loss_is_log11(self):
         u = np.full(11, 1.0 / 11)
         assert loss_fn(u, u, 3, 9, (0.5, 0.5)) == pytest.approx(np.log(11.0), abs=1e-12)

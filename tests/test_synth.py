@@ -149,6 +149,20 @@ class TestPipeline:
             assert utt.u_nv.shape == (13,)
             assert utt.fluency == entry.fluency and utt.prosody == entry.prosody
 
+    def test_each_posterior_matrix_is_validated_once(self, corpus, monkeypatch):
+        from pronassess import aligner
+
+        out, manifest = corpus
+        entries = read_manifest(manifest)
+        calls = []
+        for module in (pipeline, aligner):
+            check = module.validate_posteriors
+            monkeypatch.setattr(module, "validate_posteriors",
+                                lambda *a, check=check, **k: calls.append(k) or check(*a, **k))
+        dataset = prepare_dataset(entries, read_duration_model(out / "durations.tsv"))
+        assert calls == [{"check_normalized": True}] * len(entries)
+        assert [utt.id for utt in dataset] == [entry.id for entry in entries]
+
     def test_posterior_frame_mismatch_rejected(self, corpus, tmp_path):
         out, manifest = corpus
         entries = read_manifest(manifest)
