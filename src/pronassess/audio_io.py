@@ -120,14 +120,16 @@ def load_wav(path) -> AudioBuffer:
     return AudioBuffer(np.frombuffer(blob, "<i2", data_size // 2, data_at) / 32768.0)
 
 
-def write_wav(path, buf: AudioBuffer) -> None:
-    """Write PCM16 mono 16 kHz. Inverse of load_wav up to int16 rounding."""
-    pcm = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(pcm), b"WAVE",
+def write_wav(path, buf: AudioBuffer) -> AudioBuffer:
+    """Write PCM16 mono 16 kHz. Inverse of load_wav up to int16 rounding.
+    Returns the samples as written, bit for bit what load_wav(path) reads."""
+    pcm = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype("<i2")
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
                          b"fmt ", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16,
-                         b"data", len(pcm))
+                         b"data", pcm.nbytes)
     with open(path, "wb") as fh:
-        fh.write(header + pcm)
+        fh.write(header + pcm.tobytes())
+    return AudioBuffer(pcm / 32768.0)
 
 
 def write_matrix(path, mat: np.ndarray) -> None:

@@ -12,10 +12,12 @@ Over a zero-padded batch of utterances the forward pass runs:
    and 4 pooled descriptors into per-phoneme rows;
 2. a bidirectional LSTM over those rows (the phone-cue encoder);
 3. scaled dot-product cross-attention with the encoder states as queries
-   and the contextual acoustic rows as keys and values, padding masked;
-4. a fusion sequence [acoustic rows; attention rows; projected utterance
-   functionals as one extra token] through a second bidirectional LSTM,
-   mean-pooled, with the projected functionals added back as a residual;
+   and the pair means of the contextual acoustic rows (`pair_means`) as
+   keys and values, padding masked;
+4. a fusion sequence [pair means of the contextual rows, one per 20 ms;
+   attended rows; projected utterance functionals as one extra token]
+   through a second bidirectional LSTM, mean-pooled, with the projected
+   functionals added back as a residual;
 5. two affine softmax heads over the score classes.
 
 Raw descriptor scales differ by orders of magnitude (dB, semitones,
@@ -57,7 +59,7 @@ NUMERIC_SCALE = np.array([1.5, 2.0, 8.0, 20.0, 0.02])
 U_OFFSET = np.array([30.0, 0.0, 30.0, 30.0, 30.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 U_SCALE = np.array([20.0, 0.3, 8.0, 8.0, 8.0, 100.0, 100.0, 100.0, 100.0, 0.15, 0.1, 0.05, 0.075])
 
-CKPT_MAGIC = b"CKPT2\n"
+CKPT_MAGIC = b"CKPT3\n"
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,25 @@ def cross_attention(p_nv: np.ndarray, ct: np.ndarray, t_lens) -> tuple[np.ndarra
     return weights @ ct, weights
 
 
+def pair_means(ct: np.ndarray) -> np.ndarray:
+    """Rows of ct averaged in pairs, in ct's dtype: row k is
+    0.5 * ct[2k] + 0.5 * ct[2k + 1], and an odd last row stands alone, so
+    T rows give (T + 1) // 2. Halving each row before the sum keeps finite
+    rows finite."""
+    out = 0.5 * ct[0::2]
+    out[: len(ct) // 2] += 0.5 * ct[1::2]
+    if len(ct) % 2:
+        out[-1] = ct[-1]
+    return out
+
+
+def fusion_steps(ct_rows, phones):
+    """Steps of the fusion sequence of an utterance with ct_rows contextual
+    rows and phones phonemes: its pair means, its attended rows and the
+    functionals token."""
+    return (ct_rows + 1) // 2 + phones + 1
+
+
 def _check_inputs(utt: UtteranceFeatures, d: int) -> None:
     """Reject contextual rows that are not T x d with T >= 1, and functionals
     of the wrong length."""
@@ -120,6 +141,15 @@ def _check_inputs(utt: UtteranceFeatures, d: int) -> None:
         raise ValidationError(f"ct must be T x {d} with T >= 1, got {utt.ct.shape}")
     if len(utt.u_nv) != len(FUNCTIONAL_NAMES):
         raise ValidationError(f"u_nv must have {len(FUNCTIONAL_NAMES)} entries")
+
+
+def _pool_ct(batch: list[UtteranceFeatures], out: np.ndarray) -> None:
+    """Write the pair means of each utterance's contextual rows, cast to
+    out's dtype first, into the leading rows of its row of the padded
+    batch out."""
+    for rows, utt in zip(out, batch):
+        pooled = pair_means(utt.ct.astype(out.dtype, copy=False))
+        rows[: len(pooled)] = pooled
 
 
 def _valid(lengths: np.ndarray) -> np.ndarray:
@@ -260,16 +290,17 @@ class ScoringModel:
                  ).astype(self.dtype, copy=False)
         u = u_std @ self.params["u_w"].T + self.params["u_b"]
 
-        # Fusion sequence per utterance: [ct rows; attended rows; u token].
-        # Attention reads its keys and values from the rows already cast.
-        s_lens = t_lens + l_lens + 1
+        # Fusion sequence per utterance: [pair means of its ct rows; attended
+        # rows; u token]. Attention reads its keys and values from those rows.
+        s_lens = fusion_steps(t_lens, l_lens)
+        k_lens = s_lens - l_lens - 1
         f_pad = np.zeros((len(batch), s_lens.max(), d), dtype=self.dtype)
-        keys = f_pad[:, : t_lens.max()]
-        keys[_valid(t_lens)] = np.concatenate([utt.ct for utt in batch])
-        attended, weights = cross_attention(p_all, keys, t_lens)
+        keys = f_pad[:, : k_lens.max()]
+        _pool_ct(batch, keys)
+        attended, weights = cross_attention(p_all, keys, k_lens)
         b, j = np.nonzero(_valid(l_lens))
-        f_pad[b, t_lens[b] + j] = attended[b, j]
-        f_pad[np.arange(len(batch)), t_lens + l_lens] = u
+        f_pad[b, k_lens[b] + j] = attended[b, j]
+        f_pad[np.arange(len(batch)), k_lens + l_lens] = u
         fu_cache = bilstm_forward(f_pad, s_lens, *self._encoder("fu"))
 
         # Mean pooling over valid steps, read from the packed outputs. From
@@ -285,7 +316,7 @@ class ScoringModel:
             loss = float(np.mean([loss_fn(f, p, utt.fluency, utt.prosody, loss_weights)
                                   for (f, p), utt in zip(dists, batch)]))
         cache = {
-            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "t_lens": t_lens,
+            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "k_lens": k_lens,
             "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "weights": weights,
             "u_std": u_std, "fu_cache": fu_cache, "fvec": fvec, "dist_f": dist_f, "dist_p": dist_p,
         }
@@ -298,8 +329,7 @@ class ScoringModel:
         n = len(batch)
         rows = np.arange(n)
         wf, wp = cache["loss_weights"]
-        l_lens, t_lens = cache["l_lens"], cache["t_lens"]
-        s_lens = t_lens + l_lens + 1
+        l_lens, k_lens, s_lens = cache["l_lens"], cache["k_lens"], cache["fu_cache"].lengths
         grads = {"embed": np.zeros_like(self.params["embed"])}  # np.add.at accumulates into it
 
         dlf = cache["dist_f"].copy()
@@ -320,23 +350,24 @@ class ScoringModel:
         d_hs = np.broadcast_to((dfvec / s_lens[:, None]).astype(self.dtype, copy=False)[:, None, :],
                                (n, s_lens.max(), d))
         # Only the attended rows and the u token (the last l_lens + 1 steps)
-        # carry gradient further back; the ct rows are data.
+        # carry gradient further back; the pooled ct rows are data.
         d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
 
-        d_u = dfvec + d_fseq[rows, t_lens + l_lens]  # residual path plus the u token
+        d_u = dfvec + d_fseq[rows, k_lens + l_lens]  # residual path plus the u token
         grads["u_w"] = d_u.T @ cache["u_std"]
         grads["u_b"] = d_u.sum(axis=0)
 
-        # Attention over the ct rows as the forward cast them: padded queries
-        # get zero gradient and masked keys zero weight, so neither contributes.
-        ct = _pad(np.concatenate([utt.ct for utt in batch], dtype=self.dtype), t_lens)
+        # Attention over the keys the forward read: padded queries get zero
+        # gradient and masked keys zero weight, so neither contributes.
+        keys = np.zeros((n, k_lens.max(), d), dtype=self.dtype)
+        _pool_ct(batch, keys)
         weights = cache["weights"]
         d_att = np.zeros((n, l_lens.max(), d), dtype=self.dtype)
         b, j = np.nonzero(_valid(l_lens))
-        d_att[b, j] = d_fseq[b, t_lens[b] + j]
-        d_w = d_att @ ct.transpose(0, 2, 1)
+        d_att[b, j] = d_fseq[b, k_lens[b] + j]
+        d_w = d_att @ keys.transpose(0, 2, 1)
         d_scores = weights * (d_w - (d_w * weights).sum(axis=2, keepdims=True))
-        d_p = d_scores @ ct / math.sqrt(d)
+        d_p = d_scores @ keys / math.sqrt(d)
         d_rows = self._encoder_backward("pc", d_p, cache["pc_cache"], grads)
 
         da = d_rows[_valid(l_lens)][:, 5:] * (1.0 - cache["ptilde"] ** 2)
@@ -348,7 +379,7 @@ class ScoringModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Single-file checkpoint: the magic `CKPT2`, the line
+        """Single-file checkpoint: the magic `CKPT3`, the line
         `dims V E F H U K` (the vocabulary, the three `ModelConfig` knobs, the
         functional count and the class count), every tensor as float32-LE in
         `_param_table` order, and a u32-LE `zlib.crc32` of all bytes before it.

@@ -11,25 +11,28 @@ one call, 43.1 ms in one call each). Functionals, posterior checks, DTW
 alignment, GoPD and assembly stay per entry (`prepare_utterance`).
 
 A chunk is sized by the memory of a full-size float32 forward pass over
-it. An utterance's fusion sequence has frames + phones + 1 valid rows,
-known from its WAV's frame count before it is featurized, and
-`forward_batch` pads a chunk to utterances times the longest. A pass peaks
-at about VALID_ROW_KIB per valid row (the fusion LSTM's packed input,
-gates, cell states and outputs, and the gather of its backward direction's
-input: ~32 KiB) plus PADDED_ROW_KIB per padded row (the padded fusion
-input, 4 KiB, and the padded phone-cue queries and attention). A
-tracemalloc fit over 24 chunks gave 33.2 and 5.0 KiB plus 10.3 MiB fixed;
-the constants round it up so that the estimate bounds every chunk traced
-near the budget. A chunk's estimate (`_pass_kib`) stays within that of
-SCORE_ROWS all-valid rows, 172 MiB, and an entry over it is a chunk of its
-own. Valid rows cost the most per KiB of estimate, so the worst pass is an
-all-valid one, traced at 155-166 MiB: below the 222 MiB traced peak of a
-full-size float32 training step on 16 mixed-length utterances. Chunks are
-prepared one at a time, so memory stays bounded by one chunk whatever the
-manifest size.
+it. An utterance's fusion sequence has `model.fusion_steps` valid rows
+(the pair means of its contextual rows, one per two frames, then one row
+per phone and one more), known from its WAV's frame count before it is
+featurized, and `forward_batch` pads a chunk to utterances times the
+longest. A pass peaks at about VALID_ROW_KIB per valid row (the fusion
+LSTM's packed input, gates, cell states and outputs, and the gather of
+its backward direction's input: ~32 KiB) plus PADDED_ROW_KIB per padded
+row (the padded fusion input, 4 KiB, and the padded phone-cue queries and
+attention). A tracemalloc fit over 24 chunks of 2-40 phones gave 36.8 and
+5.6 KiB plus 7.0 MiB fixed; the constants round it up so that the
+estimate bounds every chunk traced near the budget. A chunk's estimate
+(`_pass_kib`) stays within that of SCORE_ROWS all-valid rows, 180 MiB,
+and an entry over it is a chunk of its own. Chunks filled to the budget,
+all-valid or one long entry among short ones, traced at 168-177 MiB,
+0.96-0.99 of their estimates; a full-size float32 training step on 16
+mixed-length utterances traced at 124-140 MiB. The contextual rows the
+chunk holds come on top: 8 KiB per pooled row, two float32 rows of 1024.
+Chunks are prepared one at a time, so memory stays bounded by one chunk
+whatever the manifest size.
 
-A front-end pass covers one chunk: fewer than SCORE_ROWS frames, or one
-longer entry (at 8.4 KiB of numpy arrays per frame). An entry is prepared
+A front-end pass covers one chunk: fewer than 2 * SCORE_ROWS frames, or
+one longer entry (at 8.4 KiB of numpy arrays per frame). An entry is prepared
 with its chunk, so its preparation errors come after the forward pass of
 the chunk ahead of it. WAVs are read as the chunks are sized: one that
 cannot be read, or holds less than one window, is reported once the
@@ -47,7 +50,7 @@ from .durations import DurationModel, gopd_vector
 from .errors import PronAssessError, ValidationError, named
 from .functionals import compute_functionals
 from .lld import FrameFeatures, FrameGrid, extract_frame_features, frame_count
-from .model import UtteranceFeatures
+from .model import UtteranceFeatures, fusion_steps
 
 def compose_fusion(ff: FrameFeatures, alignment: Alignment, duration_model: DurationModel) -> FusionInput:
     """Per-phoneme fusion input: GoPD of each aligned span, its pooled frame
@@ -100,7 +103,7 @@ def prepare_utterance(entry: audio_io.ManifestEntry, duration_model: DurationMod
 
 # A score pass's memory per valid and per padded fusion row, and the budget
 # in all-valid rows (see the module docstring).
-VALID_ROW_KIB = 37
+VALID_ROW_KIB = 39
 PADDED_ROW_KIB = 6
 SCORE_ROWS = 4096
 
@@ -129,7 +132,7 @@ def prepared_chunks(entries, duration_model: DurationModel):
         except (OSError, PronAssessError):
             prepare(chunk)  # an earlier entry's error comes first
             raise
-        rows = frames + len(entry.phones) + 1  # len(ct) + len(fusion) + 1 once prepared
+        rows = fusion_steps(frames, len(entry.phones))  # frames = len(ct) once prepared
         if lengths and _pass_kib(lengths + [rows]) > _pass_kib([SCORE_ROWS]):
             yield prepare(chunk)
             chunk, lengths = [], []

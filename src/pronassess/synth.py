@@ -196,11 +196,9 @@ def _gen_one(args):
     x, contour = _synth_wav(span_frames, base_st, depth, mod_hz, phase0, amps,
                             hf_ratio, hf_phase, gap_frac)
 
-    wav_path = out_dir / f"{uid}.wav"
-    audio_io.write_wav(wav_path, audio_io.AudioBuffer(x))
-
     # contextual rows from the quantized signal, exactly what consumers reload
-    ff = extract_frame_features(audio_io.load_wav(wav_path))
+    written = audio_io.write_wav(out_dir / f"{uid}.wav", audio_io.AudioBuffer(x))
+    ff = extract_frame_features(written)
     audio_io.write_matrix(out_dir / f"{uid}.ct.mtx", pseudo_ct(ff.to_matrix()))
 
     # realized pitch variance: the pause mutes a phase-dependent stretch of

@@ -9,6 +9,7 @@ import wave
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pronassess import (
     Alignment,
@@ -169,6 +170,15 @@ class TestWav:
         q = tmp_path / "rt2.wav"
         write_wav(q, buf)
         assert p.read_bytes() == q.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
+    @example(samples=[1.0, -1.0, 0.5 / 32768, -0.5 / 32768])  # clipped, and ties to even
+    def test_write_wav_returns_what_load_wav_reads(self, tmp_path_factory, samples):
+        p = tmp_path_factory.mktemp("wav") / "w.wav"
+        written = write_wav(p, AudioBuffer(samples))
+        assert written.samples.dtype == np.float64
+        assert written.samples.tobytes() == load_wav(p).samples.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(edit=edits)

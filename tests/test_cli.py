@@ -24,7 +24,7 @@ from pronassess import (
 from pronassess.audio_io import read_scores
 from pronassess.cli import main
 from pronassess.inventory import PHONE_TO_INDEX
-from pronassess.model import TINY_CONFIG
+from pronassess.model import TINY_CONFIG, fusion_steps
 from pronassess.train import TrainConfig, train
 
 from test_model import edit_checkpoint, make_utt, payload_offset
@@ -706,13 +706,14 @@ def _assert_same_scores(a, b):
 
 def _overflow_score_args(tmp_path):
     """`score --manifest` arguments for one utterance whose contextual rows
-    0 and 1 are +-3.3e38, finite in float32, with a full-size checkpoint."""
+    0-1 are +3.3e38 and rows 2-3 are -3.3e38, finite in float32, with a
+    full-size checkpoint. Their pair means are +-3.3e38 too."""
     from pronassess import ScoringModel, SyntheticSpec, generate_corpus, read_manifest
 
     manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
     ct_path = read_manifest(manifest)[0].ct_path
     ct = read_matrix(ct_path)
-    ct[0], ct[1] = 3.3e38, -3.3e38
+    ct[:2], ct[2:4] = 3.3e38, -3.3e38
     write_matrix(ct_path, ct)
     ckpt = tmp_path / "full.ckpt"
     ScoringModel(seed=0).save(ckpt)
@@ -798,8 +799,8 @@ class TestScore:
             f"error: {entry.wav_path}: not a RIFF/WAVE file: it must start with RIFF and WAVE\n")
 
     def test_manifest_mode_matches_batch_of_one(self, tmp_path):
-        # 17 utterances of mixed length (17-93 fusion rows each) under a
-        # budget of 400 all-valid rows span three forward chunks
+        # 17 utterances of mixed length (10-51 fusion rows each) under a
+        # budget of 400 all-valid rows span more than one forward chunk
         from pronassess import ScoringModel, predict_score, prepare_dataset, read_manifest
 
         manifest, dm_path, ckpt = _score_corpus(tmp_path)
@@ -829,14 +830,14 @@ class TestScore:
         whole = tmp_path / "whole.csv"
         assert len(_score_in_chunks(4096, ckpt, dm_path, manifest, whole)) == 1
         split = tmp_path / "split.csv"
-        chunks = _score_in_chunks(80, ckpt, dm_path, manifest, split)
+        chunks = _score_in_chunks(40, ckpt, dm_path, manifest, split)
         longest = max(max(c) for c in chunks)
-        assert longest > 80 and [longest] in chunks  # over the budget alone
+        assert longest > 40 and [longest] in chunks  # over the budget alone
         assert any(len(c) > 1 for c in chunks)
         _assert_same_scores(whole, split)
 
     def test_long_and_short_utterances_share_one_pass(self, tmp_path):
-        # One 40-phone utterance and twelve of 2-4 phones. Utterances times
+        # One 40-phone utterance and nineteen of 2-4 phones. Utterances times
         # the longest is over SCORE_ROWS, so sizing passes by padded rows
         # split them; their estimated memory is within the budget, so one
         # pass scores them all.
@@ -846,7 +847,7 @@ class TestScore:
         rows = []
         for sub, spec in (("long", SyntheticSpec(n_utterances=1, seed=3, min_phones=40,
                                                  max_phones=40)),
-                          ("short", SyntheticSpec(n_utterances=12, seed=4))):
+                          ("short", SyntheticSpec(n_utterances=19, seed=4))):
             for line in generate_corpus(spec, tmp_path / sub).read_text().splitlines():
                 row = json.loads(line)
                 row["id"] = f"{sub}-{row['id']}"
@@ -861,7 +862,7 @@ class TestScore:
 
         whole = tmp_path / "whole.csv"
         [chunk] = _score_in_chunks(pipeline.SCORE_ROWS, ckpt, dm_path, manifest, whole)
-        assert len(chunk) == 13 and len(chunk) * max(chunk) > pipeline.SCORE_ROWS
+        assert len(chunk) == 20 and len(chunk) * max(chunk) > pipeline.SCORE_ROWS
         split = tmp_path / "split.csv"
         assert len(_score_in_chunks(max(chunk), ckpt, dm_path, manifest, split)) >= 2
         _assert_same_scores(whole, split)
@@ -924,7 +925,26 @@ class TestScore:
                    "--duration-model", str(tmp_path / "c" / "durations.tsv"),
                    "--manifest", str(manifest), "--out", str(out)])
         assert rc == 3
-        assert "expected b'CKPT2\\n'" in capsys.readouterr().err
+        assert "expected b'CKPT3\\n'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ckpt2_checkpoint_exit_3(self, tmp_path, capsys):
+        # A CKPT2 checkpoint was trained with one fusion step per 10-ms
+        # contextual row; its layout is otherwise the same, so only the
+        # magic keeps it from scoring with different semantics.
+        from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+        manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=6), tmp_path / "c")
+        ckpt = tmp_path / "old.ckpt"
+        ScoringModel(TINY_CONFIG, seed=0).save(ckpt)
+        ckpt.write_bytes(b"CKPT2\n" + ckpt.read_bytes()[len(b"CKPT3\n"):])
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--checkpoint", str(ckpt),
+                   "--duration-model", str(tmp_path / "c" / "durations.tsv"),
+                   "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert f"bad checkpoint magic b'CKPT2\\n' in {ckpt}, expected b'CKPT3\\n'" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_float32_overflow_exit_3_not_nan(self, tmp_path, capsys):
@@ -1045,8 +1065,8 @@ class TestScore:
 def test_score_pass_memory_stays_within_its_estimate(short):
     """The tracemalloc peak of a full-size float32 forward over a chunk at
     the budget is within `_pass_kib`'s estimate for it: a chunk of equal
-    372-row utterances, all rows valid, and one 372-row utterance followed
-    by 29-row ones, mostly padding. Each chunk is as large as the budget
+    202-row utterances, all rows valid, and one 202-row utterance followed
+    by 16-row ones, mostly padding. Each chunk is as large as the budget
     allows."""
     import tracemalloc
 
@@ -1054,12 +1074,12 @@ def test_score_pass_memory_stays_within_its_estimate(short):
     from pronassess.model import ModelConfig
 
     pass_kib, budget = pipeline._pass_kib, pipeline.SCORE_ROWS
-    long = (341, 30)  # 372 fusion rows
+    long = (341, 30)  # 341 frames and 30 phones: 202 fusion rows
     more = short or long
     shapes = [long]
-    while pass_kib([sum(s) + 1 for s in shapes + [more]]) <= pass_kib([budget]):
+    while pass_kib([fusion_steps(*s) for s in shapes + [more]]) <= pass_kib([budget]):
         shapes.append(more)
-    rows = [sum(s) + 1 for s in shapes]
+    rows = [fusion_steps(*s) for s in shapes]
     assert len(shapes) > 1 and (short is None or len(rows) * max(rows) > budget)
 
     model = ScoringModel(seed=0)
@@ -1156,7 +1176,7 @@ class TestScoreErrorOrder:
         manifest, dm, entries = self._corpus(tmp_path, n=2)
         good_ct = read_matrix(entries[0].ct_path)
         ct = good_ct.copy()
-        ct[0], ct[1] = 3.3e38, -3.3e38
+        ct[:2], ct[2:4] = 3.3e38, -3.3e38
         write_matrix(entries[0].ct_path, ct)
         short_post = tmp_path / "short.post.mtx"
         write_matrix(short_post, read_matrix(entries[1].posterior_path)[:-1])

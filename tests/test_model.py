@@ -22,7 +22,9 @@ from pronassess.model import (
     UtteranceFeatures,
     _param_table,
     cross_attention,
+    fusion_steps,
     loss_fn,
+    pair_means,
     softmax,
 )
 
@@ -177,6 +179,41 @@ class TestAttention:
         for b, (q, t) in enumerate(zip(q_lens, t_lens)):
             np.testing.assert_array_equal(out2[b, :q], out[b, :q])
             np.testing.assert_array_equal(weights2[b, :q], weights[b, :q])
+
+
+class TestPairMeans:
+    """The fusion sequence reads the contextual rows averaged in pairs."""
+
+    F32_MAX = float(np.finfo(np.float32).max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=hnp.arrays(np.float32, st.tuples(st.integers(1, 9), st.integers(1, 4)),
+                           elements=st.floats(-F32_MAX, F32_MAX, width=32)))
+    @example(rows=np.full((1, 3), F32_MAX, np.float32))                           # T = 1
+    @example(rows=np.array([[F32_MAX], [F32_MAX], [-F32_MAX], [-F32_MAX]], np.float32))  # even T
+    @example(rows=np.array([[F32_MAX], [F32_MAX], [-F32_MAX]], np.float32))          # odd T
+    def test_finite_float32_rows_pool_to_finite_rows(self, rows):
+        pooled = pair_means(rows)
+        t = len(rows)
+        assert pooled.dtype == np.float32 and pooled.shape == ((t + 1) // 2, rows.shape[1])
+        assert np.isfinite(pooled).all()
+        half = np.float32(0.5)
+        expected = [half * rows[k] + half * rows[k + 1] for k in range(0, t - 1, 2)]
+        expected += [rows[-1]] if t % 2 else []
+        assert pooled.tobytes() == np.array(expected, np.float32).tobytes()
+        assert fusion_steps(t, 3) == len(pooled) + 3 + 1
+
+    @pytest.mark.parametrize("t", [2, 6, 7])
+    def test_scores_depend_on_the_pair_means_only(self, t):
+        # Rows with the same pair means give the same scores, bit for bit.
+        rng = np.random.default_rng(t)
+        model = ScoringModel(CFG, seed=3)
+        utt = make_utt(rng, length=4, t_frames=t)
+        twin = make_utt(np.random.default_rng(t), length=4, t_frames=t)
+        twin.ct = np.repeat(pair_means(utt.ct), 2, axis=0)[:t]
+        assert not np.array_equal(twin.ct, utt.ct)
+        (f, p), (f2, p2) = (model.score_utterance(u) for u in (utt, twin))
+        assert f.tobytes() == f2.tobytes() and p.tobytes() == p2.tobytes()
 
 
 class TestProjectionAndLoss:
@@ -632,7 +669,7 @@ class TestFullSizeDefaults:
     def test_checkpoint_dims_line(self, tmp_path):
         ScoringModel(ModelConfig()).save(tmp_path / "full.ckpt")
         head = (tmp_path / "full.ckpt").read_bytes()[:64].split(b"\n")
-        assert head[:2] == [b"CKPT2", b"dims 41 41 24 512 13 11"]
+        assert head[:2] == [b"CKPT3", b"dims 41 41 24 512 13 11"]
 
     def test_parameter_count_fixed_and_reported(self):
         model = ScoringModel(ModelConfig(), seed=0)

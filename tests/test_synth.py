@@ -24,6 +24,7 @@ from pronassess import (
 )
 from pronassess.durations import MIN_COUNT, STD_FLOOR_MS
 from pronassess.errors import TooShortError, ValidationError
+from pronassess.model import fusion_steps
 from pronassess.synth import fluency_label, generator_duration_model, prosody_label
 
 
@@ -205,7 +206,7 @@ def recorded_chunks(budget, owner):
 
     def recording(entries, duration_model):
         for chunk in prepared_chunks(entries, duration_model):
-            chunks.append([len(u.ct) + len(u.fusion) + 1 for u in chunk])
+            chunks.append([fusion_steps(len(u.ct), len(u.fusion)) for u in chunk])
             yield chunk
 
     with pytest.MonkeyPatch.context() as mp:
@@ -256,8 +257,8 @@ class TestGroupedPipeline:
         chunks = self._chunked(corpus, one_at_a_time, budget)
         assert (len(chunks) == 1) == (budget == 4096)
 
-    # The 8 utterances hold 250 fusion rows and are one chunk from a budget of
-    # 267 rows up, so budgets up to 300 cover every chunking.
+    # The 8 utterances hold 145 fusion rows and are one chunk from a budget of
+    # 154 rows up, so budgets up to 300 cover every chunking.
     @settings(max_examples=40, deadline=None)
     @given(budget=st.integers(1, 300))
     @example(budget=1)
