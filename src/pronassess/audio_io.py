@@ -136,14 +136,15 @@ def write_matrix(path, mat: np.ndarray) -> None:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got ndim={mat.ndim}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("matrix contains non-finite values")
+    with np.errstate(over="ignore"):  # beyond float32's range becomes inf, refused here
+        payload = mat.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValidationError("matrix contains values that are not finite in float32")
     rows, cols = mat.shape
-    payload = mat.astype("<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(MTX1_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 @_naming_the_file
@@ -349,6 +350,12 @@ def read_manifest(path) -> list[ManifestEntry]:
             # ids become the first field of a score CSV row
             raise ValidationError(f"{path}:{ln}: id must be a non-empty string without ',', CR "
                                   f"or LF, got {uid!r}")
+        for key in ("id", *MANIFEST_PATHS):
+            try:
+                obj[key].encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate, which JSON's \u escapes allow
+                raise ValidationError(f"{path}:{ln}: {key} does not encode as UTF-8 "
+                                      f"({exc.reason}): {obj[key]!r}") from None
         if uid in seen_ids:
             raise ValidationError(f"{path}:{ln}: duplicate id {uid!r}")
         seen_ids.add(uid)

@@ -288,7 +288,7 @@ def _cmd_eval(args) -> None:
 def _cmd_synth(args) -> None:
     spec = SyntheticSpec(n_utterances=args.n, seed=args.seed,
                          min_phones=args.min_phones, max_phones=args.max_phones)
-    print(generate_corpus(spec, args.out, jobs=args.jobs))
+    print(generate_corpus(spec, args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--min-phones", type=int, default=2)
     p.add_argument("--max-phones", type=int, default=4)
     p.set_defaults(func=_cmd_synth)

@@ -15,9 +15,7 @@ observe, so a training run measures the model rather than label noise.
 """
 
 import math
-import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,6 @@ from .durations import DurationModel, PhoneStats
 from .errors import ValidationError
 from .inventory import PHONE_TO_INDEX, PHONEMES
 from .lld import HOP_SAMPLES, SEMITONE_REF_HZ, WINDOW_SAMPLES, extract_frame_features
-from .lstm import one_blas_thread
 from .metrics import N_CLASSES
 from .model import ModelConfig
 
@@ -149,13 +146,8 @@ def _synth_wav(span_frames, base_st, depth_st, mod_hz, phase0, amps,
     return x, contour_st[frame_centers]
 
 
-# One BLAS thread per utterance, so `jobs` worker processes run `jobs`
-# BLAS threads and not `jobs` full OpenBLAS thread pools.
-@one_blas_thread()
-def _gen_one(args):
-    spec, index, out_dir = args
+def _gen_one(spec, index, out_dir):
     rng = np.random.default_rng([spec.seed, index])
-    out_dir = Path(out_dir)
     uid = f"utt{index:04d}"
 
     n_phones = int(rng.integers(spec.min_phones, spec.max_phones + 1))
@@ -239,25 +231,17 @@ def _gen_one(args):
     return row
 
 
-def generate_corpus(spec: SyntheticSpec, out_dir, jobs: int = 1) -> Path:
+def generate_corpus(spec: SyntheticSpec, out_dir) -> Path:
     """Write a full synthetic corpus; returns the manifest path.
 
-    Output is byte-identical for a fixed spec regardless of `jobs`: every
-    utterance derives its own rng stream from (seed, index). At most
-    min(jobs, n_utterances, CPU count) worker processes are started.
+    Output is byte-identical for a fixed spec: every utterance derives its
+    own rng stream from (seed, index), and the bytes do not depend on the
+    caller's BLAS thread count.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "alignments").mkdir(exist_ok=True)
-    tasks = [(spec, i, str(out_dir)) for i in range(spec.n_utterances)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            rows = pool.map(_gen_one, tasks)
-    else:
-        rows = [_gen_one(t) for t in tasks]
+    rows = [_gen_one(spec, i, out_dir) for i in range(spec.n_utterances)]
     rows.sort(key=lambda r: r["id"])
 
     manifest_path = out_dir / "manifest.jsonl"

@@ -257,6 +257,19 @@ class TestMatrix:
         with pytest.raises(ValidationError):
             write_matrix(tmp_path / "n.mtx", np.array([[np.inf]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_beyond_float32_rejected_on_write(self, tmp_path, value):
+        """Finite in float64 but inf in float32: refused before the file is
+        opened, with no overflow warning, as `read_matrix` would refuse it."""
+        p = tmp_path / "big.mtx"
+        with pytest.raises(ValidationError, match="not finite in float32"):
+            write_matrix(p, np.array([[1.0, value]]))
+        assert not p.exists()
+        top = np.finfo(np.float32).max
+        write_matrix(p, np.array([[top, -top]]))
+        assert np.array_equal(read_matrix(p), [[top, -top]])
+
     def test_nonfinite_rejected_on_read(self, tmp_path):
         p = tmp_path / "n.mtx"
         p.write_bytes(b"MTX1" + struct.pack("<II", 1, 1) + struct.pack("<f", np.nan))
@@ -408,9 +421,14 @@ class TestManifest:
         {"id": None},
         {"id": True},
         {"id": 7},
+        {"id": "\ud800x"},
+        {"wav_path": "a\udfff.wav"},
+        {"ct_path": "\ud800.ct.mtx"},
+        {"posterior_path": "\udc80.post.mtx"},
     ], ids=["not-object", "nested-phone", "wav-path", "ct-path", "posterior-path",
             "duplicate-id", "empty-id", "comma-id", "cr-id", "lf-id",
-            "null-id", "bool-id", "number-id"])
+            "null-id", "bool-id", "number-id", "surrogate-id", "surrogate-wav-path",
+            "surrogate-ct-path", "surrogate-posterior-path"])
     def test_malformed_line_cites_line(self, tmp_path, bad_line):
         if isinstance(bad_line, dict):
             bad_line = self._line(**{"id": "u2", **bad_line})

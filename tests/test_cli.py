@@ -248,6 +248,20 @@ class TestGopdAndAssemble:
         assert rc == 3
         assert f"{model}:5:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_gopd_out_beyond_float32_exit_3(self, tmp_path, capsys):
+        """A span ending at frame 10^20 has a GoPD below float32's range:
+        refused with no overflow warning, and `--out` is not written."""
+        _, model = self._setup(tmp_path)
+        adir = tmp_path / "long.tsv"
+        adir.write_text("phone\tstart_frame\tend_frame\nAA\t0\t100000000000000000000\n")
+        out = tmp_path / "g.mtx"
+        rc = main(["gopd", "--alignment", str(adir), "--model", str(model), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "error: matrix contains values that are not finite in float32\n"
+        assert not out.exists()
+
     def test_assemble_writes_block_and_sidecar(self, tmp_path):
         # 20-frame alignment needs a 20-frame wav: 400 + 19*160 samples
         write_wav(tmp_path / "w.wav", AudioBuffer(np.zeros(400 + 19 * 160)))
@@ -465,7 +479,7 @@ class TestTrainCli:
         assert [p.name for p in out.rglob("*")] == [name]
 
 
-@pytest.mark.parametrize("kind", ["nested-json", "nul-in-path"])
+@pytest.mark.parametrize("kind", ["nested-json", "nul-in-path", "surrogate-in-id"])
 @pytest.mark.parametrize("command", ["train", "score"])
 def test_bad_manifest_line_exit_3(tmp_path, capsys, command, kind):
     from pronassess import ScoringModel, SyntheticSpec, generate_corpus
@@ -474,11 +488,15 @@ def test_bad_manifest_line_exit_3(tmp_path, capsys, command, kind):
     if kind == "nested-json":
         manifest.write_text("[" * 200_000 + "\n")
         message = f"error: {manifest}:1: invalid JSON (nested too deeply)\n"
-    else:
+    elif kind == "nul-in-path":
         row = json.loads(manifest.read_text())
         row["wav_path"] = "a\0.wav"
         manifest.write_text(json.dumps(row) + "\n")
         message = f"error: {manifest}:1: wav_path contains a NUL byte: 'a\\x00.wav'\n"
+    else:  # valid JSON: the escape decodes to a lone surrogate
+        manifest.write_text(manifest.read_text().replace('"id": "utt0000"', '"id": "\\ud800x"'))
+        message = (f"error: {manifest}:1: id does not encode as UTF-8 "
+                   "(surrogates not allowed): '\\ud800x'\n")
     dm = str(tmp_path / "c" / "durations.tsv")
     if command == "train":
         config = tmp_path / "config.txt"
@@ -645,11 +663,13 @@ class TestSynthCli:
 
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exit_3(self, tmp_path, capsys, jobs):
-        rc = main(["synth", "--n", "1", "--jobs", jobs, "--out", str(tmp_path / "c")])
-        assert rc == 3
-        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
+    def test_jobs_is_a_usage_error(self, tmp_path, capsys, jobs):
+        """Generation runs in this process; there is no `--jobs` option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--n", "1", "--jobs", jobs, "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):

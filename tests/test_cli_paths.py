@@ -34,7 +34,7 @@ from pronassess.train import TrainConfig, parse_train_config
 # The options that take no path. Any other option holding one string is a
 # path: a write when its dest starts with "out", else a read; these are
 # directories.
-NOT_PATHS = {"phones", "pattern", "n", "seed", "jobs", "min_phones", "max_phones"}
+NOT_PATHS = {"phones", "pattern", "n", "seed", "min_phones", "max_phones"}
 DIRECTORIES = {("fit-durations", "alignments"), ("train", "out"), ("synth", "out")}
 
 

@@ -1,8 +1,9 @@
 """The demos run from a checkout and exit 0.
 
 Demo 05 trains a model for 12 epochs: ~4 s wall on a 2-vCPU host. Its
-working directory (a corpus and a 34 MB checkpoint) goes under the test's
-own temporary directory.
+working directory (a corpus and a 34 MB checkpoint) is a temporary
+directory, which the demo removes: each demo runs with `TMPDIR` set to
+an empty directory, which must be empty again when it exits.
 """
 
 import os
@@ -23,3 +24,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,8 @@
 file, every private module-level name of the package is read in its module,
 no module of the package takes another's private name, the CLI decides its
 exit codes in `main` alone, the package starts threads only through
-`ThreadPoolExecutor`, and `errors.named` alone re-raises a package error."""
+`ThreadPoolExecutor` and starts no process, and `errors.named` alone
+re-raises a package error."""
 
 import ast
 from pathlib import Path
@@ -184,6 +185,47 @@ def test_finds_a_thread_start():
 @pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
 def test_threads_start_only_through_a_pool(module):
     assert thread_starts(MODULES[module].read_text(encoding="utf-8")) == []
+
+
+PROCESS_MODULES = {"multiprocessing", "subprocess"}
+
+
+def process_starts(source: str) -> list[str]:
+    """'line: what' of each place where `source` imports `multiprocessing`
+    or `subprocess`, imports or reads `ProcessPoolExecutor`, or reads
+    `os.fork`: the package runs in its caller's process and starts none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.partition(".")[0] in PROCESS_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [a.name for a in node.names]
+            if node.module.partition(".")[0] in PROCESS_MODULES or \
+                    "ProcessPoolExecutor" in names or (node.module == "os" and "fork" in names):
+                found.append((node.lineno, f"from {node.module} import {', '.join(names)}"))
+        elif isinstance(node, ast.Attribute) and (node.attr == "ProcessPoolExecutor" or (
+                node.attr == "fork" and isinstance(node.value, ast.Name) and node.value.id == "os")):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_finds_a_process_start():
+    source = ("import os, subprocess\nimport multiprocessing.pool as mp\n"
+              "from multiprocessing import Pool\n"
+              "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+              "from concurrent import futures\npid = os.fork()\nfutures.ProcessPoolExecutor()\n"
+              "from os import fork, getpid\nfrom .subprocess import run\nos.forkpty()\n")
+    assert process_starts(source) == [
+        "1: import subprocess", "2: import multiprocessing.pool",
+        "3: from multiprocessing import Pool",
+        "4: from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor",
+        "6: os.fork", "7: futures.ProcessPoolExecutor", "8: from os import fork, getpid"]
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if "/" not in m))
+def test_starts_no_process(module):
+    assert process_starts(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 # The exception classes that `errors` defines.

@@ -363,13 +363,13 @@ def test_overlapping_pins_restore_the_first_callers_count(blas_at_three_threads)
     entered, release = threading.Event(), threading.Event()
 
     def other():
-        with lstm.one_blas_thread():
+        with lstm._one_blas_thread():
             entered.set()
             release.wait(timeout=60)
 
     thread = threading.Thread(target=other)
-    with lstm.one_blas_thread():
-        with lstm.one_blas_thread():
+    with lstm._one_blas_thread():
+        with lstm._one_blas_thread():
             assert get() == 1
         assert get() == 1
         thread.start()

@@ -13,6 +13,7 @@ from pronassess import (
     SyntheticSpec,
     dtw_align,
     generate_corpus,
+    lstm,
     pipeline,
     prepare_dataset,
     pseudo_ct,
@@ -20,7 +21,6 @@ from pronassess import (
     read_duration_model,
     read_manifest,
     read_matrix,
-    synth,
 )
 from pronassess.durations import MIN_COUNT, STD_FLOOR_MS
 from pronassess.errors import TooShortError, ValidationError
@@ -51,42 +51,22 @@ class TestGenerator:
         generate_corpus(spec, tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        spec = SyntheticSpec(n_utterances=4, seed=9)
-        generate_corpus(spec, tmp_path / "serial", jobs=1)
-        generate_corpus(spec, tmp_path / "parallel", jobs=2)
-        assert tree_digest(tmp_path / "serial") == tree_digest(tmp_path / "parallel")
-
-    @pytest.mark.parametrize("jobs,cpus,workers", [
-        (64, 8, 3),    # no more workers than utterances
-        (64, 2, 2),    # nor than CPUs
-        (2, 8, 2),
-        (64, None, 1),  # CPU count unknown: serial
-        (1, 8, 1),
-    ])
-    def test_worker_count_capped(self, tmp_path, monkeypatch, jobs, cpus, workers):
-        started = []
-
-        class SerialPool:
-            """Records its process count and maps in this process."""
-
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(synth, "Pool", SerialPool)
-        monkeypatch.setattr(synth.os, "cpu_count", lambda: cpus)
-        generate_corpus(SyntheticSpec(n_utterances=3, seed=9), tmp_path, jobs=jobs)
-        assert started == ([workers] if workers > 1 else [])
-        assert len(read_manifest(tmp_path / "manifest.jsonl")) == 3
+    def test_bytes_do_not_depend_on_the_callers_blas_threads(self, tmp_path):
+        """One spec generated with numpy's OpenBLAS at 1 thread and at 3
+        gives the same files (criterion 9 across BLAS thread counts)."""
+        get, set_ = lstm._blas_thread_probe()
+        if set_ is None:
+            pytest.skip("numpy's OpenBLAS has no thread setter")
+        spec = SyntheticSpec(n_utterances=4, seed=9, min_phones=2, max_phones=40)
+        before = get()
+        try:
+            for threads in (1, 3):
+                set_(threads)
+                generate_corpus(spec, tmp_path / str(threads))
+                assert get() == threads
+        finally:
+            set_(before)
+        assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "3")
 
     def test_label_rule_fixed_points(self):
         assert fluency_label(0.0) == 10
