@@ -38,22 +38,23 @@ thread oversubscribes the cores.
 A direction gathers its operands (x and h_{t-1} in its row order) inside
 its GEMM function and frees its loop scratch before it, so no thread
 holds both directions' gathers for the whole pass. The caller allocates
-the arrays that the loops fill and that the GEMMs write (d_wx, d_wh and
-the d_x terms), so that the worker allocates little in its own malloc
-arena: allocating the backward's outputs on the worker raised peak RSS
-over `mixed` training by another 2.6 %. Every product and elementwise
-operation is the one a single thread would run, on the same operands, at
-one BLAS thread whatever the caller's count, so the result depends
-neither on the split nor on that count: it is bit-identical to running
-the directions one after the other.
+the arrays that the time loops fill (the forward's gates, cell states and
+outputs, the backward's dz and gate coefficients): allocated on the
+worker, in its own malloc arena, the forward's raised peak RSS over
+`mixed` training from ~312 to ~348 MiB. A GEMM's result is allocated
+where it is computed: preallocating the backward's on the caller bought
+nothing (311.1 against 311.8 MiB, 9 `mixed` pairs). Every product and
+elementwise operation is the one a single thread would run, on the same
+operands, at one BLAS thread whatever the caller's count, so the result
+depends neither on the split nor on that count: it is bit-identical to
+running the directions one after the other.
 
 `bilstm_backward` first turns the cached gates into each gate's local
 derivative coefficient over all packed rows at once, so a step only
 multiplies its rows of those coefficients by its dc or dh. d_wx, d_wh
 and d_b are single GEMMs over packed rows. The input gradient is
-computed only where the caller reads it: at every valid step, or, given
-`dx_tail`, at the last few steps of each sequence. The input gradient is
-scattered back to a padded (B, T, D) array that is zero everywhere else.
+computed only where the caller reads it, the last tail[b] steps of
+sequence b (`dx_tail`, or all of them), and comes back left-aligned.
 
 The outputs stay packed in the cache that `bilstm_forward` returns, and a
 caller reads what it uses: `padded_output` scatters them to a zero-padded
@@ -301,13 +302,14 @@ def output_sums(cache):
 
 
 def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
-    """Gradients for bilstm_forward: (d_x padded like x, forward-direction
-    (d_wx, d_wh, d_b), backward-direction (d_wx, d_wh, d_b)). Upstream
-    gradients at padded positions of d_out are ignored.
+    """Gradients for bilstm_forward: (d_x, forward-direction (d_wx, d_wh,
+    d_b), backward-direction (d_wx, d_wh, d_b)). Upstream gradients at
+    padded positions of d_out are ignored.
 
-    d_x holds the input gradient at every valid step, or, given dx_tail
-    (B,), only at the last dx_tail[b] valid steps of row b; it is zero
-    everywhere else."""
+    tail is dx_tail (B,), or the lengths when it is not given. d_x is
+    (B, max(tail), D): row b holds the input gradient of the last tail[b]
+    valid steps of row b, first step first, and zeros after them. Without
+    dx_tail that is x's layout, cut to the longest row."""
     plan = cache.plan
     n_rows, hid = cache.c.shape[1:]
     dtype = cache.gates.dtype
@@ -323,16 +325,11 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     step_rows = _prev_rows(plan.offsets)
     # h_{t-1} of every later row: packed row r at step t follows row r - n_{t-1}
     h_rows = np.arange(first, n_rows) - np.diff(plan.offsets)[plan.steps[first:] - 1]
-    sel = np.arange(n_rows)
-    if dx_tail is not None:
-        sel = np.flatnonzero(plan.steps >= (cache.lengths - np.asarray(dx_tail))[plan.rows])
-
-    # d_wx, d_wh and the direction's term of d_x, allocated here and not on
-    # the worker: each direction's d_b is its only new array that outlives it.
-    d_in = cache.x.shape[1]
-    outs = [(np.empty((4 * hid, d_in), dtype=dtype), np.empty((4 * hid, hid), dtype=dtype),
-             np.empty((len(sel), d_in), dtype=dtype)) for _ in range(2)]
-    d_b = [None, None]
+    # the packed rows whose input gradient is returned, and their first step
+    tail = cache.lengths if dx_tail is None else np.asarray(dx_tail)
+    start = (cache.lengths - tail)[plan.rows]
+    sel = np.flatnonzero(plan.steps >= start)
+    grads = [None, None]  # per direction: (d_wx, d_wh, d_b, its term of d_x)
 
     def run(d):
         i, f, g, o = (cache.gates[d].reshape(n_rows, 4, hid)[:, k] for k in range(4))
@@ -374,15 +371,12 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
         # gathers live only while their GEMM runs
         coef_c[d] = recurrent[d] = coef = dc = dh = dc_next = dh_next = None
         dz = dz_all[d]
-        d_wx, d_wh, dx_term = outs[d]
-        np.matmul(dz.T, cache.x[plan.rev] if d else cache.x, out=d_wx)
-        np.matmul(dz[first:].T, cache.hs[d, h_rows], out=d_wh)
-        d_b[d] = dz.sum(axis=0)
-        np.matmul(dz[plan.rev[sel] if d else sel], params[d][0], out=dx_term)
+        grads[d] = (dz.T @ (cache.x[plan.rev] if d else cache.x),
+                    dz[first:].T @ cache.hs[d, h_rows], dz.sum(axis=0),
+                    dz[plan.rev[sel] if d else sel] @ params[d][0])
 
     _each_direction(run)
 
-    d_x = np.zeros(d_out.shape[:2] + (d_in,), dtype=dtype)
-    d_x[plan.rows[sel], plan.steps[sel]] = outs[0][2] + outs[1][2]
-    grads = [(d_wx, d_wh, b) for (d_wx, d_wh, _), b in zip(outs, d_b)]
-    return d_x, *grads
+    d_x = np.zeros((len(tail), tail.max(initial=0), cache.x.shape[1]), dtype=dtype)
+    d_x[plan.rows[sel], plan.steps[sel] - start[sel]] = grads[0][3] + grads[1][3]
+    return d_x, grads[0][:3], grads[1][:3]

@@ -236,8 +236,9 @@ class ScoringModel:
 
     def _encoder_backward(self, prefix: str, d_out, cache, grads, dx_tail=None) -> np.ndarray:
         """Backward through encoder `prefix`: stores its weight gradients in
-        `grads` and returns the gradient of its padded input (only at the
-        last dx_tail[b] steps of row b, if given)."""
+        `grads` and returns its input gradient as `bilstm_backward` lays it
+        out: row b holds its last dx_tail[b] steps (all its valid steps if
+        dx_tail is not given), first step first, then zeros."""
         d_x, *dir_grads = bilstm_backward(d_out, cache, *self._encoder(prefix), dx_tail=dx_tail)
         for dr, gs in zip(_DIRECTIONS, dir_grads):
             for part, g in zip(_LSTM_PARTS, gs):
@@ -316,8 +317,8 @@ class ScoringModel:
             loss = float(np.mean([loss_fn(f, p, utt.fluency, utt.prosody, loss_weights)
                                   for (f, p), utt in zip(dists, batch)]))
         cache = {
-            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "k_lens": k_lens,
-            "idx": idx, "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "weights": weights,
+            "batch": batch, "loss_weights": loss_weights, "l_lens": l_lens, "idx": idx,
+            "emb": emb, "ptilde": ptilde, "pc_cache": pc_cache, "weights": weights,
             "u_std": u_std, "fu_cache": fu_cache, "fvec": fvec, "dist_f": dist_f, "dist_p": dist_p,
         }
         return loss, dists, cache
@@ -329,7 +330,7 @@ class ScoringModel:
         n = len(batch)
         rows = np.arange(n)
         wf, wp = cache["loss_weights"]
-        l_lens, k_lens, s_lens = cache["l_lens"], cache["k_lens"], cache["fu_cache"].lengths
+        l_lens, s_lens = cache["l_lens"], cache["fu_cache"].lengths
         grads = {"embed": np.zeros_like(self.params["embed"])}  # np.add.at accumulates into it
 
         dlf = cache["dist_f"].copy()
@@ -350,21 +351,21 @@ class ScoringModel:
         d_hs = np.broadcast_to((dfvec / s_lens[:, None]).astype(self.dtype, copy=False)[:, None, :],
                                (n, s_lens.max(), d))
         # Only the attended rows and the u token (the last l_lens + 1 steps)
-        # carry gradient further back; the pooled ct rows are data.
-        d_fseq = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
+        # carry gradient further back; the pooled ct rows are data. Row b of
+        # d_tail holds its l_lens[b] attended rows, then its u token.
+        d_tail = self._encoder_backward("fu", d_hs, cache["fu_cache"], grads, dx_tail=l_lens + 1)
 
-        d_u = dfvec + d_fseq[rows, k_lens + l_lens]  # residual path plus the u token
+        d_u = dfvec + d_tail[rows, l_lens]  # residual path plus the u token
         grads["u_w"] = d_u.T @ cache["u_std"]
         grads["u_b"] = d_u.sum(axis=0)
 
         # Attention over the keys the forward read: padded queries get zero
         # gradient and masked keys zero weight, so neither contributes.
-        keys = np.zeros((n, k_lens.max(), d), dtype=self.dtype)
-        _pool_ct(batch, keys)
         weights = cache["weights"]
-        d_att = np.zeros((n, l_lens.max(), d), dtype=self.dtype)
-        b, j = np.nonzero(_valid(l_lens))
-        d_att[b, j] = d_fseq[b, k_lens[b] + j]
+        keys = np.zeros((n, weights.shape[2], d), dtype=self.dtype)
+        _pool_ct(batch, keys)
+        d_att = d_tail[:, :-1]
+        d_att[~_valid(l_lens)] = 0.0
         d_w = d_att @ keys.transpose(0, 2, 1)
         d_scores = weights * (d_w - (d_w * weights).sum(axis=2, keepdims=True))
         d_p = d_scores @ keys / math.sqrt(d)

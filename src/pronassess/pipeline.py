@@ -26,7 +26,7 @@ estimate bounds every chunk traced near the budget. A chunk's estimate
 and an entry over it is a chunk of its own. Chunks filled to the budget,
 all-valid or one long entry among short ones, traced at 168-177 MiB,
 0.96-0.99 of their estimates; a full-size float32 training step on 16
-mixed-length utterances traced at 124-140 MiB. The contextual rows the
+mixed-length utterances traced at 110-120 MiB. The contextual rows the
 chunk holds come on top: 8 KiB per pooled row, two float32 rows of 1024.
 Chunks are prepared one at a time, so memory stays bounded by one chunk
 whatever the manifest size.

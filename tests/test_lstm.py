@@ -56,9 +56,9 @@ def test_padded_batch_matches_each_sequence_alone(case):
     out, cache = _forward(x, lengths, fwd, bwd)
     dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
 
-    assert out.shape == (bsz, t_max, 2 * hid) and dx.shape == x.shape
-    pad = ~_valid(t_max, lengths)
-    assert np.all(out[pad] == 0.0) and np.all(dx[pad] == 0.0)
+    assert out.shape == (bsz, t_max, 2 * hid) and dx.shape == (bsz, lengths.max(), d_in)
+    assert np.all(out[~_valid(t_max, lengths)] == 0.0)
+    assert np.all(dx[~_valid(lengths.max(), lengths)] == 0.0)
 
     ref_fwd = [np.zeros_like(p) for p in fwd]
     ref_bwd = [np.zeros_like(p) for p in bwd]
@@ -160,7 +160,10 @@ def test_gradients_match_central_differences(case):
 
     cache = bilstm_forward(x, lengths, fwd, bwd)
     dx, g_fwd, g_bwd = bilstm_backward(d_out, cache, fwd, bwd)
-    analytic = sum(float(np.sum(g * v)) for g, v in zip([dx, *g_fwd, *g_bwd], direction))
+    # dx stops at the longest row; x's padding beyond it is zero in direction
+    dx_direction = direction[0][:, : dx.shape[1]]
+    analytic = sum(float(np.sum(g * v))
+                   for g, v in zip([dx, *g_fwd, *g_bwd], [dx_direction, *direction[1:]]))
     eps = 1e-6
     numeric = (loss(eps) - loss(-eps)) / (2 * eps)
     assert abs(numeric - analytic) <= 1e-6 * max(1.0, abs(analytic))
@@ -208,7 +211,10 @@ def tails(draw):
 @example(((1, 1, 3, 2, np.array([1]), 0), np.array([1])))
 @example(((1, 6, 2, 3, np.array([6]), 1), np.array([6])))
 @example(((3, 5, 4, 2, np.array([5, 1, 3]), 2), np.array([5, 1, 3])))
+@example(((2, 9, 3, 2, np.array([4, 2]), 3), np.array([2, 1])))  # x padded beyond its longest row
 def test_input_gradient_at_selected_tail_matches_full_path(case_tail):
+    """Given dx_tail, row b of d_x holds the input gradient of its last
+    tail[b] steps, first step first, then zeros."""
     case, tail = case_tail
     bsz, t_max, d_in, hid, lengths, seed = case
     x, d_out, fwd, bwd = _setup(*case)
@@ -216,10 +222,10 @@ def test_input_gradient_at_selected_tail_matches_full_path(case_tail):
     dx_full, *grads_full = bilstm_backward(d_out, cache, fwd, bwd)
     dx_tail, *grads_tail = bilstm_backward(d_out, cache, fwd, bwd, dx_tail=tail)
 
-    steps = np.arange(t_max)[None, :]
-    selected = (steps >= (lengths - tail)[:, None]) & _valid(t_max, lengths)
-    np.testing.assert_allclose(dx_tail[selected], dx_full[selected], rtol=0, atol=TOL)
-    assert np.all(dx_tail[~selected] == 0.0)
+    assert dx_full.shape == (bsz, lengths.max(), d_in) and dx_tail.shape == (bsz, tail.max(), d_in)
+    for b, (n, k) in enumerate(zip(lengths, tail)):
+        np.testing.assert_allclose(dx_tail[b, :k], dx_full[b, n - k : n], rtol=0, atol=TOL)
+        assert np.all(dx_tail[b, k:] == 0.0)
     for got, ref in zip(sum(grads_tail, ()), sum(grads_full, ())):
         np.testing.assert_array_equal(got, ref)
 
