@@ -60,12 +60,13 @@ class AudioBuffer:
             raise ValidationError(f"samples exceed [-1, 1] (peak {peak:.6g})")
 
 
-def _naming_the_file(read):
-    """`read(path)`, with the path in front of the message of a package error."""
-    @functools.wraps(read)
-    def read_named(path):
-        return named(path, read, path)
-    return read_named
+def _naming_the_file(fn):
+    """`fn(path, *args)`, with the path in front of the message of a package
+    error."""
+    @functools.wraps(fn)
+    def fn_named(path, *args):
+        return named(path, fn, path, *args)
+    return fn_named
 
 
 @_naming_the_file
@@ -132,6 +133,7 @@ def write_wav(path, buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(pcm / 32768.0)
 
 
+@_naming_the_file
 def write_matrix(path, mat: np.ndarray) -> None:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:

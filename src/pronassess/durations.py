@@ -66,12 +66,17 @@ def fit_durations(samples: Iterable[tuple[str, float]]) -> DurationModel:
 
 def gopd(duration_ms: float, phone: str, model: DurationModel) -> float:
     """Log Gaussian density of an observed duration under the phone's model:
-    -ln(sigma * sqrt(2*pi)) - (d - mu)^2 / (2 * sigma^2)."""
+    -ln(sigma * sqrt(2*pi)) - (d - mu)^2 / (2 * sigma^2). A density whose
+    log is not finite (a std so small that z overflows) is refused."""
     if duration_ms <= 0:
         raise ValidationError(f"duration must be positive, got {duration_ms}")
     st = model.lookup(phone)
     z = (duration_ms - st.mean_ms) / st.std_ms
-    return -math.log(st.std_ms) - _LOG_SQRT_2PI - 0.5 * z * z
+    value = -math.log(st.std_ms) - _LOG_SQRT_2PI - 0.5 * z * z
+    if not math.isfinite(value):
+        raise ValidationError(f"GoPD of phone {phone!r} lasting {duration_ms} ms is not finite "
+                              f"under std {st.std_ms} ms")
+    return value
 
 
 def gopd_vector(alignment, model: DurationModel) -> np.ndarray:

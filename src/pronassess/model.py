@@ -134,13 +134,24 @@ def fusion_steps(ct_rows, phones):
     return (ct_rows + 1) // 2 + phones + 1
 
 
-def _check_inputs(utt: UtteranceFeatures, d: int) -> None:
-    """Reject contextual rows that are not T x d with T >= 1, and functionals
-    of the wrong length."""
+def _numeric_rows(fusion: FusionInput, dtype) -> np.ndarray:
+    """The standardized [gopd | pooled] rows of one utterance in dtype; a
+    value beyond dtype's range becomes inf without a warning."""
+    with np.errstate(over="ignore"):
+        return ((fusion.numeric_block() - NUMERIC_OFFSET) / NUMERIC_SCALE).astype(dtype, copy=False)
+
+
+def _check_inputs(utt: UtteranceFeatures, d: int, dtype) -> None:
+    """Reject contextual rows that are not T x d with T >= 1, functionals of
+    the wrong length, and GoPD or pooled-descriptor rows that are not
+    finite in dtype once standardized (they would saturate the gates)."""
     if utt.ct.ndim != 2 or utt.ct.shape[1] != d or len(utt.ct) == 0:
         raise ValidationError(f"ct must be T x {d} with T >= 1, got {utt.ct.shape}")
     if len(utt.u_nv) != len(FUNCTIONAL_NAMES):
         raise ValidationError(f"u_nv must have {len(FUNCTIONAL_NAMES)} entries")
+    if not np.isfinite(_numeric_rows(utt.fusion, dtype)).all():
+        raise ValidationError(f"GoPD and pooled descriptors must be finite in {np.dtype(dtype)} "
+                              "once standardized")
 
 
 def _pool_ct(batch: list[UtteranceFeatures], out: np.ndarray) -> None:
@@ -258,8 +269,7 @@ class ScoringModel:
             raise InventoryError(f"phone index out of range 0..{INVENTORY_SIZE - 1}")
         emb = self.params["embed"][idx]
         ptilde = np.tanh(emb @ self.params["ff_w"].T + self.params["ff_b"])
-        numeric = np.concatenate([f.numeric_block() for f in fusions])
-        numeric = ((numeric - NUMERIC_OFFSET) / NUMERIC_SCALE).astype(self.dtype, copy=False)
+        numeric = np.concatenate([_numeric_rows(f, self.dtype) for f in fusions])
         lengths = np.array([len(f) for f in fusions])
         pc_cache = bilstm_forward(_pad(np.hstack([numeric, ptilde]), lengths), lengths,
                                   *self._encoder("pc"))
@@ -284,7 +294,7 @@ class ScoringModel:
         head distributions, cache for backward)."""
         d = self.config.feature_dim
         for utt in batch:
-            named(utt.id, _check_inputs, utt, d)
+            named(utt.id, _check_inputs, utt, d, self.dtype)
         p_all, l_lens, pc_cache, idx, emb, ptilde = self._encode_phones([u.fusion for u in batch])
         t_lens = np.array([len(u.ct) for u in batch])
         u_std = ((np.array([u.u_nv for u in batch], dtype=np.float64) - U_OFFSET) / U_SCALE

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,8 +260,20 @@ class TestGopdAndAssemble:
         rc = main(["gopd", "--alignment", str(adir), "--model", str(model), "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == \
-            "error: matrix contains values that are not finite in float32\n"
+            f"error: {out}: matrix contains values that are not finite in float32\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_gopd_not_finite_exit_3(self, tmp_path, capsys):
+        """A std of 1e-320 ms overflows z, and GoPD would print as -inf."""
+        adir, model = self._setup(tmp_path)
+        model.write_text("phone\tmean_ms\tstd_ms\tcount\n__GLOBAL__\t50.0\t1e-320\t100\n")
+        rc = main(["gopd", "--alignment", str(adir), "--model", str(model)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: GoPD of phone 'AA' lasting 100.0 ms is not finite "
+                                "under std 1e-320 ms\n")
 
     def test_assemble_writes_block_and_sidecar(self, tmp_path):
         # 20-frame alignment needs a 20-frame wav: 400 + 19*160 samples
@@ -508,6 +521,38 @@ def test_bad_manifest_line_exit_3(tmp_path, capsys, command, kind):
         argv = ["score", "--checkpoint", str(ckpt)]
     assert main([*argv, "--duration-model", dm, "--manifest", str(manifest)]) == 3
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("std", ["1e-320", "1e-30"])
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_degenerate_duration_model_exit_3(tmp_path, capsys, command, std):
+    """A duration std so small that GoPD leaves float32's range is refused,
+    naming the utterance and with no numpy warning, instead of saturating
+    the gates: at 1e-320 ms GoPD is -inf (refused by `gopd`), at 1e-30 ms
+    it is ~-5e61, finite in float64 (refused by `forward_batch`)."""
+    from pronassess import ScoringModel, SyntheticSpec, generate_corpus
+
+    manifest = generate_corpus(SyntheticSpec(n_utterances=1, seed=8), tmp_path / "c")
+    dm = tmp_path / "degenerate.tsv"
+    dm.write_text(f"phone\tmean_ms\tstd_ms\tcount\n__GLOBAL__\t50.0\t{std}\t100\n")
+    if command == "train":
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\n")
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+    else:
+        ckpt = tmp_path / "full.ckpt"
+        ScoringModel(seed=0).save(ckpt)
+        argv = ["score", "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.csv")]
+    assert main([*argv, "--duration-model", str(dm), "--manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    if std == "1e-320":
+        assert re.fullmatch(r"error: utt0000: GoPD of phone '[A-Z]+' lasting [0-9.]+ ms "
+                            r"is not finite under std 1e-320 ms\n", err), err
+    else:
+        assert err == ("error: utt0000: GoPD and pooled descriptors must be finite in float32 "
+                       "once standardized\n")
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "run" / "checkpoint.ckpt").exists()
 
 
 @pytest.mark.parametrize("kind", ["short-wav", "unnormalized", "too-many-phones",

@@ -81,6 +81,16 @@ class TestGopd:
         model = DurationModel({}, PhoneStats(100.0, 0.1, 100))
         assert gopd(100.0, "AA", model) > 0.0
 
+    @pytest.mark.parametrize("std", [1e-320, 1e-160])
+    def test_non_finite_log_density_rejected(self, std):
+        """z overflows at 1e-320 ms, z * z at 1e-160 ms: either gives -inf."""
+        model = DurationModel({}, PhoneStats(50.0, std, 100))
+        with pytest.raises(ValidationError) as info:
+            gopd(60.0, "AA", model)
+        assert str(info.value) == \
+            f"GoPD of phone 'AA' lasting 60.0 ms is not finite under std {std} ms"
+        assert gopd(50.0, "AA", model) > 0.0  # at the mean the density is finite
+
 
 class TestGopdVector:
     def test_span_at_mean_gives_peak(self):

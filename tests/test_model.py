@@ -276,6 +276,29 @@ class TestProjectionAndLoss:
         assert str(info.value) == (f"{uid}: " * bool(uid) + f"ct must be T x {CFG.feature_dim} "
                                    f"with T >= 1, got (4, {CFG.feature_dim - 1})")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype, column, value", [
+        (np.float64, 0, -np.inf), (np.float32, 0, -5e61), (np.float32, 3, 1e40)],
+        ids=["gopd-inf", "gopd-beyond-float32", "f0-beyond-float32"])
+    def test_numeric_rows_not_finite_in_the_model_dtype_rejected(self, dtype, column, value):
+        """GoPD near -5e61 (a duration std of 1e-30 ms) is finite in float64
+        but not in a float32 model, whose gates it would saturate."""
+        rng = np.random.default_rng(24)
+        bad = make_utt(rng)
+        bad.id = "utt7"
+        if column:
+            bad.fusion.pooled[1, column - 1] = value
+        else:
+            bad.fusion.gopd[1] = value
+        model = ScoringModel(CFG, seed=2)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        with pytest.raises(ValidationError) as info:
+            model.forward_batch([make_utt(rng), bad])
+        assert str(info.value) == (f"utt7: GoPD and pooled descriptors must be finite in "
+                                   f"{np.dtype(dtype)} once standardized")
+        if np.isfinite(value):  # the same rows pass in float64
+            ScoringModel(CFG, seed=2).forward_batch([bad])
+
     def test_uniform_loss_is_log11(self):
         u = np.full(11, 1.0 / 11)
         assert loss_fn(u, u, 3, 9, (0.5, 0.5)) == pytest.approx(np.log(11.0), abs=1e-12)
