@@ -325,7 +325,7 @@ def bilstm_backward(d_out, cache, fwd_params, bwd_params, *, dx_tail=None):
     step_rows = _prev_rows(plan.offsets)
     # h_{t-1} of every later row: packed row r at step t follows row r - n_{t-1}
     h_rows = np.arange(first, n_rows) - np.diff(plan.offsets)[plan.steps[first:] - 1]
-    # the packed rows whose input gradient is returned, and their first step
+    # the packed rows whose input gradient is returned: each sequence's from step start on
     tail = cache.lengths if dx_tail is None else np.asarray(dx_tail)
     start = (cache.lengths - tail)[plan.rows]
     sel = np.flatnonzero(plan.steps >= start)
